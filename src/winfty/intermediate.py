@@ -44,8 +44,9 @@ class IntermediateModule:
     def __post_init__(self):
         if self.kind not in (KIND_A, KIND_B):
             raise ValueError(f"kind must be A or B, got {self.kind!r}")
-        if len(self.alpha) != self.weyl.lattice.rank and len(self.alpha) != self.weyl.n:
-            raise ValueError("alpha has the wrong dimension")
+        if len(self.alpha) != self.weyl.n:
+            raise ValueError(f"alpha must have {self.weyl.n} coordinates "
+                             f"(alpha lies in F^n), got {len(self.alpha)}")
 
     @property
     def lattice(self) -> Lattice:

@@ -263,8 +263,12 @@ class Scalar:
         return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
+        # A rational constant equals its Fraction, so it must hash like one.
         if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
+            if self.is_rational():
+                self._hash = hash(self.as_fraction())
+            else:
+                self._hash = hash(frozenset(self.terms.items()))
         return self._hash
 
     def __bool__(self):

@@ -7,9 +7,15 @@ coordinate.  The associative product expands
 
     (t^a D^mu)(t^b D^nu) = sum_lambda C(mu,lambda) b^lambda t^(a+b) D^(mu+nu-lambda)
 
-and the Lie bracket is its commutator.  An independent oracle realizes
-elements as concrete operators on the group algebra (D_i scales t^g by g_i),
-which the tests play against the product formula.
+accumulating raw ring coefficients per output monomial and building one
+Scalar for each at the end; the lambda_i > 0 factors vanish when b_i = 0 and
+are never formed.  The Lie bracket is the commutator, accumulated directly:
+the lambda = 0 terms of xy and yx are equal (the coefficient ring is
+commutative), so they are skipped rather than built and cancelled.
+
+An independent oracle realizes elements as concrete operators on the group
+algebra (D_i scales t^g by g_i), which the tests play against the product
+formula; it shares no code with the product kernel.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from .lattice import Direction, Lattice, LatticePoint, inner
 from .report import VerificationReport
-from .scalars import Rat, Ring, Scalar, binom, falling
+from .scalars import Exponent, Rat, Ring, Scalar, binom, falling
 
 Gamma = Tuple[Fraction, ...]
 Mu = Tuple[int, ...]
@@ -208,15 +214,13 @@ class WeylElement:
         if not isinstance(other, WeylElement):
             return NotImplemented
         if self.basis != other.basis:
-            # A D-free element is the same in either basis.
-            if self.max_mu() == 0 and other.max_mu() == 0:
-                return self.terms == other.terms and self.central == other.central
-            return NotImplemented
+            return self.to_power() == other.to_power()
         return self.terms == other.terms and self.central == other.central
 
     def __hash__(self):
-        basis = POWER if self.max_mu() == 0 else self.basis
-        return hash((frozenset(self.terms.items()), self.central, basis))
+        # Hash the power-basis form, since equality crosses bases.
+        x = self.to_power()
+        return hash((frozenset(x.terms.items()), x.central))
 
     def __repr__(self):
         from .printer import format_element
@@ -313,37 +317,103 @@ class GradingWindow:
 # -- products and brackets -------------------------------------------------
 
 
-def mul(x: WeylElement, y: WeylElement) -> WeylElement:
-    """Associative product (1.2), bilinear over the coefficient ring."""
+def _check_product_inputs(x: WeylElement, y: WeylElement):
     x._check_compat(y)
     if x.basis != POWER:
         raise BasisMismatchError("mul needs power-basis inputs")
     if not x.central.is_zero() or not y.central.is_zero():
         raise SubalgebraError("the associative product is not defined on the center")
-    weyl = x.weyl
-    out: Dict[TermKey, Scalar] = {}
+
+
+def _lambda_factors(mu: Mu, b: Gamma):
+    """Per coordinate, the pairs (lambda_i, C(mu_i, lambda_i) b_i^lambda_i).
+
+    Each list starts with lambda_i = 0; when b_i = 0 it holds only that
+    entry, since every lambda_i > 0 factor vanishes.
+    """
+    out = []
+    for m, bi in zip(mu, b):
+        row = [(0, 1)]
+        if bi:
+            if bi.denominator == 1:
+                bi = bi.numerator  # int factors keep the products cheap
+            power = 1
+            for li in range(1, m + 1):
+                power *= bi
+                row.append((li, math.comb(m, li) * power))
+        out.append(row)
+    return out
+
+
+RawTerms = Dict[Gamma, Dict[Mu, Dict[Exponent, Fraction]]]
+
+
+def _accumulate(acc: RawTerms, x: WeylElement, y: WeylElement, sign: int,
+                skip_lambda0: bool):
+    """Add sign * x*y into ``acc``, a map gamma -> mu -> raw ring coefficients.
+
+    Keyed by gamma first so the Fraction tuple is hashed once per term pair.
+    With ``skip_lambda0`` the lambda = 0 terms t^(a+b) D^(mu+nu) are left out.
+    """
     for (a, mu), cx in x.terms.items():
         for (b, nu), cy in y.terms.items():
-            coeff = cx * cy
-            g = tuple(p + q for p, q in zip(a, b))
-            for lam in itertools.product(*(range(m + 1) for m in mu)):
-                f = Fraction(1)
-                for mi, li, bi in zip(mu, lam, b):
-                    if li:
-                        f *= binom(Fraction(mi), li) * bi ** li
-                if f == 0:
-                    continue
-                exp = tuple(m + n - l for m, n, l in zip(mu, nu, lam))
-                key = (g, exp)
-                out[key] = out.get(key, weyl.ring.zero) + coeff * f
-    return WeylElement(weyl, out, POWER)
+            coeff: Dict[Exponent, Fraction] = {}
+            for e1, c1 in cx.terms.items():
+                for e2, c2 in cy.terms.items():
+                    e = tuple(p + q for p, q in zip(e1, e2))
+                    coeff[e] = coeff.get(e, 0) + c1 * c2
+            by_mu = acc.setdefault(tuple(p + q for p, q in zip(a, b)), {})
+            lambdas = itertools.product(*_lambda_factors(mu, b))
+            if skip_lambda0:
+                next(lambdas)
+            for lam in lambdas:
+                f = sign
+                exp = []
+                for (li, fl), m, n in zip(lam, mu, nu):
+                    f *= fl
+                    exp.append(m + n - li)
+                raw = by_mu.setdefault(tuple(exp), {})
+                for e, c in coeff.items():
+                    raw[e] = raw.get(e, 0) + c * f
+
+
+def _element(weyl: Weyl, acc: RawTerms) -> WeylElement:
+    ring = weyl.ring
+    return WeylElement(weyl, {(g, mu): Scalar(ring, raw)
+                              for g, by_mu in acc.items() for mu, raw in by_mu.items()},
+                       POWER)
+
+
+def mul(x: WeylElement, y: WeylElement) -> WeylElement:
+    """Associative product (1.2), bilinear over the coefficient ring."""
+    _check_product_inputs(x, y)
+    acc: RawTerms = {}
+    _accumulate(acc, x, y, 1, False)
+    return _element(x.weyl, acc)
+
+
+def _commutator(x: WeylElement, y: WeylElement) -> WeylElement:
+    """mul(x,y) - mul(y,x) without the lambda = 0 terms.
+
+    Those terms are c_x c_y t^(a+b) D^(mu+nu) in both products, equal because
+    the coefficient ring is commutative, so they always cancel.
+    """
+    _check_product_inputs(x, y)
+    acc: RawTerms = {}
+    _accumulate(acc, x, y, 1, True)
+    _accumulate(acc, y, x, -1, True)
+    return _element(x.weyl, acc)
 
 
 def bracket(x: WeylElement, y: WeylElement) -> WeylElement:
-    """Lie bracket mul(x,y) - mul(y,x); in the hat algebra adds the cocycle."""
+    """Lie bracket mul(x,y) - mul(y,x); in the hat algebra adds the cocycle.
+
+    The commutator is accumulated directly, skipping the lambda = 0 terms of
+    both products, which cancel.
+    """
     if x.weyl.subalgebra == HAT or y.weyl.subalgebra == HAT:
         return ext_bracket(x, y)
-    return mul(x, y) - mul(y, x)
+    return _commutator(x, y)
 
 
 def cocycle(x: WeylElement, y: WeylElement) -> Scalar:
@@ -372,10 +442,10 @@ def cocycle(x: WeylElement, y: WeylElement) -> Scalar:
 def ext_bracket(x: WeylElement, y: WeylElement) -> WeylElement:
     """Bracket in the centrally extended one-variable algebra."""
     xp, yp = x.to_power(), y.to_power()
-    # the center contributes nothing: strip central coordinates before mul
+    # the center contributes nothing: strip central coordinates first
     xs = WeylElement(xp.weyl, xp.terms, POWER)
     ys = WeylElement(yp.weyl, yp.terms, POWER)
-    plain = mul(xs, ys) - mul(ys, xs)
+    plain = _commutator(xs, ys)
     c = cocycle(xs, ys)
     return WeylElement(plain.weyl, plain.terms, POWER, c)
 
@@ -437,9 +507,6 @@ def verify_cocycle_condition(x: WeylElement, y: WeylElement, z: WeylElement,
     """Residual psi([x,y],z) + psi([y,z],x) + psi([z,x],y); pass iff zero."""
     xs, ys, zs = (e.to_power() for e in (x, y, z))
 
-    def plain(a, b):
-        return mul(a, b) - mul(b, a)
-
-    res = (cocycle(plain(xs, ys), zs) + cocycle(plain(ys, zs), xs)
-           + cocycle(plain(zs, xs), ys))
+    res = (cocycle(_commutator(xs, ys), zs) + cocycle(_commutator(ys, zs), xs)
+           + cocycle(_commutator(zs, xs), ys))
     return VerificationReport(name, res.is_zero(), None if res.is_zero() else str(res))

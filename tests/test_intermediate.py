@@ -48,6 +48,16 @@ def test_window_escape():
         act(m, W1.tD((5,)), (0,))
 
 
+def test_alpha_needs_n_coordinates_on_low_rank_lattice():
+    # Gamma = Z(1,1) in Q^2 has rank 1, but alpha lies in F^2: a rank-length
+    # alpha leaves act() nothing to pair with the D2 exponent.
+    w = Weyl(2, lattice=Lattice([[1, 1]]), subalgebra="w1")
+    with pytest.raises(ValueError):
+        make_module("A", [Fraction(1, 3)], w)
+    m = make_module("A", [Fraction(1, 3), Fraction(1, 3)], w)
+    assert act(m, w.monomial((1, 1), (0, 2)), (0,)) == {(1,): Ring().const(Fraction(1, 9))}
+
+
 # -- module axioms ---------------------------------------------------------
 
 

@@ -34,6 +34,12 @@ def test_constants_and_symbols():
         RING.sym("missing")
 
 
+def test_rational_constants_hash_like_fractions():
+    assert len({Ring().const(3), 3}) == 1
+    assert {RING.const(Fraction(1, 2)): "x"}[Fraction(1, 2)] == "x"
+    assert hash(Ring().zero) == hash(0)
+
+
 def test_binom_examples():
     assert binom(2, 3) == 0
     assert binom(A + 1, 2) == (A * A + A) / 2

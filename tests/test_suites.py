@@ -1,5 +1,7 @@
 """The suite dispatcher: naming, determinism, report structure."""
 
+import hashlib
+
 import pytest
 
 from winfty.report import GRAMMAR_VERSION
@@ -41,3 +43,29 @@ def test_kind_option_restricts_module_suites():
     doc = run_suite("normalize", SuiteOptions(kind="B"))
     assert doc.passed
     assert all("[B]" in c.name for c in doc.checks)
+
+
+# sha256 of run_suite(name, SuiteOptions(seed=0)).to_json(), recorded before
+# the Weyl product kernel was rewritten: any change to a default report, and
+# so to scripts/run_all.py --seed 0 output, shows up here.
+GOLDEN_DIGESTS = {
+    "jacobi": "e4565369460e7c31bfaa088b3149d98ef40a54adcaab82d5ff61344d3fec268d",
+    "oracle": "a6d29a94beaa6cdf8349dcf840a7644dd0a329883f2a789a2940aabb535a1f00",
+    "cocycle": "71fa139ec2286e758b693b14bc9d6f6cf5e21ecb5ae996bd2e6110e2f206d1d1",
+    "onevar-identities": "7d1dbd29d5b8a285866d26432adf7c11fba7c702664f74d5e550e8aba1df4f9c",
+    "lemma21": "d8eb0fb57aad052ceacd1f1b19e6d675dea1dab8d4475d3cd58c1f3f72169b18",
+    "modules": "7391e2609d7bb649bba72516003a8467045c98fcff94e37eecb70797b8612ad8",
+    "assoc-dichotomy": "9b1ec509bf3abfdb1e02ac693b249faf6017f7381f7e5cb71b3fd33f2be5cd7e",
+    "submodules": "99b30c94b9c56ecbed77ef2a4cc691bffbc79f652cd8d851614a601776903055",
+    "normalize": "b3b90b138df8853da7c033b6ad0b45719cdb79da180aada57645427f4b3ae1e3",
+    "weightlab-p": "ccc4ea2c8c1533956a91221495d8efbbea54552cb1fd7bd9403fbd966f86c7a7",
+    "weightlab-215": "57b0f3524609e4e417eaa62947dba7f4f874045636561bb186353b74f8f311c9",
+    "weightlab-f": "75a9969d787f7c233ae123a559f317c82bf0fb0ff4938eba831b89c0f7540cfd",
+    "weightlab-yk": "32de4b7741ca9a20b6186ddf9e2bad77bae8a2c34de51beb42a8f2291cf56bd2",
+}
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES[:-1])
+def test_default_report_digest(name):
+    doc = run_suite(name, SuiteOptions(seed=0)).to_json()
+    assert hashlib.sha256(doc.encode()).hexdigest() == GOLDEN_DIGESTS[name]

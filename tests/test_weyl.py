@@ -10,8 +10,8 @@ from winfty.lattice import Direction
 from winfty.printer import format_element
 from winfty.scalars import Ring
 from winfty.weyl import (BasisMismatchError, GradingWindow, SubalgebraError,
-                         Weyl, act_on_combination, bracket, degree_one_bracket,
-                         mul, operator_action, verify_jacobi)
+                         Weyl, act_on_combination, bracket, cocycle,
+                         degree_one_bracket, mul, operator_action, verify_jacobi)
 
 W = Weyl(1)
 W2 = Weyl(2)
@@ -64,6 +64,77 @@ def test_mul_rejects_falling_basis():
         mul(xf, xf)
 
 
+# -- kernel differential checks --------------------------------------------
+#
+# Rational and formal coefficients (multi-term polynomials in a1, a2), and
+# grades with zero coordinates, where the b_i = 0 pruning of the lambda sum
+# applies.
+
+FORMAL = Ring(("a1", "a2"))
+
+
+def rand_coeff(ring, rng):
+    q = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
+    if not ring.symbols:
+        return q
+    a1, a2 = ring.sym("a1"), ring.sym("a2")
+    return (ring.const(q) + a1 * rng.randint(-3, 3)
+            + a1 ** rng.randint(0, 2) * a2 * rng.randint(-3, 3))
+
+
+def rand_kernel_element(weyl, rng, max_mu=4, w1=False):
+    out = weyl.zero()
+    for _ in range(rng.randint(1, 3)):
+        gamma = tuple(0 if rng.random() < 0.4 else rng.randint(-5, 5)
+                      for _ in range(weyl.n))
+        mu = [0] * weyl.n
+        for _ in range(rng.randint(1 if w1 else 0, max_mu)):
+            mu[rng.randrange(weyl.n)] += 1
+        out = out + weyl.monomial(gamma, mu, rand_coeff(weyl.ring, rng))
+    return out
+
+
+KERNEL_ALGEBRAS = [Weyl(n, ring=ring) for n in (1, 2) for ring in (Ring(), FORMAL)]
+
+
+@pytest.mark.parametrize("weyl", KERNEL_ALGEBRAS, ids=lambda w: f"n{w.n}-{w.ring.nvars}sym")
+def test_bracket_is_commutator_of_mul(weyl):
+    rng = random.Random(31 + weyl.n + weyl.ring.nvars)
+    for _ in range(40):
+        x, y = rand_kernel_element(weyl, rng), rand_kernel_element(weyl, rng)
+        assert bracket(x, y) == mul(x, y) - mul(y, x)
+
+
+@pytest.mark.parametrize("weyl", KERNEL_ALGEBRAS, ids=lambda w: f"n{w.n}-{w.ring.nvars}sym")
+def test_kernel_mul_matches_operator_action(weyl):
+    rng = random.Random(41 + weyl.n + weyl.ring.nvars)
+    for _ in range(30):
+        x, y = rand_kernel_element(weyl, rng), rand_kernel_element(weyl, rng)
+        xy = mul(x, y)
+        for _ in range(3):
+            g = tuple(Fraction(0) if rng.random() < 0.3
+                      else Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+                      for _ in range(weyl.n))
+            assert operator_action(xy, g) == act_on_combination(
+                x, operator_action(y, g))
+
+
+@pytest.mark.parametrize("ring", [Ring(), FORMAL], ids=["rational", "formal"])
+def test_hat_bracket_is_commutator_plus_cocycle(ring):
+    hat = Weyl(1, ring=ring, subalgebra="hat")
+    rng = random.Random(51 + ring.nvars)
+    for _ in range(40):
+        x = rand_kernel_element(hat, rng, w1=True)
+        y = rand_kernel_element(hat, rng, w1=True)
+        if rng.random() < 0.5:
+            # opposite grades, where the cocycle can be nonzero
+            (g, mu), c = next(iter(x.terms.items()))
+            y = y + hat.monomial(tuple(-v for v in g), (rng.randint(1, 4),), c)
+        got = bracket(x, y)
+        assert got == mul(x, y) - mul(y, x) + hat.central(cocycle(x, y))
+        assert got.central == cocycle(x, y)
+
+
 # -- the bracket -----------------------------------------------------------
 
 
@@ -108,6 +179,19 @@ def test_t2_falling3_expansion():
     expect = (W.monomial((2,), (3,)) - W.monomial((2,), (2,), 3)
               + W.monomial((2,), (1,), 2))
     assert x.to_power() == expect
+
+
+def test_equality_and_hash_cross_bases():
+    e = W.monomial((1,), (2,))
+    f = e.to_falling()
+    assert e == f and f == e
+    assert hash(e) == hash(f)
+    assert len({e, f}) == 1
+    assert e != f.scale(2)
+    hat = Weyl(1, subalgebra="hat")
+    h = hat.monomial((1,), (3,)) + hat.central(2)
+    assert h.to_falling() == h and hash(h.to_falling()) == hash(h)
+    assert h.to_falling() != h - hat.central(1)
 
 
 def test_conversions_mutually_inverse():
