@@ -16,7 +16,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .printer import format_element
 from .report import VerificationReport
-from .weyl import Weyl, WeylElement, bracket, mul
+from .scalars import Rat
+from .weyl import HAT, POWER, BasisMismatchError, Weyl, WeylElement, bracket
 
 Poly = Dict[int, Fraction]  # univariate polynomial in D, exponent -> coefficient
 
@@ -210,20 +211,73 @@ def verify_named_identity(weyl: Weyl, name: str, i: int = 1) -> VerificationRepo
 # -- generation claim at desk scale ---------------------------------------
 
 
-MonoKey = Tuple[Fraction, int]  # (t-degree, D-exponent)
+MonoKey = Tuple[Rat, int]  # (t-degree, D-exponent); the degree is an int when integral
+Vec = Dict[MonoKey, Rat]
+IntVec = Dict[MonoKey, int]
 
 Word = Union[str, Tuple[str, int, int]]  # generator name or ("br", gen_idx, raw_idx)
 
 
-def _to_vec(x: WeylElement) -> Dict[MonoKey, Fraction]:
-    return {(g[0], mu[0]): c.as_fraction() for (g, mu), c in x.terms.items()}
+def _to_vec(x: WeylElement) -> Vec:
+    """The coefficients of a one-variable power-basis element with rational
+    coefficients (as_fraction raises on any other scalar)."""
+    return {(g[0].numerator if g[0].denominator == 1 else g[0], mu[0]): c.as_fraction()
+            for (g, mu), c in x.terms.items()}
+
+
+def _integral(vec: Vec, scale: int = 1) -> Tuple[IntVec, int]:
+    """(w, s) with vec / scale == w / s, w integral and s > 0, both divided
+    by their common gcd."""
+    d = math.lcm(*(c.denominator for c in vec.values()))
+    s = scale * d
+    w = {k: c.numerator * (d // c.denominator) for k, c in vec.items()}
+    g = math.gcd(s, *w.values())
+    if g > 1:
+        w = {k: c // g for k, c in w.items()}
+        s //= g
+    return w, s
+
+
+def _bracket_vec(x: Vec, y: Vec) -> Vec:
+    """[x, y] by the product formula (1.2) for n = 1, extended bilinearly:
+
+    [t^a D^p, t^b D^q] = sum_{l>=1} (C(p,l) b^l - C(q,l) a^l) t^(a+b) D^(p+q-l).
+
+    The l = 0 terms cancel.  Integral degrees and coefficients give an
+    integral result.
+    """
+    out: Vec = {}
+    for (a, p), cx in x.items():
+        for (b, q), cy in y.items():
+            k = a + b
+            c = cx * cy
+            al = bl = 1
+            for lam in range(1, max(p, q) + 1):
+                al *= a
+                bl *= b
+                f = math.comb(p, lam) * bl - math.comb(q, lam) * al
+                if f:
+                    key = (k, p + q - lam)
+                    out[key] = out.get(key, 0) + c * f
+    return {key: c for key, c in out.items() if c}
+
+
+def _combine(p: int, v: Dict, q: int, w: Dict) -> Dict:
+    """p*v + q*w for sparse integer vectors, zeros dropped."""
+    out = {k: p * c for k, c in v.items()} if p != 1 else dict(v)
+    for k, c in w.items():
+        n = out.get(k, 0) + q * c
+        if n:
+            out[k] = n
+        else:
+            out.pop(k, None)
+    return out
 
 
 @dataclass
 class _Row:
-    pivot: MonoKey
-    vec: Dict[MonoKey, Fraction]
-    combo: Dict[int, Fraction]  # raw-element index -> coefficient
+    vec: IntVec  # primitive together with combo; vec[pivot] > 0
+    combo: Dict[int, int]  # vec = sum combo[r] * raw[r]
 
 
 class GeneratedSubalgebra:
@@ -234,77 +288,104 @@ class GeneratedSubalgebra:
     discarded (never silently projected), so every recorded element genuinely
     lies in the generated subalgebra.  Closure uses left-normed brackets
     [g, x] with g a generator, which span the generated subalgebra.
+
+    Preconditions, checked on entry: the algebra has n = 1 and no central
+    extension, and every generator is in the power basis with rational
+    coefficients.  Membership targets are converted to the power basis.
+
+    The closure runs on integer vectors {(k, m): c}: brackets come from the
+    one-variable product formula and the elimination is fraction-free.  Each
+    pivot row is a primitive integer vector with the integer combination of
+    raw elements it equals; a step reduces v to p*v - c*row with p, c the
+    two leading coefficients over their gcd, then divides out the content.
+    Only accepted brackets become WeylElements (the ``raw`` entries), and
+    ``eval_word`` re-evaluates a witness through the generic ``bracket``,
+    which re-checks it against the independent Weyl kernel.
     """
 
     def __init__(self, weyl: Weyl, generators: Sequence[Tuple[str, WeylElement]],
                  deg_lo: int = 0, deg_hi: int = 40, d_cap: int = 6):
+        if weyl.n != 1 or weyl.subalgebra == HAT:
+            raise ValueError("the closure needs a one-variable algebra without "
+                             "central extension")
+        for name, g in generators:
+            if g.weyl.n != 1:
+                raise ValueError(f"generator {name} is not a one-variable element")
+            if g.basis != POWER:
+                raise BasisMismatchError(f"generator {name} is not in the power basis")
         self.weyl = weyl
         self.generators = list(generators)
         self.deg_lo, self.deg_hi, self.d_cap = deg_lo, deg_hi, d_cap
         self.raw: List[Tuple[WeylElement, Word]] = []
+        self._vecs: List[Tuple[IntVec, int]] = []  # raw[r] == vec / scale
         self._rows: Dict[MonoKey, _Row] = {}
         self.rounds = 0
         self._grow()
 
     # -- linear algebra ----------------------------------------------------
 
-    def _reduce(self, vec: Dict[MonoKey, Fraction], combo: Dict[int, Fraction]):
-        vec = dict(vec)
-        combo = dict(combo)
+    def _reduce(self, vec: IntVec, combo: Dict[int, int], s: int):
+        """Reduce vec = s*target + sum combo[r]*raw[r] by the pivot rows until
+        it vanishes or its leading key has no row; s = 0 means no target."""
         while vec:
             pivot = max(vec)
             row = self._rows.get(pivot)
             if row is None:
-                return vec, combo, pivot
-            c = vec[pivot]
-            for k, v in row.vec.items():
-                nv = vec.get(k, Fraction(0)) - c * v
-                if nv:
-                    vec[k] = nv
-                else:
-                    vec.pop(k, None)
-            for k, v in row.combo.items():
-                nv = combo.get(k, Fraction(0)) - c * v
-                if nv:
-                    combo[k] = nv
-                else:
-                    combo.pop(k, None)
-        return vec, combo, None
+                return vec, combo, s, pivot
+            r, c = row.vec[pivot], vec[pivot]
+            g = math.gcd(r, c)
+            p, c = r // g, c // g
+            vec = _combine(p, vec, -c, row.vec)
+            combo = _combine(p, combo, -c, row.combo)
+            s *= p
+            g = math.gcd(s, *vec.values(), *combo.values())
+            if g > 1:
+                vec = {k: v // g for k, v in vec.items()}
+                combo = {k: v // g for k, v in combo.items()}
+                s //= g
+        return vec, combo, s, None
 
-    def _in_box(self, vec: Dict[MonoKey, Fraction]) -> bool:
+    def _in_box(self, vec: Vec) -> bool:
         return all(self.deg_lo <= k <= self.deg_hi and 1 <= m <= self.d_cap
                    for (k, m) in vec)
 
-    def _try_add(self, x: WeylElement, word: Word) -> bool:
-        if x.is_zero():
+    def _try_add(self, vec: Vec, scale: int, word: Word,
+                 x: Optional[WeylElement] = None) -> bool:
+        """Record vec / scale as raw element ``word`` if it is nonzero, in the
+        box and independent of the rows; x is its element, if already built."""
+        if not vec or not self._in_box(vec):
             return False
-        vec = _to_vec(x)
-        if not self._in_box(vec):
-            return False
+        ivec, s = _integral(vec, scale)
         idx = len(self.raw)
-        red, combo, pivot = self._reduce(vec, {idx: Fraction(1)})
+        red, combo, _s, pivot = self._reduce(ivec, {idx: s}, 0)
         if pivot is None:
             return False
+        g = math.gcd(*red.values(), *combo.values())
+        if red[pivot] < 0:
+            g = -g
+        self._rows[pivot] = _Row({k: v // g for k, v in red.items()},
+                                 {k: v // g for k, v in combo.items()})
+        if x is None:
+            const = self.weyl.ring.const
+            x = WeylElement(self.weyl, {((Fraction(k),), (m,)): const(Fraction(c, s))
+                                        for (k, m), c in ivec.items()})
+        self._vecs.append((ivec, s))
         self.raw.append((x, word))
-        c = red[pivot]
-        self._rows[pivot] = _Row(pivot,
-                                 {k: v / c for k, v in red.items()},
-                                 {k: v / c for k, v in combo.items()})
         return True
 
     def _grow(self):
+        gens = [_integral(_to_vec(g)) for _name, g in self.generators]
         frontier = []
-        for name, g in self.generators:
-            if self._try_add(g, name):
+        for (name, g), (vec, s) in zip(self.generators, gens):
+            if self._try_add(vec, s, name, g):
                 frontier.append(len(self.raw) - 1)
         while frontier:
             self.rounds += 1
             nxt = []
             for idx in frontier:
-                x = self.raw[idx][0]
-                for gi, (_name, g) in enumerate(self.generators):
-                    y = bracket(g, x)
-                    if self._try_add(y, ("br", gi, idx)):
+                x, xs = self._vecs[idx]
+                for gi, (g, gs) in enumerate(gens):
+                    if self._try_add(_bracket_vec(g, x), gs * xs, ("br", gi, idx)):
                         nxt.append(len(self.raw) - 1)
             frontier = nxt
 
@@ -316,14 +397,18 @@ class GeneratedSubalgebra:
 
     def membership(self, target: WeylElement) -> Optional[List[Tuple[Fraction, int]]]:
         """A combination sum c_r * raw[r] equal to target, or None."""
-        vec = _to_vec(target)
+        if target.weyl.n != 1:
+            raise ValueError("target is not a one-variable element")
+        vec = _to_vec(target.to_power())
         if not self._in_box(vec):
             raise ValueError("target lies outside the truncation caps")
-        red, combo, pivot = self._reduce(vec, {})
+        ivec, s = _integral(vec)
+        red, combo, s, pivot = self._reduce(ivec, {}, s)
         if pivot is not None:
             return None
-        # reduction expressed target - sum combo_r raw_r = 0
-        return sorted(((-c, r) for r, c in combo.items()), key=lambda t: t[1])
+        # reduction expressed s*target + sum combo_r raw_r = 0
+        return sorted(((Fraction(-c, s), r) for r, c in combo.items()),
+                      key=lambda t: t[1])
 
     def word_text(self, word: Word) -> str:
         if isinstance(word, str):

@@ -24,11 +24,11 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .lattice import Direction, Lattice, LatticePoint, inner
 from .report import VerificationReport
-from .scalars import Exponent, Rat, Ring, Scalar, binom, falling
+from .scalars import Exponent, Rat, Ring, Scalar, binom
 
 Gamma = Tuple[Fraction, ...]
 Mu = Tuple[int, ...]
@@ -239,9 +239,11 @@ class WeylElement:
         return max((sum(mu) for (_g, mu) in self.terms), default=0)
 
     def project(self, window) -> "WeylElement":
-        """Keep the monomials whose Gamma-degree lies in ``window``."""
+        """Keep the monomials whose Gamma-degree lies in ``window``, and the
+        central coordinate (of degree 0) when the window holds 0."""
         kept = {k: c for k, c in self.terms.items() if window.contains(k[0])}
-        return WeylElement(self.weyl, kept, self.basis)
+        central = self.central if window.contains((0,) * self.weyl.n) else None
+        return WeylElement(self.weyl, kept, self.basis, central)
 
     def in_w1(self) -> bool:
         return all(sum(mu) >= 1 for (_g, mu) in self.terms)

@@ -283,6 +283,14 @@ def test_project_window():
     assert x.project(win) == W.monomial((5,), (3,))
 
 
+def test_project_keeps_central_exactly_when_window_holds_zero():
+    hat = Weyl(1, subalgebra="hat")
+    x = hat.tD((3,)) + hat.central(5)
+    assert x.project(GradingWindow.interval(0)) == x
+    assert x.project(GradingWindow.interval(1)) == hat.tD((3,))
+    assert x.project(GradingWindow.interval(-2, 0)).is_zero()
+
+
 def test_w1_guard():
     w1 = Weyl(1, subalgebra="w1")
     with pytest.raises(SubalgebraError):
