@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .lattice import Lattice
 from .report import VerificationReport
 from .scalars import Ring, Scalar, rising
-from .weyl import Weyl, WeylElement, bracket, mul
+from .weyl import Weyl, WeylElement, _falling_coeffs, bracket, mul
 
 Coords = Tuple[int, ...]
 ModuleVector = Dict[Coords, Scalar]
@@ -329,30 +329,13 @@ class PQData:
     p2_const: Scalar
 
 
-class _RatFunc:
-    """num/den over the scalar ring; normalized only on demand by exact_div."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Scalar, den: Scalar):
-        if den.is_zero():
-            raise ZeroDivisionError("vanishing rescale denominator")
-        self.num, self.den = num, den
-
-    def mul_scalar(self, s: Scalar) -> "_RatFunc":
-        return _RatFunc(self.num * s, self.den)
-
-    def div_scalar(self, s: Scalar) -> "_RatFunc":
-        return _RatFunc(self.num, self.den * s)
-
-    def ratio_to(self, other: "_RatFunc") -> Scalar:
-        """(self / other) as an exact polynomial, or ValueError."""
-        return (self.num * other.den).exact_div(self.den * other.num)
+_D = (0, 1)  # coefficients of g(D) = D
 
 
-def _raw_poly_action(m: IntermediateModule, beta: int, g_coeffs: Dict[int, Fraction],
+def _raw_poly_action(m: IntermediateModule, beta: int, g_coeffs: Sequence[int],
                      k: int) -> Scalar:
-    """Coefficient of t^beta g(D) acting on y_k (scalar, before rescaling).
+    """Coefficient of t^beta g(D) acting on y_k (scalar, before rescaling),
+    where g(D) = sum_e g_coeffs[e] D^e.
 
     A: g(alpha + k);  B: -g(-(alpha + beta + k)).
     """
@@ -365,55 +348,56 @@ def _raw_poly_action(m: IntermediateModule, beta: int, g_coeffs: Dict[int, Fract
         x = -(a + beta + k)
         sign = -1
     out = ring.zero
-    for e, c in g_coeffs.items():
-        out = out + ring.const(c) * x ** e
+    for e, c in enumerate(g_coeffs):
+        if c:
+            out = out + x ** e * c
     return out * sign
-
-
-def _falling_poly(j: int) -> Dict[int, Fraction]:
-    """Coefficients of D(D-1)...(D-j+1) as a polynomial in D."""
-    from .weyl import _falling_coeffs
-    return {e: Fraction(c) for e, c in enumerate(_falling_coeffs(j)) if c}
 
 
 def normalize_ddt_basis(m: IntermediateModule, k_range: Sequence[int]) -> PQData:
     """Rescale the weight basis so (t^(-1)D) Y_k = Y_(k-1), then read off
     P_{i,k} for -1 <= i <= 5 and Q_i for 1 <= i <= 4.
 
-    Needs rank one (n = 1, Gamma = Z); alpha may be formal.  The scale is
-    anchored to 1 at the smallest k in range with a nonzero denominator.
+    Needs rank one (n = 1, Gamma = Z); alpha may be formal.  With c_k the
+    scale of Y_k = c_k y_k, the normalization reads c_(k-1) = c_k r(k) for
+    r(k) the coefficient of t^-1 D on y_k, so every ratio c_k / c_(k+i)
+    telescopes to a product of r(j) and no scale is ever formed.
     """
     if m.weyl.n != 1 or m.lattice.rank != 1:
         raise ValueError("normalize_ddt_basis needs the rank-one case")
     ks = sorted(int(k) for k in k_range)
     ring = m.weyl.ring
     one = ring.one
-    lo, hi = ks[0] - 6, ks[-1] + 6
-
-    def r_down(k: int) -> Scalar:
-        # coefficient of (t^-1 D) on y_k
-        return _raw_poly_action(m, -1, {1: Fraction(1)}, k)
-
-    c: Dict[int, _RatFunc] = {lo: _RatFunc(one, one)}
-    for k in range(lo + 1, hi + 1):
-        # (t^-1 D) Y_k = Y_(k-1)  =>  c_(k-1) = c_k * r_down(k)
-        r = r_down(k)
-        if r.is_zero():
+    # the normalized basis spans k in [ks[0] - 6, ks[-1] + 6]; it exists only
+    # when every r(k) linking neighbours in that window is nonzero
+    r: Dict[int, Scalar] = {}
+    for k in range(ks[0] - 5, ks[-1] + 7):
+        r[k] = _raw_poly_action(m, -1, _D, k)
+        if r[k].is_zero():
             raise ZeroDivisionError(f"vanishing rescale denominator at k = {k}")
-        c[k] = c[k - 1].div_scalar(r)
+
+    def rescaled(raw: Scalar, k: int, i: int) -> Scalar:
+        """raw * c_k / c_(k+i), or ValueError when that is not a polynomial."""
+        if i >= 0:
+            for j in range(k + 1, k + i + 1):
+                raw = raw * r[j]
+            return raw
+        den = one
+        for j in range(k + i + 1, k + 1):
+            den = den * r[j]
+        return raw.exact_div(den)
 
     p: Dict[Tuple[int, int], Scalar] = {}
     for i in range(-1, 6):
         for k in ks:
-            raw = _raw_poly_action(m, i, {1: Fraction(1)}, k)
-            p[(i, k)] = c[k].mul_scalar(raw).ratio_to(c[k + i])
+            p[(i, k)] = rescaled(_raw_poly_action(m, i, _D, k), k, i)
 
     q: Dict[int, Scalar] = {}
     for i in range(1, 6):
         vals = []
         for k in ks:
-            raw = _raw_poly_action(m, -i, _falling_poly(i), k)
-            vals.append(c[k].mul_scalar(raw).ratio_to(c[k - i]))
+            raw = _raw_poly_action(m, -i, _falling_coeffs(i), k)
+            vals.append(rescaled(raw, k, -i))
         if any(v != vals[0] for v in vals[1:]):
             raise AssertionError(f"Q_{i} depends on k: {[str(v) for v in vals]}")
         q[i] = vals[0]
@@ -436,6 +420,6 @@ def sigma_eval(m: IntermediateModule, k: int = 0) -> Scalar:
     """
     if m.weyl.n != 1 or m.lattice.rank != 1:
         raise ValueError("sigma_eval needs the rank-one case")
-    r1 = _raw_poly_action(m, 2, {1: Fraction(1)}, k)          # t^3 d/dt = t^2 D
-    r2 = _raw_poly_action(m, -2, _falling_poly(2), k + 2)     # (d/dt)^2 = t^-2 [D]_2
+    r1 = _raw_poly_action(m, 2, _D, k)                      # t^3 d/dt = t^2 D
+    r2 = _raw_poly_action(m, -2, _falling_coeffs(2), k + 2)  # (d/dt)^2 = t^-2 [D]_2
     return r1 * r2

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .printer import format_element
 from .report import VerificationReport
-from .scalars import Rat
+from .scalars import Rat, falling
 from .weyl import HAT, POWER, BasisMismatchError, Weyl, WeylElement, bracket
 
 Poly = Dict[int, Fraction]  # univariate polynomial in D, exponent -> coefficient
@@ -137,13 +137,6 @@ NAMED_IDENTITIES = ("L23-1", "L23-2", "L23-3", "CUBE")
 L233_READINGS = ("close-inner", "close-after-t5-term", "close-at-end")
 
 
-def _falling_int(a: int, j: int) -> Fraction:
-    out = Fraction(1)
-    for m in range(j):
-        out *= a - m
-    return out
-
-
 def verify_named_identity(weyl: Weyl, name: str, i: int = 1) -> VerificationReport:
     """Check one of the displayed operator identities exactly.
 
@@ -168,7 +161,7 @@ def verify_named_identity(weyl: Weyl, name: str, i: int = 1) -> VerificationRepo
         raise ValueError("identity index i must be >= 1")
     X = ddt_power(weyl, i)
     if name == "L23-1":
-        lhs = _ddt_or_zero(weyl, i - 2).scale(-_falling_int(i + 1, 4))
+        lhs = _ddt_or_zero(weyl, i - 2).scale(-falling(i + 1, 4))
         rhs = (bracket(T[2], bracket(T[2], X)).scale(3)
                + bracket(T[3], X).scale(2 * (2 * i - 1)))
         res = rhs - lhs
@@ -182,7 +175,7 @@ def verify_named_identity(weyl: Weyl, name: str, i: int = 1) -> VerificationRepo
                                   None if res.is_zero() else format_element(res))
     # L23-3: evaluate every syntactically plausible nesting and record which
     # of them balances; the display in the source is ambiguous.
-    lhs = _ddt_or_zero(weyl, i - 4).scale(_falling_int(i + 1, 6))
+    lhs = _ddt_or_zero(weyl, i - 4).scale(falling(i + 1, 6))
     t5_term = bracket(T[5], X).scale(6 * (i - 4))
     t2_term = bracket(T[2], bracket(T[4], X)).scale(15)
     readings = {

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -50,8 +49,8 @@ class ReportDocument:
         self.checks.append(check)
         return check
 
-    def to_dict(self, with_timing: bool = False) -> Dict[str, Any]:
-        doc = {
+    def to_dict(self) -> Dict[str, Any]:
+        return {
             "suite": self.suite,
             "grammar_version": GRAMMAR_VERSION,
             "seed": self.seed,
@@ -59,14 +58,11 @@ class ReportDocument:
             "passed": self.passed,
             "checks": [c.to_dict() for c in sorted(self.checks, key=lambda c: c.name)],
         }
-        if with_timing:
-            doc["generated_at"] = time.time()
-        return doc
 
-    def to_json(self, with_timing: bool = False) -> str:
+    def to_json(self) -> str:
         # Stable key order and separators: identical seed+options give
-        # byte-identical output (timing is opt-in and breaks determinism).
-        return json.dumps(self.to_dict(with_timing), sort_keys=True, separators=(",", ":"))
+        # byte-identical output.
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     def summary(self) -> str:
         lines = [f"suite {self.suite}: {'PASS' if self.passed else 'FAIL'}"]

@@ -6,19 +6,34 @@ coefficients.  Zero coefficients are never stored, so two equal polynomials
 have identical internal state and compare (and hash) identically.
 
 The parameter set is fixed per :class:`Ring`; mixing scalars from different
-rings is an error.  Division is restricted to division by nonzero rationals
-plus :meth:`Scalar.exact_div`, which divides by another polynomial and raises
-unless the quotient is exact (the scalar ring stays a polynomial ring).
+rings is an error, and so is a coefficient that is neither an int nor a
+Fraction (a float would store its binary expansion).  Division is restricted
+to division by nonzero rationals plus :meth:`Scalar.exact_div`, which divides
+by another polynomial and raises unless the quotient is exact (the scalar
+ring stays a polynomial ring).
+
+Kernel: a product clears each factor to integer numerators over the lcm of
+its denominators, accumulates plain ``int`` products per output exponent and
+builds one Fraction per output term, so no gcd is taken per term pair (the
+approach of Monagan & Pearce, "Sparse polynomial multiplication and division
+in Maple 14", 2009).  A rational-constant factor scales term by term.
+:meth:`Scalar.substitute` computes each power of a substituted value once per
+call and collects all terms into one map.  Results the kernel already knows
+to be zero-free go through :meth:`Scalar._trusted`, which skips the zero
+filter of the public constructor.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 Exponent = Tuple[int, ...]
 Rat = Union[int, Fraction]
+
+_add = operator.add
 
 
 class Ring:
@@ -48,14 +63,16 @@ class Ring:
         return len(self.symbols)
 
     def const(self, value: Rat) -> "Scalar":
-        c = Fraction(value)
-        if c == 0:
-            return Scalar(self, {})
-        return Scalar(self, {self._zero_exp: c})
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"scalar constants must be int or Fraction, "
+                            f"got {type(value).__name__} {value!r}")
+        if value == 0:
+            return Scalar._trusted(self, {})
+        return Scalar._trusted(self, {self._zero_exp: Fraction(value)})
 
     @property
     def zero(self) -> "Scalar":
-        return Scalar(self, {})
+        return Scalar._trusted(self, {})
 
     @property
     def one(self) -> "Scalar":
@@ -66,7 +83,7 @@ class Ring:
             raise KeyError(f"unknown symbol {name!r} (ring has {self.symbols})")
         exp = [0] * self.nvars
         exp[self._index[name]] = 1
-        return Scalar(self, {tuple(exp): Fraction(1)})
+        return Scalar._trusted(self, {tuple(exp): Fraction(1)})
 
     def coerce(self, value: Union["Scalar", Rat]) -> "Scalar":
         if isinstance(value, Scalar):
@@ -74,6 +91,12 @@ class Ring:
                 raise ValueError("scalar belongs to a different ring")
             return value
         return self.const(value)
+
+
+def _cleared(terms: Dict[Exponent, Fraction]) -> Tuple[int, List[Tuple[Exponent, int]]]:
+    """The lcm d of the denominators and the integer numerators c*d per term."""
+    d = math.lcm(*(c.denominator for c in terms.values()))
+    return d, [(e, c.numerator * (d // c.denominator)) for e, c in terms.items()]
 
 
 class Scalar:
@@ -85,6 +108,15 @@ class Scalar:
         self.ring = ring
         self.terms = {e: c for e, c in terms.items() if c != 0}
         self._hash = None
+
+    @classmethod
+    def _trusted(cls, ring: Ring, terms: Dict[Exponent, Fraction]) -> "Scalar":
+        """Wrap ``terms`` as is: every value a nonzero Fraction, owned by the result."""
+        out = object.__new__(cls)
+        out.ring = ring
+        out.terms = terms
+        out._hash = None
+        return out
 
     # -- predicates -------------------------------------------------------
 
@@ -112,51 +144,78 @@ class Scalar:
 
     def _coerce(self, other) -> "Scalar":
         if isinstance(other, Scalar):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError("scalars from different rings")
             return other
         if isinstance(other, (int, Fraction)):
             return self.ring.const(other)
         return NotImplemented
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int) -> "Scalar":
+        """self + sign * other."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return Scalar(self.ring, out)
+            s = out.get(e)
+            if s is None:
+                out[e] = c if sign > 0 else -c
+            else:
+                s = s + c if sign > 0 else s - c
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+        return Scalar._trusted(self.ring, out)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.ring, {e: -c for e, c in self.terms.items()})
+        return Scalar._trusted(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) - c
-        return Scalar(self.ring, out)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return -(self - other)
 
+    def _scale(self, q: Rat) -> "Scalar":
+        if not q:
+            return self.ring.zero
+        if q == 1:
+            return self
+        if q == -1:
+            return -self
+        return Scalar._trusted(self.ring, {e: c * q for e, c in self.terms.items()})
+
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._scale(other)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.terms or not other.terms:
+        t1, t2 = self.terms, other.terms
+        if not t1 or not t2:
             return self.ring.zero
-        out: Dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return Scalar(self.ring, out)
+        zero_exp = self.ring._zero_exp
+        if len(t2) == 1 and zero_exp in t2:
+            return self._scale(t2[zero_exp])
+        if len(t1) == 1 and zero_exp in t1:
+            return other._scale(t1[zero_exp])
+        d1, n1 = _cleared(t1)
+        d2, n2 = _cleared(t2)
+        acc: Dict[Exponent, int] = {}
+        get = acc.get
+        for e1, a in n1:
+            for e2, b in n2:
+                e = tuple(map(_add, e1, e2))
+                acc[e] = get(e, 0) + a * b
+        d = d1 * d2
+        return Scalar._trusted(self.ring, {e: Fraction(n, d) for e, n in acc.items() if n})
 
     __rmul__ = __mul__
 
@@ -166,10 +225,12 @@ class Scalar:
             if not other.is_rational():
                 raise ValueError("polynomial division unsupported; use exact_div")
             other = other.as_fraction()
-        q = Fraction(other)
-        if q == 0:
+        elif not isinstance(other, (int, Fraction)):
+            raise TypeError(f"scalars divide only by int or Fraction, "
+                            f"got {type(other).__name__} {other!r}")
+        if other == 0:
             raise ZeroDivisionError("division of scalar by zero")
-        return Scalar(self.ring, {e: c / q for e, c in self.terms.items()})
+        return self._scale(1 / Fraction(other))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -179,8 +240,9 @@ class Scalar:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def exact_div(self, divisor: "Scalar") -> "Scalar":
@@ -201,41 +263,48 @@ class Scalar:
         quot: Dict[Exponent, Fraction] = {}
         while rem:
             e = max(rem)
-            c = rem[e]
             qe = tuple(a - b for a, b in zip(e, lead))
             if any(x < 0 for x in qe):
                 raise ValueError(f"not divisible: {self} by {divisor}")
-            qc = c / lead_c
-            quot[qe] = quot.get(qe, Fraction(0)) + qc
+            # each step removes the current lex-largest remainder term, so
+            # every quotient exponent is new and nonzero
+            qc = rem[e] / lead_c
+            quot[qe] = qc
             for de, dc in divisor.terms.items():
-                te = tuple(a + b for a, b in zip(qe, de))
-                nc = rem.get(te, Fraction(0)) - qc * dc
-                if nc == 0:
-                    rem.pop(te, None)
-                else:
+                te = tuple(map(_add, qe, de))
+                nc = rem.get(te, 0) - qc * dc
+                if nc:
                     rem[te] = nc
-        return Scalar(self.ring, quot)
+                else:
+                    rem.pop(te, None)
+        return Scalar._trusted(self.ring, quot)
 
     # -- substitution -----------------------------------------------------
 
     def substitute(self, mapping: Mapping[str, Union["Scalar", Rat]]) -> "Scalar":
         """Substitute parameters by scalars/rationals, expanding exactly."""
-        values = {self.ring._index[k]: self.ring.coerce(v) for k, v in mapping.items()}
-        out = self.ring.zero
+        ring = self.ring
+        values = {ring._index[k]: ring.coerce(v) for k, v in mapping.items()}
+        powers: Dict[Tuple[int, int], Scalar] = {}
+        out: Dict[Exponent, Fraction] = {}
         for e, c in self.terms.items():
-            term = self.ring.const(c)
+            kept = list(e)
+            factor = None
             for i, p in enumerate(e):
-                if p == 0:
-                    continue
-                base = values.get(i)
-                if base is None:
-                    mono = [0] * self.ring.nvars
-                    mono[i] = p
-                    term = term * Scalar(self.ring, {tuple(mono): Fraction(1)})
-                else:
-                    term = term * base ** p
-            out = out + term
-        return out
+                if p and i in values:
+                    kept[i] = 0
+                    f = powers.get((i, p))
+                    if f is None:
+                        f = powers[(i, p)] = values[i] ** p
+                    factor = f if factor is None else factor * f
+            kept = tuple(kept)
+            if factor is None:
+                out[kept] = out.get(kept, 0) + c
+                continue
+            for fe, fc in factor.terms.items():
+                k = tuple(map(_add, kept, fe))
+                out[k] = out.get(k, 0) + c * fc
+        return Scalar(ring, out)
 
     def shift(self, name: str, delta: Union["Scalar", Rat]) -> "Scalar":
         """Substitute name -> name + delta."""
@@ -244,14 +313,9 @@ class Scalar:
     def coeff_of(self, name: str, power: int) -> "Scalar":
         """Collect the coefficient of name**power (a scalar free of ``name``)."""
         i = self.ring._index[name]
-        out: Dict[Exponent, Fraction] = {}
-        for e, c in self.terms.items():
-            if e[i] != power:
-                continue
-            e2 = list(e)
-            e2[i] = 0
-            out[tuple(e2)] = out.get(tuple(e2), Fraction(0)) + c
-        return Scalar(self.ring, out)
+        # distinct exponents with the same e[i] stay distinct once e[i] is zeroed
+        return Scalar._trusted(self.ring, {e[:i] + (0,) + e[i + 1:]: c
+                                           for e, c in self.terms.items() if e[i] == power})
 
     # -- comparison / display --------------------------------------------
 

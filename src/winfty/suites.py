@@ -2,13 +2,13 @@
 
 Each suite builds a ReportDocument whose JSON rendering is byte-identical
 for a fixed seed and option set (checks are sorted by name at emission and
-wall time is opt-in only).
+no wall time is recorded).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -31,6 +31,10 @@ class UnknownSuiteError(ValueError):
     pass
 
 
+class UnsupportedOptionError(ValueError):
+    """A suite was given a non-default value for an option it does not read."""
+
+
 SUITE_NAMES = ("jacobi", "oracle", "cocycle", "onevar-identities", "lemma21",
                "modules", "assoc-dichotomy", "submodules", "normalize",
                "weightlab-p", "weightlab-215", "weightlab-f", "weightlab-yk",
@@ -39,7 +43,12 @@ SUITE_NAMES = ("jacobi", "oracle", "cocycle", "onevar-identities", "lemma21",
 
 @dataclass
 class SuiteOptions:
-    """Knobs shared by all suites; None falls back to per-suite defaults."""
+    """Knobs shared by all suites; None falls back to per-suite defaults.
+
+    Each suite reads only some of them (see ``_SUITES``); ``run_suite``
+    rejects a non-default value of any other, except ``seed``, which every
+    report records.
+    """
 
     n: int = 1
     gamma: Optional[Sequence[Sequence[Fraction]]] = None  # lattice generators
@@ -94,6 +103,9 @@ def _random_poly(rng: random.Random, deg: int) -> Dict[int, Fraction]:
 
 
 def _suite_jacobi(opts: SuiteOptions) -> ReportDocument:
+    if opts.n not in (1, 2):
+        raise ValueError(f"jacobi runs n = 1 and n = 2; --n {opts.n} selects "
+                         f"neither for the --gamma lattice")
     samples = opts.samples or 200
     doc = ReportDocument("jacobi", seed=opts.seed,
                          params={"samples": samples, "max_mu": opts.max_mu})
@@ -400,30 +412,43 @@ def _suite_weightlab_yk(opts: SuiteOptions) -> ReportDocument:
     return doc
 
 
+# Suite name -> (runner, the SuiteOptions fields it reads besides seed).
 _SUITES = {
-    "jacobi": _suite_jacobi,
-    "oracle": _suite_oracle,
-    "cocycle": _suite_cocycle,
-    "onevar-identities": _suite_onevar,
-    "lemma21": _suite_lemma21,
-    "modules": _suite_modules,
-    "assoc-dichotomy": _suite_assoc,
-    "submodules": _suite_submodules,
-    "normalize": _suite_normalize,
-    "weightlab-p": _suite_weightlab_p,
-    "weightlab-215": _suite_weightlab_215,
-    "weightlab-f": _suite_weightlab_f,
-    "weightlab-yk": _suite_weightlab_yk,
+    "jacobi": (_suite_jacobi, {"n", "gamma", "samples", "max_mu"}),
+    "oracle": (_suite_oracle, {"samples", "max_mu"}),
+    "cocycle": (_suite_cocycle, {"samples", "max_mu"}),
+    "onevar-identities": (_suite_onevar, {"samples"}),
+    "lemma21": (_suite_lemma21, set()),
+    "modules": (_suite_modules, {"samples", "max_mu", "kind"}),
+    "assoc-dichotomy": (_suite_assoc, {"alpha", "samples", "max_mu", "kind"}),
+    "submodules": (_suite_submodules, {"window", "kind"}),
+    "normalize": (_suite_normalize, {"kind"}),
+    "weightlab-p": (_suite_weightlab_p, set()),
+    "weightlab-215": (_suite_weightlab_215, set()),
+    "weightlab-f": (_suite_weightlab_f, set()),
+    "weightlab-yk": (_suite_weightlab_yk, {"alpha", "kind"}),
 }
 
 
+def _check_options(name: str, opts: SuiteOptions, reads) -> None:
+    for f in fields(SuiteOptions):
+        if f.name != "seed" and f.name not in reads and getattr(opts, f.name) != f.default:
+            raise UnsupportedOptionError(
+                f"suite {name!r} does not read --{f.name.replace('_', '-')}")
+
+
 def run_suite(name: str, options: Optional[SuiteOptions] = None) -> ReportDocument:
-    """Run a named suite; "all" concatenates every suite's checks."""
+    """Run a named suite; "all" concatenates every suite's checks.
+
+    Raises UnsupportedOptionError when ``options`` sets an option the suite
+    does not read ("all" reads the options of any of its suites).
+    """
     opts = options or SuiteOptions()
     if name == "all":
+        _check_options(name, opts, set().union(*(r for _s, r in _SUITES.values())))
         doc = ReportDocument("all", seed=opts.seed, params={})
         for sub_name in SUITE_NAMES[:-1]:
-            sub = run_suite(sub_name, opts)
+            sub = _SUITES[sub_name][0](opts)
             for check in sub.checks:
                 check.name = f"{sub_name}:{check.name}"
                 doc.add(check)
@@ -431,4 +456,6 @@ def run_suite(name: str, options: Optional[SuiteOptions] = None) -> ReportDocume
     if name not in _SUITES:
         raise UnknownSuiteError(
             f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    return _SUITES[name](opts)
+    suite, reads = _SUITES[name]
+    _check_options(name, opts, reads)
+    return suite(opts)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 from .intermediate import PQData
 from .report import VerificationReport
@@ -227,9 +227,16 @@ def verify_yk_relations(data: PQData, ring: Optional[Ring] = None) -> Verificati
     if not data.p1_const.is_rational() or not data.p2_const.is_rational():
         raise ValueError("relations need rational P1/P2 constants")
     consts = {"p1": data.p1_const.as_fraction(), "p2": data.p2_const.as_fraction()}
+    # the rational constants commute with the kbar shift, so substitute them
+    # once per j and build each shifted polynomial once per call
+    base = {j: pj.substitute(consts) for j, pj in ps.transcribed.items()}
+    shifted: Dict[Tuple[int, int], Scalar] = {}
 
     def p(j, shift=0):
-        return ps.pjk(j, shift).substitute(consts)
+        key = (j, shift)
+        if key not in shifted:
+            shifted[key] = base[j].shift("kbar", shift) if shift else base[j]
+        return shifted[key]
 
     def q(j) -> Fraction:
         if j < 1:

@@ -85,3 +85,20 @@ def test_eval_json_output(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc == {"grammar_version": "1", "kind": "element",
                    "result": "t^(1)*D"}
+
+
+@pytest.mark.parametrize("suite,flags", (
+    ("cocycle", ["--n", "2"]),
+    ("jacobi", ["--n", "3"]),
+    ("oracle", ["--gamma", "1,0;0,1"]),
+    ("normalize", ["--window", "3"]),
+    ("modules", ["--alpha", "1/2"]),
+    ("lemma21", ["--subalgebra", "hat"]),
+    ("weightlab-p", ["--samples", "5"]),
+    ("onevar-identities", ["--max-mu", "2"]),
+    ("weightlab-f", ["--kind", "A"]),
+))
+def test_suite_rejects_flags_it_does_not_read(suite, flags, capsys):
+    # before, e.g. `suite cocycle --n 2` wrote the same report as --n 1
+    assert main(["suite", suite, *flags]) == 2
+    assert flags[0] in capsys.readouterr().err

@@ -160,6 +160,15 @@ def test_normalize_rejects_vanishing_denominator():
         normalize_ddt_basis(m, range(-3, 4))
 
 
+# t^-1 D acts on y_k by alpha + k (A) and alpha + k - 1 (B); the rescale is
+# checked on k in [-8, 9] for the range [-3, 3], first and last k here
+@pytest.mark.parametrize("kind,alpha", (("A", 8), ("A", -9), ("B", 9), ("B", -8)))
+def test_normalize_rejects_vanishing_denominator_at_range_edges(kind, alpha):
+    m = make_module(kind, [alpha], W1)
+    with pytest.raises(ZeroDivisionError):
+        normalize_ddt_basis(m, range(-3, 4))
+
+
 # -- sigma -----------------------------------------------------------------
 
 

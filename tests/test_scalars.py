@@ -3,10 +3,14 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from winfty.scalars import Ring, binom, falling, rising
+from winfty.intermediate import make_module
+from winfty.scalars import Ring, Scalar, binom, falling, rising
+from winfty.weightlab import weightlab_ring
+from winfty.weyl import Weyl
 
 RING = Ring(("a", "b"))
 A = RING.sym("a")
@@ -110,3 +114,121 @@ def test_power_matches_repeated_product(p, e):
     for _ in range(e):
         expected = expected * p
     assert p ** e == expected
+
+
+@pytest.mark.parametrize("bad", (0.1, 0.5, "1/2"))
+def test_non_rational_constants_are_rejected(bad):
+    with pytest.raises(TypeError):
+        RING.const(bad)
+    with pytest.raises(TypeError):
+        RING.coerce(bad)
+    with pytest.raises(TypeError):
+        A / bad
+
+
+def test_float_coefficients_rejected_by_elements_and_modules():
+    # a float used to be stored as its binary expansion, 3602879701896397/2^55
+    with pytest.raises(TypeError):
+        Weyl(1).monomial((1,), (1,), 0.1)
+    with pytest.raises(TypeError):
+        make_module("A", [0.1], Weyl(1, ring=Ring(("alpha",)), subalgebra="w1"))
+
+
+# -- differential check against sympy -------------------------------------
+#
+# Polynomials are drawn as term lists over few monomials and a small
+# coefficient pool (denominators > 1, negative values), so that terms
+# collide and cancel; each is built both as a Scalar (through the public
+# constructor, not the arithmetic under test) and as a sympy expression.
+
+COEFFS = st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2),
+                          Fraction(3, 4), Fraction(-5, 3), Fraction(2), Fraction(7, 6)])
+
+
+def term_lists(ring, max_factors):
+    # a monomial is a product of up to max_factors ring symbols
+    mono = st.lists(st.integers(0, ring.nvars - 1), max_size=max_factors).map(
+        lambda idx: tuple(idx.count(i) for i in range(ring.nvars)))
+    return st.lists(st.tuples(mono, COEFFS), max_size=5)
+
+
+def build(ring, terms):
+    acc = {}
+    for e, c in terms:
+        acc[e] = acc.get(e, 0) + c
+    gens = sympy.symbols(ring.symbols)
+    expr = sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.prod([g ** k for g, k in zip(gens, e)]) for e, c in terms),
+               sympy.Integer(0))
+    return Scalar(ring, acc), expr
+
+
+def assert_matches(got, expr, ring):
+    assert all(isinstance(c, Fraction) and c != 0 for c in got.terms.values())
+    want = sympy.Poly(expr, *sympy.symbols(ring.symbols), domain="QQ").as_dict()
+    assert got.terms == {e: Fraction(int(c.p), int(c.q)) for e, c in want.items()}
+
+
+RINGS = {"ab": Ring(("a", "b")), "weightlab": weightlab_ring()}
+
+
+@pytest.mark.parametrize("ring_name", sorted(RINGS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_arithmetic_matches_sympy(ring_name, data):
+    ring = RINGS[ring_name]
+    terms = term_lists(ring, 3)
+    p, P = build(ring, data.draw(terms))
+    q, Q = build(ring, data.draw(terms))
+    e = data.draw(st.integers(0, 4))
+    for got, want in ((p + q, P + Q), (p - q, P - Q), (p * q, P * Q),
+                      (p - p, 0), ((p + q) * (p - q), P ** 2 - Q ** 2), (p ** e, P ** e)):
+        assert_matches(got, want, ring)
+    assert hash(p * q) == hash(q * p)
+    assert hash((p + q) - q) == hash(p)
+    if not q.is_zero():
+        assert_matches((p * q).exact_div(q), P, ring)
+
+
+@pytest.mark.parametrize("ring_name", sorted(RINGS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_exact_div_rejects_non_divisors_like_sympy(ring_name, data):
+    ring = RINGS[ring_name]
+    p, P = build(ring, data.draw(term_lists(ring, 3)))
+    q, Q = build(ring, data.draw(term_lists(ring, 2)))
+    if q.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            p.exact_div(q)
+        return
+    gens = sympy.symbols(ring.symbols)
+    quot, rem = sympy.div(P, Q, *gens, domain="QQ")
+    if rem == 0:
+        assert_matches(p.exact_div(q), quot, ring)
+    else:
+        with pytest.raises(ValueError):
+            p.exact_div(q)
+
+
+@pytest.mark.parametrize("ring_name", sorted(RINGS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_substitute_shift_coeff_of_match_sympy(ring_name, data):
+    ring = RINGS[ring_name]
+    x, y = ring.symbols[0], ring.symbols[-1]
+    sx, sy = sympy.symbols((x, y))
+    p, P = build(ring, data.draw(term_lists(ring, 3)))
+    v, V = build(ring, data.draw(term_lists(ring, 2)))
+    w, Wx = build(ring, data.draw(term_lists(ring, 1)))
+    d = data.draw(COEFFS)
+    k = data.draw(st.integers(0, 3))
+    assert_matches(p.substitute({x: v}), P.subs(sx, V), ring)
+    assert_matches(p.substitute({x: v, y: w}),
+                   P.subs({sx: V, sy: Wx}, simultaneous=True), ring)
+    assert_matches(p.substitute({y: d}), P.subs(sy, sympy.Rational(d.numerator, d.denominator)),
+                   ring)
+    assert_matches(p.shift(x, d), P.subs(sx, sx + sympy.Rational(d.numerator, d.denominator)),
+                   ring)
+    assert_matches(p.shift(x, v), P.subs(sx, sx + V), ring)
+    assert_matches(p.coeff_of(x, k), sympy.expand(P).coeff(sx, k), ring)
+

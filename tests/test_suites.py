@@ -5,12 +5,23 @@ import hashlib
 import pytest
 
 from winfty.report import GRAMMAR_VERSION
-from winfty.suites import SUITE_NAMES, SuiteOptions, UnknownSuiteError, run_suite
+from winfty.suites import (SUITE_NAMES, SuiteOptions, UnknownSuiteError,
+                           UnsupportedOptionError, run_suite)
 
 
 def test_unknown_suite_raises():
     with pytest.raises(UnknownSuiteError):
         run_suite("no-such-suite")
+
+
+def test_all_rejects_an_option_no_suite_reads():
+    with pytest.raises(UnsupportedOptionError, match="--subalgebra"):
+        run_suite("all", SuiteOptions(subalgebra="hat"))
+
+
+def test_default_valued_options_are_accepted():
+    opts = SuiteOptions(n=1, window=8, max_mu=4, subalgebra="w1")
+    assert run_suite("weightlab-215", opts).to_json() == run_suite("weightlab-215").to_json()
 
 
 def test_suite_names_cover_dispatcher():
