@@ -17,7 +17,7 @@ from .parser import ParseError, Session, parse_element
 from .printer import format_element
 from .report import GRAMMAR_VERSION
 from .scalars import Ring, Scalar
-from .suites import SUITE_NAMES, SuiteOptions, UnknownSuiteError, run_suite
+from .suites import SUITE_NAMES, SuiteOptions, UnknownSuiteError, check_options, run_suite
 from .weyl import BasisMismatchError, SubalgebraError, Weyl, WeylElement
 
 
@@ -77,8 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _cmd_suite(args) -> int:
-    opts = SuiteOptions(
+def _options(args) -> SuiteOptions:
+    return SuiteOptions(
         n=args.n,
         gamma=_parse_gamma(args.gamma) if args.gamma else None,
         alpha=_parse_alpha(args.alpha) if args.alpha else None,
@@ -89,7 +89,10 @@ def _cmd_suite(args) -> int:
         kind=args.kind,
         subalgebra=args.subalgebra,
     )
-    doc = run_suite(args.name, opts)
+
+
+def _cmd_suite(args) -> int:
+    doc = run_suite(args.name, _options(args))
     print(doc.summary())
     if args.json_path:
         with open(args.json_path, "w") as fh:
@@ -100,7 +103,11 @@ def _cmd_suite(args) -> int:
 def _cmd_eval(args) -> int:
     from .lattice import Lattice
 
-    lattice = Lattice(_parse_gamma(args.gamma)) if args.gamma else None
+    # Only a formal alpha has a meaning here: it adds alpha to the ring.
+    reads = {"n", "gamma", "subalgebra"} | ({"alpha"} if args.alpha == "formal" else set())
+    opts = _options(args)
+    check_options("eval", opts, reads)
+    lattice = Lattice(opts.gamma) if opts.gamma else None
     ring = Ring(("alpha",)) if args.alpha == "formal" else Ring()
     weyl = Weyl(args.n, ring=ring, lattice=lattice, subalgebra=args.subalgebra)
     value = parse_element(args.expression, Session(weyl))

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .lattice import Lattice
 from .report import VerificationReport
 from .scalars import Ring, Scalar, rising
-from .weyl import Weyl, WeylElement, _falling_coeffs, bracket, mul
+from .weyl import Gamma, Weyl, WeylElement, _falling_coeffs, bracket, mul
 
 Coords = Tuple[int, ...]
 ModuleVector = Dict[Coords, Scalar]
@@ -106,14 +106,18 @@ def act(m: IntermediateModule, x: WeylElement, vec) -> ModuleVector:
     ring = m.weyl.ring
     lattice = m.lattice
     out: ModuleVector = {}
+    solved: Dict[Gamma, Tuple[int, ...]] = {}  # lattice coordinates of each b_amb
     for coords, vc in vec.items():
         g_amb = lattice.ambient(coords)
         for (b_amb, mu), c in xp.terms.items():
             if sum(mu) == 0:
                 raise ValueError("|mu| = 0 monomials are not in the acting subalgebra")
-            b_coords = lattice.membership(b_amb)
+            b_coords = solved.get(b_amb)
             if b_coords is None:
-                raise ValueError(f"monomial exponent {b_amb} is not in the lattice")
+                b_coords = lattice.membership(b_amb)
+                if b_coords is None:
+                    raise ValueError(f"monomial exponent {b_amb} is not in the lattice")
+                solved[b_amb] = b_coords
             if m.kind == KIND_A:
                 coeff = ring.one
                 for ai, gi, mi in zip(m.alpha, g_amb, mu):

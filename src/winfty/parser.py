@@ -4,17 +4,24 @@ parse() builds a small tuple-based AST; evaluate() interprets it against a
 Session (dimension, coefficient ring, subalgebra flavor) and yields a
 WeylElement or a Scalar.  The grammar round-trips with the printer:
 parse(format_element(x)) evaluates back to x for every canonical element.
+
+Sums and products are n-ary nodes.  A sum is folded left to right into one
+term map and builds one WeylElement, where adding the summands pairwise would
+build and copy a partial sum per summand; its value and its first error are
+those of ((a + b) + c) + ...  The factors of a written monomial merge into
+one _Mono without going through the associative product.
 """
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .scalars import Scalar
-from .weyl import FALLING, POWER, SubalgebraError, Weyl, WeylElement, bracket, mul
+from .weyl import FALLING, POWER, BasisMismatchError, Weyl, WeylElement, bracket, mul
 
 
 class ParseError(ValueError):
@@ -48,50 +55,62 @@ class Session:
 
 _FRAC = r"-?\d+(?:/\d+)?"
 
+# BAD catches any character no other token starts with, so one finditer
+# pass covers the whole text.
 _TOKEN_RE = re.compile(
     r"""
       (?P<WS>\s+)
     | (?P<DDT>d/dt)
-    | (?P<TPOW>t\^\((FRAC)\))
-    | (?P<TVEC>t\[(FRAC)(?:,(FRAC))*\])
-    | (?P<FALL>\[D(?:\d+)?\]_\d+)
+    | (?P<TPOW>t\^\(FRAC\))
+    | (?P<TVEC>t\[FRAC(?:,FRAC)*\])
+    | (?P<FALL>\[D\d*\]_\d+)
     | (?P<NUM>\d+(?:/\d+)?)
     | (?P<DNAME>D\d*)
     | (?P<NAME>[A-Za-z_][A-Za-z_0-9]*)
     | (?P<OP>[-+*^()\[\],])
+    | (?P<BAD>.)
     """.replace("FRAC", _FRAC),
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 _FALL_RE = re.compile(r"\[D(\d*)\]_(\d+)")
 
-
-@dataclass
-class _Token:
-    kind: str
-    text: str
-    pos: int
+# (kind, text, position); an operator's kind is its own text.
+Token = Tuple[str, str, int]
 
 
-def _tokenize(text: str) -> List[_Token]:
+def _tokenize(text: str) -> List[Token]:
     out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind != "WS":
-            out.append(_Token(kind, m.group(), pos))
-        pos = m.end()
-    out.append(_Token("EOF", "", len(text)))
+        if kind == "WS":
+            continue
+        tok = m.group()
+        if kind == "BAD":
+            raise ParseError(f"unexpected character {tok!r}", m.start())
+        out.append((tok if kind == "OP" else kind, tok, m.start()))
+    out.append(("EOF", "", len(text)))
     return out
 
 
+def _rational(text: str, pos: int) -> Fraction:
+    """The rational written as ``text`` (an optionally signed ``p`` or ``p/q``)."""
+    num, _, den = text.partition("/")
+    if not den:
+        return Fraction(int(num))
+    if not int(den):
+        raise ParseError(f"zero denominator in {text!r}", pos)
+    return Fraction(int(num), int(den))
+
+
 # -- AST -------------------------------------------------------------------
-# Nodes are plain tuples: ("num", Fraction), ("name", str, pos), ("t", (Fraction,...)),
-# ("d", index), ("fall", index, order), ("ddt",), ("neg", a), ("add", a, b),
-# ("sub", a, b), ("mul", a, b), ("pow", a, int), ("br", a, b).
+# Nodes are plain tuples: ("num", Fraction), ("name", str, pos),
+# ("t", (Fraction,...), pos), ("d", index, explicit, pos),
+# ("fall", index, order, pos), ("ddt", pos), ("neg", a),
+# ("sum", ((neg, a), ...)) with neg False on the first summand,
+# ("prod", ((pos, a), ...)) with pos the "*" before each factor (the first
+# factor's own position for the first), ("pow", a, int, pos of "^") and
+# ("br", a, b, pos of "[").  Evaluation errors report those positions.
 
 AST = tuple
 
@@ -100,99 +119,107 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.cur = self.tokens[0]
 
-    @property
-    def cur(self) -> _Token:
-        return self.tokens[self.i]
-
-    def _advance(self) -> _Token:
-        t = self.cur
+    def _advance(self) -> Token:
+        tok = self.cur
         self.i += 1
-        return t
+        self.cur = self.tokens[self.i]
+        return tok
 
-    def _expect(self, text: str):
-        if self.cur.text != text:
-            raise ParseError(f"expected {text!r}, found {self.cur.text!r}", self.cur.pos)
+    def _expect(self, kind: str) -> Token:
+        if self.cur[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {self.cur[1]!r}", self.cur[2])
         return self._advance()
 
     def parse(self) -> AST:
         node = self.expr()
-        if self.cur.kind != "EOF":
-            raise ParseError(f"trailing input {self.cur.text!r}", self.cur.pos)
+        if self.cur[0] != "EOF":
+            raise ParseError(f"trailing input {self.cur[1]!r}", self.cur[2])
         return node
 
     def expr(self) -> AST:
         node = self.term()
-        while self.cur.text in ("+", "-"):
-            op = self._advance().text
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
+        if self.cur[0] not in ("+", "-"):
+            return node
+        summands = [(False, node)]
+        while self.cur[0] in ("+", "-"):
+            neg = self._advance()[0] == "-"
+            summands.append((neg, self.term()))
+        return ("sum", tuple(summands))
 
     def term(self) -> AST:
+        start = self.cur[2]
         node = self.unary()
-        while self.cur.text == "*":
-            self._advance()
-            node = ("mul", node, self.unary())
-        return node
+        if self.cur[0] != "*":
+            return node
+        factors = [(start, node)]
+        while self.cur[0] == "*":
+            pos = self._advance()[2]
+            factors.append((pos, self.unary()))
+        return ("prod", tuple(factors))
 
     def unary(self) -> AST:
-        if self.cur.text == "-":
+        if self.cur[0] == "-":
             self._advance()
             return ("neg", self.unary())
         return self.power()
 
     def power(self) -> AST:
         node = self.atom()
-        if self.cur.text == "^":
+        if self.cur[0] == "^":
             tok = self._advance()
             e = self.cur
-            if e.kind != "NUM" or "/" in e.text:
-                raise ParseError("exponent must be a nonnegative integer", tok.pos + 1)
+            if e[0] != "NUM" or "/" in e[1]:
+                raise ParseError("exponent must be a nonnegative integer", tok[2] + 1)
             self._advance()
-            node = ("pow", node, int(e.text))
+            node = ("pow", node, int(e[1]), tok[2])
         return node
 
     def atom(self) -> AST:
-        tok = self.cur
-        if tok.kind == "NUM":
+        kind, text, pos = self.cur
+        if kind == "NUM":
             self._advance()
-            return ("num", Fraction(tok.text))
-        if tok.kind == "TPOW":
+            return ("num", _rational(text, pos))
+        if kind == "TPOW":
             self._advance()
-            return ("t", (Fraction(tok.text[3:-1]),))
-        if tok.kind == "TVEC":
+            return ("t", (_rational(text[3:-1], pos + 3),), pos)
+        if kind == "TVEC":
             self._advance()
-            comps = tuple(Fraction(s) for s in tok.text[2:-1].split(","))
-            return ("t", comps)
-        if tok.kind == "FALL":
+            comps = []
+            at = pos + 2
+            for part in text[2:-1].split(","):
+                comps.append(_rational(part, at))
+                at += len(part) + 1
+            return ("t", tuple(comps), pos)
+        if kind == "FALL":
             self._advance()
-            m = _FALL_RE.fullmatch(tok.text)
+            m = _FALL_RE.fullmatch(text)
             idx = int(m.group(1)) - 1 if m.group(1) else 0
-            return ("fall", idx, int(m.group(2)), tok.pos)
-        if tok.kind == "DDT":
+            return ("fall", idx, int(m.group(2)), pos)
+        if kind == "DDT":
             self._advance()
-            return ("ddt", tok.pos)
-        if tok.kind == "DNAME":
+            return ("ddt", pos)
+        if kind == "DNAME":
             self._advance()
-            idx = int(tok.text[1:]) - 1 if len(tok.text) > 1 else 0
-            return ("d", idx, len(tok.text) > 1, tok.pos)
-        if tok.kind == "NAME":
+            idx = int(text[1:]) - 1 if len(text) > 1 else 0
+            return ("d", idx, len(text) > 1, pos)
+        if kind == "NAME":
             self._advance()
-            return ("name", tok.text, tok.pos)
-        if tok.text == "(":
+            return ("name", text, pos)
+        if kind == "(":
             self._advance()
             node = self.expr()
             self._expect(")")
             return node
-        if tok.text == "[":
+        if kind == "[":
             self._advance()
             lhs = self.expr()
             self._expect(",")
             rhs = self.expr()
             self._expect("]")
-            return ("br", lhs, rhs)
-        raise ParseError(f"unexpected token {tok.text!r}", tok.pos)
+            return ("br", lhs, rhs, pos)
+        raise ParseError(f"unexpected token {text!r}", pos)
 
 
 def parse(text: str) -> AST:
@@ -203,73 +230,82 @@ def parse(text: str) -> AST:
 # -- evaluation ------------------------------------------------------------
 
 
-@dataclass
 class _Mono:
     """A monomial under construction: coeff * t^gamma D^mu (or [D]_mu).
 
-    Factors are merged without invoking the associative product as long as
-    the written order matches the canonical normal form (all t's before all
-    D's), which is exactly how the printer emits monomials.  Deferring the
-    build also lets t-only prefixes appear inside W^(1)-mode expressions
-    like "t^(1)*D" without tripping the subalgebra guard early.
+    A coefficient of None means 1, and exponents of None mean 0, so merging
+    a factor that lacks them does no arithmetic.  Factors are merged without
+    invoking the associative product as long as the written order matches
+    the canonical normal form (all t's before all D's), which is exactly how
+    the printer emits monomials.  Deferring the build also lets t-only
+    prefixes appear inside W^(1)-mode expressions like "t^(1)*D" without
+    tripping the subalgebra guard early.
     """
 
-    n: int
-    coeff: Union[Scalar, Fraction] = Fraction(1)
-    gamma: tuple = ()
-    mu: tuple = ()
-    basis: str = POWER
+    __slots__ = ("coeff", "gamma", "mu", "basis")
 
-    def __post_init__(self):
-        if not self.gamma:
-            self.gamma = (Fraction(0),) * self.n
-        if not self.mu:
-            self.mu = (0,) * self.n
+    def __init__(self, coeff: Optional[Scalar] = None, gamma: Optional[tuple] = None,
+                 mu: Optional[tuple] = None, basis: str = POWER):
+        self.coeff = coeff
+        self.gamma = gamma
+        self.mu = mu
+        self.basis = basis
 
     @property
     def has_d(self) -> bool:
-        return any(self.mu)
+        return self.mu is not None and any(self.mu)
 
     def finalize(self, weyl: Weyl) -> WeylElement:
-        return weyl.monomial(self.gamma, self.mu, weyl.ring.coerce(self.coeff),
-                             basis=self.basis)
+        zero = (0,) * weyl.n
+        return weyl.monomial(self.gamma or zero, self.mu or zero,
+                             1 if self.coeff is None else self.coeff, basis=self.basis)
 
 
 Value = Union[Scalar, WeylElement, _Mono]
 
 
-def _finalize(v: Value, weyl: Weyl) -> WeylElement:
+def _finalize(v: Value, weyl: Weyl, pos: int) -> WeylElement:
     if isinstance(v, _Mono):
         return v.finalize(weyl)
     if isinstance(v, WeylElement):
         return v
-    raise ParseError("expected an algebra element, found a scalar", 0)
+    raise ParseError("expected an algebra element, found a scalar", pos)
+
+
+def _times(x: Optional[Scalar], y: Optional[Scalar]) -> Optional[Scalar]:
+    if y is None:
+        return x
+    return y if x is None else x * y
+
+
+def _plus(x: Optional[tuple], y: Optional[tuple]) -> Optional[tuple]:
+    if y is None:
+        return x
+    return y if x is None else tuple(map(operator.add, x, y))
 
 
 def _mul_values(a: Value, b: Value, weyl: Weyl, pos: int) -> Value:
-    ring = weyl.ring
-    if isinstance(a, Scalar) and isinstance(b, Scalar):
-        return a * b
     if isinstance(a, Scalar) or isinstance(b, Scalar):
+        if isinstance(a, Scalar) and isinstance(b, Scalar):
+            return a * b
         s, other = (a, b) if isinstance(a, Scalar) else (b, a)
         if isinstance(other, _Mono):
-            return _Mono(other.n, ring.coerce(other.coeff) * s, other.gamma,
-                         other.mu, other.basis)
+            return _Mono(_times(other.coeff, s), other.gamma, other.mu, other.basis)
         return other.scale(s)
     if isinstance(a, _Mono) and isinstance(b, _Mono):
         # Merge when the written order is already normal (t's left of D's
         # factor-wise); otherwise fall back to the associative product.
-        if not a.has_d or not any(g != 0 for g in b.gamma):
-            if a.basis != b.basis and a.has_d and b.has_d:
-                raise ParseError("cannot mix D-power and falling factors", pos)
-            if a.basis == FALLING and b.basis == FALLING and any(
-                    x and y for x, y in zip(a.mu, b.mu)):
-                raise ParseError("repeated falling factor in one monomial", pos)
-            basis = a.basis if a.has_d else b.basis
-            return _Mono(a.n, ring.coerce(a.coeff) * ring.coerce(b.coeff),
-                         tuple(x + y for x, y in zip(a.gamma, b.gamma)),
-                         tuple(x + y for x, y in zip(a.mu, b.mu)), basis)
-    return mul(_finalize(a, weyl), _finalize(b, weyl))
+        a_d = a.has_d
+        if not a_d or b.gamma is None or not any(b.gamma):
+            b_d = b.has_d
+            if a_d and b_d:
+                if a.basis != b.basis:
+                    raise ParseError("cannot mix D-power and falling factors", pos)
+                if a.basis == FALLING and any(x and y for x, y in zip(a.mu, b.mu)):
+                    raise ParseError("repeated falling factor in one monomial", pos)
+            return _Mono(_times(a.coeff, b.coeff), _plus(a.gamma, b.gamma),
+                         _plus(a.mu, b.mu), a.basis if a_d else b.basis)
+    return mul(_finalize(a, weyl, pos), _finalize(b, weyl, pos))
 
 
 def _pow_value(a: Value, e: int, weyl: Weyl, pos: int) -> Value:
@@ -278,11 +314,11 @@ def _pow_value(a: Value, e: int, weyl: Weyl, pos: int) -> Value:
     if isinstance(a, _Mono):
         # Exponentiating a pure t-power or a pure D-power is exponent scaling;
         # anything mixed needs the associative product.
-        pure = (not a.has_d) or not any(g != 0 for g in a.gamma)
-        if pure and a.basis == POWER and a.coeff == 1:
-            return _Mono(a.n, Fraction(1), tuple(g * e for g in a.gamma),
-                         tuple(m * e for m in a.mu), POWER)
-        a = _finalize(a, weyl)
+        pure = not a.has_d or a.gamma is None or not any(a.gamma)
+        if pure and a.basis == POWER and (a.coeff is None or a.coeff == 1):
+            return _Mono(None, a.gamma and tuple(g * e for g in a.gamma),
+                         a.mu and tuple(m * e for m in a.mu), POWER)
+        a = _finalize(a, weyl, pos)
     if e == 0:
         return weyl.one()
     acc = a
@@ -292,11 +328,102 @@ def _pow_value(a: Value, e: int, weyl: Weyl, pos: int) -> Value:
 
 
 def _neg_value(a: Value, weyl: Weyl) -> Value:
-    if isinstance(a, Scalar):
-        return -a
     if isinstance(a, _Mono):
-        return _Mono(a.n, weyl.ring.coerce(a.coeff) * -1, a.gamma, a.mu, a.basis)
+        coeff = weyl.ring.const(-1) if a.coeff is None else -a.coeff
+        return _Mono(coeff, a.gamma, a.mu, a.basis)
     return -a
+
+
+class _Sum:
+    """The running value of a sum: one term map, its basis and its center.
+
+    ``add(v, neg)`` has the effect of the pairwise ``partial + v`` (or
+    ``- v``) on finished values.  A D-free monomial or scalar summand must
+    pass the W^(1) guard.  For the basis: a first summand that is a D-free
+    monomial or scalar takes the second summand's basis, and a later D-free
+    monomial or scalar summand takes the partial sum's; otherwise a side
+    without D-terms (zero coefficients count as absent) takes the other
+    side's basis, and BasisMismatchError is raised only when both sides
+    carry D-terms in different bases.
+    """
+
+    __slots__ = ("weyl", "terms", "basis", "d_terms", "yields", "central",
+                 "zero_gamma", "zero_mu")
+
+    def __init__(self, weyl: Weyl, head: Value):
+        self.weyl = weyl
+        self.terms: Dict[tuple, Scalar] = {}
+        self.basis = POWER
+        self.d_terms = 0  # keys of ``terms`` with a nonzero mu
+        self.yields = True  # the partial sum takes the next summand's basis
+        self.central = weyl.ring.zero
+        self.zero_gamma = (Fraction(0),) * weyl.n
+        self.zero_mu = (0,) * weyl.n
+        self.add(head, False)
+        self.yields = isinstance(head, Scalar) or isinstance(head, _Mono) and not head.has_d
+
+    def _adopt(self, basis: str, has_d: bool):
+        if self.yields or not self.d_terms:
+            self.basis = basis
+        elif has_d and basis != self.basis:
+            raise BasisMismatchError(f"basis mismatch: {self.basis} vs {basis}")
+
+    def _put(self, key: tuple, c: Scalar, has_d: bool):
+        terms = self.terms
+        size = len(terms)
+        old = terms.setdefault(key, c)  # one hash of the Fraction key when new
+        if len(terms) > size:
+            self.d_terms += has_d
+            return
+        total = old + c
+        if total:
+            terms[key] = total
+        else:
+            del terms[key]
+            self.d_terms -= has_d
+
+    def add(self, v: Value, neg: bool):
+        if isinstance(v, Scalar):
+            v = _Mono(v)  # a bare scalar summand stands for scalar * 1
+        if isinstance(v, _Mono):
+            has_d = v.has_d
+            if not has_d:
+                self.weyl.check_mu(self.zero_mu)
+            c = self.weyl.ring.one if v.coeff is None else v.coeff
+            if neg:
+                c = -c
+            if has_d or self.yields:
+                self._adopt(v.basis, has_d and bool(c))
+            if c:
+                self._put((v.gamma or self.zero_gamma, v.mu or self.zero_mu), c, has_d)
+        else:
+            self._adopt(v.basis, v.max_mu() > 0)
+            for key, c in v.terms.items():
+                self._put(key, -c if neg else c, any(key[1]))
+            if v.central:
+                self.central = self.central - v.central if neg else self.central + v.central
+        self.yields = False
+
+    def element(self) -> WeylElement:
+        return WeylElement(self.weyl, self.terms, self.basis, self.central)
+
+
+def _eval_sum(summands, session: Session) -> Value:
+    # The first summand joins the sum only once the second is evaluated, and
+    # a run of scalar summands stays a scalar, as in pairwise addition.
+    it = iter(summands)
+    head = _eval(next(it)[1], session)
+    scalar = head if isinstance(head, Scalar) else None
+    acc = None
+    for neg, node in it:
+        v = _eval(node, session)
+        if acc is None:
+            if scalar is not None and isinstance(v, Scalar):
+                scalar = scalar - v if neg else scalar + v
+                continue
+            acc = _Sum(session.weyl, head if scalar is None else scalar)
+        acc.add(v, neg)
+    return scalar if acc is None else acc.element()
 
 
 def evaluate(node: AST, session: Session) -> Value:
@@ -308,11 +435,43 @@ def evaluate(node: AST, session: Session) -> Value:
 
 def _eval(node: AST, session: Session) -> Value:
     weyl = session.weyl
-    ring = weyl.ring
     kind = node[0]
+    if kind == "sum":
+        return _eval_sum(node[1], session)
+    if kind == "prod":
+        it = iter(node[1])
+        value = _eval(next(it)[1], session)
+        for pos, factor in it:
+            value = _mul_values(value, _eval(factor, session), weyl, pos)
+        return value
+    if kind == "t":
+        gamma, pos = node[1], node[2]
+        if len(gamma) != weyl.n:
+            raise ParseError(f"t-monomial has {len(gamma)} coordinates, "
+                             f"session has n = {weyl.n}", pos)
+        return _Mono(gamma=gamma)
+    if kind == "d":
+        idx, explicit, pos = node[1], node[2], node[3]
+        if not explicit and weyl.n != 1:
+            raise ParseError("bare D is ambiguous for n > 1; use D1..Dn", pos)
+        if not 0 <= idx < weyl.n:
+            raise ParseError(f"D{idx + 1} out of range for n = {weyl.n}", pos)
+        mu = [0] * weyl.n
+        mu[idx] = 1
+        return _Mono(mu=tuple(mu))
     if kind == "num":
-        return ring.const(node[1])
+        return weyl.ring.const(node[1])
+    if kind == "pow":
+        return _pow_value(_eval(node[1], session), node[2], weyl, node[3])
+    if kind == "fall":
+        idx, order, pos = node[1], node[2], node[3]
+        if not 0 <= idx < weyl.n:
+            raise ParseError(f"falling index out of range for n = {weyl.n}", pos)
+        mu = [0] * weyl.n
+        mu[idx] = order
+        return _Mono(mu=tuple(mu), basis=FALLING)
     if kind == "name":
+        ring = weyl.ring
         name, pos = node[1], node[2]
         if name == "C":
             if weyl.subalgebra != "hat":
@@ -322,28 +481,6 @@ def _eval(node: AST, session: Session) -> Value:
         if name in ring.symbols:
             return ring.sym(name)
         raise UnknownSymbolError(f"unknown symbol {name!r}", pos)
-    if kind == "t":
-        gamma = node[1]
-        if len(gamma) != weyl.n:
-            raise ParseError(f"t-monomial has {len(gamma)} coordinates, "
-                             f"session has n = {weyl.n}", 0)
-        return _Mono(weyl.n, gamma=gamma)
-    if kind == "d":
-        idx, explicit, pos = node[1], node[2], node[3]
-        if not explicit and weyl.n != 1:
-            raise ParseError("bare D is ambiguous for n > 1; use D1..Dn", pos)
-        if not 0 <= idx < weyl.n:
-            raise ParseError(f"D{idx + 1} out of range for n = {weyl.n}", pos)
-        mu = [0] * weyl.n
-        mu[idx] = 1
-        return _Mono(weyl.n, mu=tuple(mu))
-    if kind == "fall":
-        idx, order, pos = node[1], node[2], node[3]
-        if not 0 <= idx < weyl.n:
-            raise ParseError(f"falling index out of range for n = {weyl.n}", pos)
-        mu = [0] * weyl.n
-        mu[idx] = order
-        return _Mono(weyl.n, mu=tuple(mu), basis=FALLING)
     if kind == "ddt":
         if weyl.n != 1:
             raise ParseError("d/dt requires n = 1", node[1])
@@ -352,40 +489,10 @@ def _eval(node: AST, session: Session) -> Value:
         return weyl.monomial((-1,), (1,))
     if kind == "neg":
         return _neg_value(_eval(node[1], session), weyl)
-    if kind == "add" or kind == "sub":
-        a = _eval(node[1], session)
-        b = _eval(node[2], session)
-        if kind == "sub":
-            b = _neg_value(b, weyl)
-        if isinstance(a, Scalar) and isinstance(b, Scalar):
-            return a + b
-        # A bare scalar summand stands for scalar * 1 (the identity
-        # monomial); the w1/hat construction guard rejects it as needed.
-        if isinstance(a, Scalar):
-            a = _Mono(weyl.n, coeff=a)
-        if isinstance(b, Scalar):
-            b = _Mono(weyl.n, coeff=b)
-        # A D-free monomial is basis-independent, so adopt the other
-        # summand's basis (the printer omits basis markers when mu = 0).
-        for u, v in ((a, b), (b, a)):
-            if isinstance(u, _Mono) and not u.has_d:
-                u.basis = v.basis
-        a, b = _finalize(a, weyl), _finalize(b, weyl)
-        if a.basis != b.basis:
-            if a.max_mu() == 0:
-                a = WeylElement(weyl, a.terms, b.basis, a.central)
-            elif b.max_mu() == 0:
-                b = WeylElement(weyl, b.terms, a.basis, b.central)
-        return a + b
-    if kind == "mul":
-        a = _eval(node[1], session)
-        b = _eval(node[2], session)
-        return _mul_values(a, b, weyl, 0)
-    if kind == "pow":
-        return _pow_value(_eval(node[1], session), node[2], weyl, 0)
     if kind == "br":
-        a = _finalize(_eval(node[1], session), weyl)
-        b = _finalize(_eval(node[2], session), weyl)
+        pos = node[3]
+        a = _finalize(_eval(node[1], session), weyl, pos)
+        b = _finalize(_eval(node[2], session), weyl, pos)
         return bracket(a, b)
     raise AssertionError(f"unhandled node {kind}")
 
@@ -399,4 +506,6 @@ def as_element(value: Value, weyl: Weyl) -> WeylElement:
     """Lift an evaluation result to a WeylElement (scalar c becomes c * 1)."""
     if isinstance(value, Scalar):
         return weyl.one().scale(value)
-    return _finalize(value, weyl)
+    if isinstance(value, _Mono):
+        return value.finalize(weyl)
+    return value

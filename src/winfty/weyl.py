@@ -119,9 +119,13 @@ class Weyl:
             raise ValueError("monomial exponents have wrong dimension")
         if any(m < 0 for m in mu):
             raise ValueError("D-exponents must be nonnegative")
+        self.check_mu(mu)
+        return WeylElement(self, {(gamma, mu): self.ring.coerce(coeff)}, basis=basis)
+
+    def check_mu(self, mu: Sequence[int]) -> None:
+        """Raise SubalgebraError if monomials t^gamma D^mu lie outside the flavor."""
         if self.subalgebra in (W1, HAT) and sum(mu) == 0:
             raise SubalgebraError("|mu| = 0 monomials are not in W^(1)")
-        return WeylElement(self, {(gamma, mu): self.ring.coerce(coeff)}, basis=basis)
 
     def one(self) -> "WeylElement":
         return self.monomial((0,) * self.n, (0,) * self.n)

@@ -102,3 +102,31 @@ def test_suite_rejects_flags_it_does_not_read(suite, flags, capsys):
     # before, e.g. `suite cocycle --n 2` wrote the same report as --n 1
     assert main(["suite", suite, *flags]) == 2
     assert flags[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", (
+    ["--window", "3"],
+    ["--samples", "5"],
+    ["--seed", "1"],
+    ["--max-mu", "2"],
+    ["--kind", "A"],
+    ["--alpha", "1/2"],
+))
+def test_eval_rejects_flags_it_does_not_read(flags, capsys):
+    # before, `eval "t^(1)*D" --window 3` printed t^(1)*D and exited 0
+    assert main(["eval", "t^(1)*D", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: eval does not read {flags[0]}" in captured.err
+
+
+def test_eval_reads_formal_alpha_gamma_and_defaults(capsys):
+    assert main(["eval", "alpha*t[1,1]*D1", "--alpha", "formal", "--n", "2",
+                 "--gamma", "1,1;0,1", "--seed", "0", "--window", "8"]) == 0
+    assert capsys.readouterr().out.strip() == "(alpha)*t[1,1]*D1"
+
+
+def test_eval_zero_denominator_is_a_syntax_error(capsys):
+    # before, the CLI printed "error: Fraction(1, 0)"
+    assert main(["eval", "t^(1/0)*D"]) == 2
+    assert "error: zero denominator in '1/0' (at position 3)" in capsys.readouterr().err

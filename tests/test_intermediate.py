@@ -41,6 +41,30 @@ def test_action_kind_b():
     assert act(m, W1.tD((1,)), (0,)) == {(1,): RING.const(Fraction(3, 2))}
 
 
+def test_act_solves_each_exponent_once(monkeypatch):
+    weyl = Weyl(1, ring=RING, lattice=Lattice([[1]]), subalgebra="w1")
+    m = make_module("A", [frac("1/2")], weyl)
+    x = weyl.monomial((2,), (1,)) + weyl.monomial((2,), (2,)) + weyl.monomial((3,), (1,))
+    vec = {(0,): RING.one, (1,): RING.sym("alpha"), (5,): RING.const(3)}
+    expected = {}
+    for coords, vc in vec.items():
+        for k, v in act(m, x, coords).items():
+            expected[k] = expected.get(k, RING.zero) + v * vc
+    solve = m.lattice.membership
+    calls = []
+    monkeypatch.setattr(m.lattice, "membership", lambda v: calls.append(v) or solve(v))
+    assert act(m, x, vec) == {k: v for k, v in expected.items() if v}
+    # before, one elimination per (vector term, element term) pair: 9 here
+    assert sorted(calls) == [(2,), (3,)]
+
+
+def test_act_rejects_off_lattice_exponent():
+    weyl = Weyl(1, ring=RING, lattice=Lattice([[2]]), subalgebra="w1")
+    m = make_module("A", [frac("1/2")], weyl)
+    with pytest.raises(ValueError, match="not in the lattice"):
+        act(m, weyl.monomial((2,), (1,)) + weyl.monomial((3,), (1,)), (0,))
+
+
 def test_window_escape():
     win = box_window(Lattice.standard(1), 2)
     m = make_module("A", [frac("1/2")], W1, window=win)

@@ -1,5 +1,6 @@
 """Grammar round-trip and error reporting for the expression parser."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from winfty.parser import (ParseError, Session, UnknownSymbolError, as_element,
                            parse, parse_element)
 from winfty.printer import format_element
 from winfty.scalars import Ring, Scalar
-from winfty.weyl import SubalgebraError, Weyl
+from winfty.weyl import SubalgebraError, Weyl, WeylElement
 
 W = Weyl(1)
 W1 = Weyl(1, subalgebra="w1")
@@ -99,6 +100,13 @@ def test_dimension_errors():
         parse_element("D3", Session(w2))
 
 
+def test_long_element_round_trips():
+    # before, sums nested one level per summand, and evaluating this
+    # 1500-term element exceeded the recursion limit
+    x = WeylElement(W, {((Fraction(k),), (1,)): W.ring.const(k) for k in range(1, 1501)})
+    assert parse_element(format_element(x), S) == x
+
+
 def rand_elt(weyl, rng, basis="power", allow_sym=False, central=False):
     out = weyl.zero(basis)
     for _ in range(rng.randint(1, 5)):
@@ -140,3 +148,220 @@ def test_round_trip_500_random_elements():
         y = as_element(parse_element(text, Session(weyl)), weyl)
         assert y == x, text
         done += 1
+
+
+# -- flat sums against their left-parenthesized form -------------------------
+#
+# A sum a + b + c + ... is evaluated by one left-to-right fold; its value and
+# its first error must be those of ((a + b) + c) + ..., where each "+" adds
+# two finished values.  The corpus mixes every way a summand can disagree with
+# the partial sum about its basis, its membership in W^(1) and its scalar-ness.
+
+_CORPUS_SETTINGS = (
+    (1, "full", False), (1, "w1", False), (1, "hat", False), (2, "full", False),
+    (2, "w1", False), (1, "full", True), (1, "hat", True), (2, "full", True),
+)
+
+
+def _c_rat(rng):
+    return str(Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3))))
+
+
+def _c_coeff(rng, params):
+    pool = ["0", "1", "2", "3/2", "5/3", "7"]
+    if params:
+        pool += ["alpha", "(alpha + 1)", "(alpha - alpha)"]
+    return rng.choice(pool)
+
+
+def _c_t(rng, n):
+    if n == 1:
+        return f"t^({_c_rat(rng)})"
+    return f"t[{_c_rat(rng)},{_c_rat(rng)}]"
+
+
+def _c_d(rng, n, falling, strict):
+    """A D-part, usually in the expression's basis ``falling``; order 0 is
+    rarer in ``strict`` sessions (w1/hat), which reject D-free monomials."""
+    name = "D" if n == 1 else f"D{rng.randint(1, n)}"
+    low = 1 if strict and rng.random() < 0.9 else 0
+    kind = rng.random()
+    if kind < 0.04:
+        return f"{name}^2*[{name}]_1" if rng.random() < 0.5 else f"[{name}]_1*[{name}]_2"
+    if (kind < 0.9) == falling:
+        return f"[{name}]_{rng.randint(low, 3)}"
+    e = rng.randint(low, 2)
+    return name if e == 1 else f"{name}^{e}"
+
+
+def _c_mono(rng, n, params, falling, strict, d_rate):
+    factors = []
+    if rng.random() < 0.6:
+        factors.append(_c_coeff(rng, params))
+    if rng.random() < 0.7:
+        factors.append(_c_t(rng, n))
+    if rng.random() < d_rate:
+        factors.append(_c_d(rng, n, falling, strict))
+    if not factors:
+        factors.append(_c_coeff(rng, params))
+    if rng.random() < 0.1:
+        rng.shuffle(factors)
+    return "*".join(factors)
+
+
+def _c_summand(rng, n, params, falling, strict):
+    d_rate = 0.97 if strict or rng.random() < 0.6 else 0.85
+    kind = rng.random()
+    if kind < 0.62:
+        text = _c_mono(rng, n, params, falling, strict, d_rate)
+    elif kind < 0.67:
+        text = _c_coeff(rng, params)
+    elif kind < 0.75:
+        # brackets are taken in the power basis, where mul is defined
+        x = _c_mono(rng, n, params, False, strict, d_rate)
+        y = _c_mono(rng, n, params, False, strict, d_rate)
+        text = f"[{x}, {y}]"
+    elif kind < 0.82:
+        x = _c_mono(rng, n, params, falling, strict, d_rate)
+        y = _c_mono(rng, n, params, falling, strict, d_rate)
+        text = f"({x} - {x})" if rng.random() < 0.5 else f"({x} + {y})"
+    elif kind < 0.87:
+        x = _c_mono(rng, n, params, False, strict, d_rate)
+        text = f"({x})^{rng.choice((0, 2, 2, 2))}"
+    elif kind < 0.93:
+        text = rng.choice(("C", "2*C", "C", "d/dt", "(d/dt)^2", "zeta"))
+    elif kind < 0.95:
+        bad = ("t[1,0]*D", "D3", "t^(1)*D1") if n == 1 else ("D", "D3", "t^(1)*D1")
+        text = rng.choice(bad)
+    else:
+        text = f"{_c_coeff(rng, params)}*{_c_mono(rng, n, params, falling, strict, d_rate)}"
+    return f"-{text}" if rng.random() < 0.15 else text
+
+
+def _corpus(size=2400, seed=5):
+    """(setting, summands, operators) for ``size`` random flat sums."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(size):
+        setting = rng.choice(_CORPUS_SETTINGS)
+        n, sub, params = setting
+        falling = rng.random() < 0.4
+        k = rng.randint(2, 5)
+        if rng.random() < 0.04:
+            summands = [_c_coeff(rng, params) for _ in range(k)]
+        else:
+            summands = [_c_summand(rng, n, params, falling, sub != "full")
+                        for _ in range(k)]
+        ops = [rng.choice("+-") for _ in range(k - 1)]
+        out.append((setting, summands, ops))
+    return out
+
+
+def _session(setting):
+    n, sub, params = setting
+    return Session(Weyl(n, ring=Ring(("alpha",)) if params else Ring(), subalgebra=sub))
+
+
+def _joined(summands, ops, nested):
+    """The sum written flat, a + b + c, or left-parenthesized, (a + b) + c,
+    and the position where each summand starts."""
+    text, starts = summands[0], [0]
+    for i, (op, summand) in enumerate(zip(ops, summands[1:])):
+        if nested and i:
+            text = f"({text})"
+            starts = [p + 1 for p in starts]
+        text += f" {op} "
+        starts.append(len(text))
+        text += summand
+    return text, starts
+
+
+def _outcome(text, session):
+    try:
+        return parse_element(text, session)
+    except ValueError as exc:
+        return exc
+
+
+def _transcript_line(result) -> str:
+    if isinstance(result, Exception):
+        return f"error {type(result).__name__}"
+    if isinstance(result, Scalar):
+        return f"scalar {result}"
+    return f"element {result.basis} {format_element(result)}"
+
+
+def _error_site(pos, summands, starts):
+    """(summand index, offset within it) of a text position."""
+    for i, (summand, start) in enumerate(zip(summands, starts)):
+        if start <= pos < start + len(summand):
+            return i, pos - start
+    raise AssertionError(f"position {pos} lies outside every summand")
+
+
+def test_flat_sum_matches_left_parenthesized_sum():
+    for setting, summands, ops in _corpus():
+        session = _session(setting)
+        flat, flat_starts = _joined(summands, ops, False)
+        nested, nested_starts = _joined(summands, ops, True)
+        a, b = _outcome(flat, session), _outcome(nested, session)
+        assert type(a) is type(b), (flat, a, b)
+        if isinstance(a, ParseError):
+            assert str(a).rsplit(" (at", 1)[0] == str(b).rsplit(" (at", 1)[0], flat
+            assert (_error_site(a.position, summands, flat_starts)
+                    == _error_site(b.position, summands, nested_starts)), flat
+        elif isinstance(a, Exception):
+            assert str(a) == str(b), flat
+        else:
+            assert a == b, flat
+            assert getattr(a, "basis", None) == getattr(b, "basis", None), flat
+
+
+# sha256 of the corpus transcript (values, bases and exception types, not
+# messages, which now carry positions), recorded before sums were folded.
+CORPUS_DIGEST = "358b9c62d4869cb69ae91667f6a69be9c8977577aee912f49f0276e14727695d"
+
+
+def test_corpus_transcript_digest():
+    lines = [_transcript_line(_outcome(_joined(summands, ops, False)[0], _session(setting)))
+             for setting, summands, ops in _corpus()]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CORPUS_DIGEST
+
+
+@pytest.mark.parametrize("setting,text,expected", (
+    # a zero-coefficient summand has no D-terms, so it takes the sum's basis
+    ((1, "full", True), "t^(-2)*alpha*[D]_1 - D^2*t^(0)*t^(0)*0",
+     "element falling (alpha)*t^(-2)*[D]_1"),
+    # a D-free monomial or scalar summand takes the partial sum's basis, and
+    # a D-free partial sum takes a later summand's
+    ((1, "full", False), "t^(2)*[D]_0 + 7*t^(1)*D^0 - 7*0*t^(-1/3)*[D]_2 + 7",
+     "element falling 7*1 + 7*t^(1) + t^(2)"),
+    ((1, "full", False), "[D^2, D^0] - 2*t^(4)*[D]_0", "element power -2*t^(4)"),
+    ((1, "full", False), "[D]_0 + t^(1)", "element power 1 + t^(1)"),
+    ((1, "full", False), "t^(1)*[D]_2 - t^(1)*D", "error BasisMismatchError"),
+    ((1, "hat", False), "t^(1)*[D]_2 + 2*C - 2*C", "element falling t^(1)*[D]_2"),
+    ((1, "w1", False), "t^(1)*[D]_2 + 1", "error SubalgebraError"),
+    ((1, "w1", False), "1 + 2 - 3", "scalar 0"),
+    # the first summand is checked only after the second is evaluated
+    ((1, "w1", False), "t^(1) + zeta", "error UnknownSymbolError"),
+))
+def test_sum_fold_cases(setting, text, expected):
+    assert _transcript_line(_outcome(text, _session(setting))) == expected
+
+
+@pytest.mark.parametrize("setting,text,position", (
+    ((1, "full", False), "t^(1)*D*[D]_2", 7),
+    ((1, "full", False), "[D]_1*[D]_1", 5),
+    ((1, "full", False), "D + [2, D]", 4),
+    ((1, "full", False), "D*t[1,0]", 2),
+    ((2, "full", False), "D1 + t^(1)*D2", 5),
+    ((2, "full", False), "D1*t[1,1/0]", 7),
+    ((1, "full", False), "t^(1/0)*D", 3),
+    ((1, "full", False), "D - 1/0", 4),
+))
+def test_evaluation_errors_carry_their_position(setting, text, position):
+    # before, the first four and the fifth reported position 0, and a zero
+    # denominator raised a bare ZeroDivisionError
+    with pytest.raises(ParseError) as err:
+        parse_element(text, _session(setting))
+    assert err.value.position == position
