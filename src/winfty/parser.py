@@ -76,10 +76,10 @@ _TOKEN_RE = re.compile(
 _FALL_RE = re.compile(r"\[D(\d*)\]_(\d+)")
 
 # (kind, text, position); an operator's kind is its own text.
-Token = Tuple[str, str, int]
+_Token = Tuple[str, str, int]
 
 
-def _tokenize(text: str) -> List[Token]:
+def _tokenize(text: str) -> List[_Token]:
     out = []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
@@ -121,13 +121,13 @@ class _Parser:
         self.i = 0
         self.cur = self.tokens[0]
 
-    def _advance(self) -> Token:
+    def _advance(self) -> _Token:
         tok = self.cur
         self.i += 1
         self.cur = self.tokens[self.i]
         return tok
 
-    def _expect(self, kind: str) -> Token:
+    def _expect(self, kind: str) -> _Token:
         if self.cur[0] != kind:
             raise ParseError(f"expected {kind!r}, found {self.cur[1]!r}", self.cur[2])
         return self._advance()

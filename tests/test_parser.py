@@ -238,11 +238,11 @@ def _c_summand(rng, n, params, falling, strict):
     return f"-{text}" if rng.random() < 0.15 else text
 
 
-def _corpus(size=2400, seed=5):
-    """(setting, summands, operators) for ``size`` random flat sums."""
-    rng = random.Random(seed)
+def _corpus():
+    """(setting, summands, operators) for 2400 random flat sums."""
+    rng = random.Random(5)
     out = []
-    for _ in range(size):
+    for _ in range(2400):
         setting = rng.choice(_CORPUS_SETTINGS)
         n, sub, params = setting
         falling = rng.random() < 0.4
