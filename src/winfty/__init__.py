@@ -6,7 +6,7 @@ the intermediate series, and a harness of exact identity verifications.
 All arithmetic is exact (rationals and sparse multivariate polynomials).
 """
 
-from .lattice import Direction, Lattice, LatticePoint, inner
+from .lattice import Direction, Lattice, inner
 from .onevar import (DfElement, GeneratedSubalgebra, ddt_power, df_bracket,
                      generation_membership, standard_generators, t_ddt,
                      verify_named_identity)

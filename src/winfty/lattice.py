@@ -2,42 +2,39 @@
 
 A lattice is a free abelian group Z^r embedded in Q^n by a list of
 Z-linearly independent generator vectors.  Because the generators are also
-Q-linearly independent, a vector has at most one rational coordinate vector,
-so membership reduces to a rational linear solve plus an integrality check
-(no Hermite normal form machinery is needed).
+Q-linearly independent, a vector has at most one rational coordinate vector.
+The constructor eliminates the generators once into a fraction-free echelon
+(:mod:`winfty.echelon`) whose rows remember their generator combinations;
+membership reduces one vector against those rows and checks that the
+coordinates it reads off are integers (no Hermite normal form machinery is
+needed).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
+
+from .echelon import Echelon, integral
 
 Vector = Tuple[Fraction, ...]
 
 
+def _rational(x) -> Fraction:
+    # a float would store its binary expansion, a string would be parsed
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError(f"coordinates must be int or Fraction, "
+                        f"got {type(x).__name__} {x!r}")
+    return Fraction(x)
+
+
 def _as_vector(v: Sequence) -> Vector:
-    return tuple(Fraction(x) for x in v)
+    return tuple(map(_rational, v))
 
 
-def _rank(rows: List[List[Fraction]]) -> int:
-    """Rank of a rational matrix by Gaussian elimination (destructive)."""
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+def _sparse(v: Vector) -> Dict[int, Fraction]:
+    return {i: x for i, x in enumerate(v) if x}
 
 
 class Lattice:
@@ -50,8 +47,10 @@ class Lattice:
         dim = len(gens[0])
         if any(len(g) != dim for g in gens):
             raise ValueError("generators have mixed dimensions")
-        if _rank([list(g) for g in gens]) != len(gens):
-            raise ValueError("generators are Z-linearly dependent")
+        self._echelon = Echelon()
+        for idx, g in enumerate(gens):
+            if not self._echelon.insert(*integral(_sparse(g)), idx):
+                raise ValueError("generators are Z-linearly dependent")
         self.dim = dim
         self.rank = len(gens)
         self.generators = tuple(gens)
@@ -85,77 +84,17 @@ class Lattice:
         v = _as_vector(v)
         if len(v) != self.dim:
             raise ValueError(f"vector has dimension {len(v)}, lattice is in Q^{self.dim}")
-        # Solve the (possibly overdetermined) system by elimination on [G^T | v].
-        rows = [[self.generators[j][i] for j in range(self.rank)] + [v[i]]
-                for i in range(self.dim)]
-        rank = 0
-        pivots = []
-        for col in range(self.rank):
-            pivot = next((r for r in range(rank, self.dim) if rows[r][col] != 0), None)
-            if pivot is None:
-                continue
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            pv = rows[rank][col]
-            rows[rank] = [x / pv for x in rows[rank]]
-            for r in range(self.dim):
-                if r != rank and rows[r][col] != 0:
-                    f = rows[r][col]
-                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-            pivots.append(col)
-            rank += 1
-        # Independence of the generators guarantees a pivot in every column.
-        assert rank == self.rank
-        if any(rows[r][-1] != 0 for r in range(rank, self.dim)):
+        x = self._echelon.solve(*integral(_sparse(v)))
+        if x is None or any(c.denominator != 1 for c in x.values()):
             return None
-        x = [rows[r][-1] for r in range(rank)]
-        if any(c.denominator != 1 for c in x):
-            return None
-        coords = tuple(int(c) for c in x)
+        coords = tuple(int(x.get(r, 0)) for r in range(self.rank))
         if self.ambient(coords) != v:
             return None
         return coords
 
-    def __contains__(self, v) -> bool:
-        return self.membership(v) is not None
-
     def nondegenerate(self) -> bool:
         """True iff the generators span Q^n, i.e. contain a basis of F^n."""
-        return _rank([list(g) for g in self.generators]) == self.dim
-
-    def point(self, coords: Sequence[int]) -> "LatticePoint":
-        return LatticePoint(self, tuple(int(c) for c in coords))
-
-    def zero(self) -> "LatticePoint":
-        return self.point((0,) * self.rank)
-
-
-@dataclass(frozen=True)
-class LatticePoint:
-    """An element of Gamma, held as integer coordinates in the generators."""
-
-    lattice: Lattice
-    coords: Tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coords) != self.lattice.rank:
-            raise ValueError("coordinate length does not match lattice rank")
-
-    @property
-    def ambient(self) -> Vector:
-        return self.lattice.ambient(self.coords)
-
-    def __add__(self, other: "LatticePoint") -> "LatticePoint":
-        if self.lattice != other.lattice:
-            raise ValueError("points of different lattices")
-        return LatticePoint(self.lattice, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "LatticePoint") -> "LatticePoint":
-        if self.lattice != other.lattice:
-            raise ValueError("points of different lattices")
-        return LatticePoint(self.lattice, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "LatticePoint":
-        return LatticePoint(self.lattice, tuple(-a for a in self.coords))
+        return len(self._echelon) == self.dim
 
 
 @dataclass(frozen=True)
@@ -173,9 +112,9 @@ class Direction:
         return len(self.coeffs)
 
 
-def inner(beta, d: Direction) -> Fraction:
-    """The pairing <beta, d> = sum_i beta_i d_i (beta a point or raw vector)."""
-    bvec = beta.ambient if isinstance(beta, LatticePoint) else _as_vector(beta)
+def inner(beta: Sequence, d: Direction) -> Fraction:
+    """The pairing <beta, d> = sum_i beta_i d_i."""
+    bvec = _as_vector(beta)
     if len(bvec) != d.dim:
         raise ValueError(f"dimension mismatch: {len(bvec)} vs {d.dim}")
     return sum((b * c for b, c in zip(bvec, d.coeffs)), Fraction(0))

@@ -14,70 +14,41 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from .echelon import Echelon, integral
 from .printer import format_element
 from .report import VerificationReport
-from .scalars import Rat, falling
+from .scalars import Rat, Ring, Scalar, falling
 from .weyl import HAT, POWER, BasisMismatchError, Weyl, WeylElement, bracket
 
-Poly = Dict[int, Fraction]  # univariate polynomial in D, exponent -> coefficient
+_DRING = Ring(("D",))
+_D = _DRING.sym("D")
+
+Coeffs = Union[Dict[int, Rat], Sequence[Rat]]  # {exponent: coefficient} or a list
 
 
-def poly(coeffs: Union[Poly, Sequence]) -> Poly:
-    if isinstance(coeffs, dict):
-        return {e: Fraction(c) for e, c in coeffs.items() if c != 0}
-    return {e: Fraction(c) for e, c in enumerate(coeffs) if c != 0}
-
-
-def poly_shift(f: Poly, c: Union[int, Fraction]) -> Poly:
-    """f(D + c), expanded exactly via the binomial theorem."""
-    c = Fraction(c)
-    out: Poly = {}
-    for e, a in f.items():
-        for j in range(e + 1):
-            out[j] = out.get(j, Fraction(0)) + a * math.comb(e, j) * c ** (e - j)
-    return {e: a for e, a in out.items() if a != 0}
-
-
-def poly_mul(f: Poly, g: Poly) -> Poly:
-    out: Poly = {}
-    for e1, a in f.items():
-        for e2, b in g.items():
-            out[e1 + e2] = out.get(e1 + e2, Fraction(0)) + a * b
-    return {e: a for e, a in out.items() if a != 0}
-
-
-def poly_sub(f: Poly, g: Poly) -> Poly:
-    out = dict(f)
-    for e, b in g.items():
-        out[e] = out.get(e, Fraction(0)) - b
-    return {e: a for e, a in out.items() if a != 0}
-
-
-_D: Poly = {1: Fraction(1)}
+def _d_poly(f: Coeffs) -> Scalar:
+    """f(D) as a polynomial on the one-symbol ring ("D",)."""
+    items = f.items() if isinstance(f, dict) else enumerate(f)
+    return sum((_DRING.const(c) * _D ** e for e, c in items), _DRING.zero)
 
 
 @dataclass(frozen=True)
 class DfElement:
-    """t^degree * D * f(D) with f a rational polynomial in D."""
+    """t^degree * D * f(D) with f a rational polynomial on the ring ("D",)."""
 
     degree: int
-    f: Tuple[Tuple[int, Fraction], ...]
+    f: Scalar
 
     @classmethod
-    def of(cls, degree: int, f: Union[Poly, Sequence]) -> "DfElement":
-        p = poly(f)
-        return cls(degree, tuple(sorted(p.items())))
-
-    @property
-    def f_poly(self) -> Poly:
-        return dict(self.f)
+    def of(cls, degree: int, f: Coeffs) -> "DfElement":
+        return cls(degree, _d_poly(f))
 
     def is_zero(self) -> bool:
-        return not self.f
+        return self.f.is_zero()
 
     def to_weyl(self, weyl: Weyl) -> WeylElement:
         out = weyl.zero()
-        for e, c in self.f:
+        for (e,), c in sorted(self.f.terms.items()):
             out = out + weyl.monomial((self.degree,), (e + 1,), c)
         return out
 
@@ -91,7 +62,7 @@ class DfElement:
         deg = x.grade()
         if deg is None:
             raise ValueError("element is not homogeneous")
-        f: Poly = {}
+        f: Dict[int, Fraction] = {}
         for (_g, mu), c in x.to_power().terms.items():
             if mu[0] < 1:
                 raise ValueError("element has a |mu| = 0 component")
@@ -101,16 +72,15 @@ class DfElement:
         return cls.of(int(deg[0]), f)
 
 
-def df_bracket(i: int, f: Union[Poly, Sequence], j: int,
-               g: Union[Poly, Sequence]) -> DfElement:
+def df_bracket(i: int, f: Coeffs, j: int, g: Coeffs) -> DfElement:
     """[t^i D f(D), t^j D g(D)] in closed form (one bracket, no expansion):
 
     t^(i+j) D ( (D+j) f(D+j) g(D) - (D+i) g(D+i) f(D) ).
     """
-    f, g = poly(f), poly(g)
-    left = poly_mul(poly_mul(poly_shift(_D, j), poly_shift(f, j)), g)
-    right = poly_mul(poly_mul(poly_shift(_D, i), poly_shift(g, i)), f)
-    return DfElement.of(i + j, poly_sub(left, right))
+    f, g = _d_poly(f), _d_poly(g)
+    left = (_D + j) * f.shift("D", j) * g
+    right = (_D + i) * g.shift("D", i) * f
+    return DfElement(i + j, left - right)
 
 
 def ddt_power(weyl: Weyl, j: int) -> WeylElement:
@@ -218,19 +188,6 @@ def _to_vec(x: WeylElement) -> Vec:
             for (g, mu), c in x.terms.items()}
 
 
-def _integral(vec: Vec, scale: int = 1) -> Tuple[IntVec, int]:
-    """(w, s) with vec / scale == w / s, w integral and s > 0, both divided
-    by their common gcd."""
-    d = math.lcm(*(c.denominator for c in vec.values()))
-    s = scale * d
-    w = {k: c.numerator * (d // c.denominator) for k, c in vec.items()}
-    g = math.gcd(s, *w.values())
-    if g > 1:
-        w = {k: c // g for k, c in w.items()}
-        s //= g
-    return w, s
-
-
 def _bracket_vec(x: Vec, y: Vec) -> Vec:
     """[x, y] by the product formula (1.2) for n = 1, extended bilinearly:
 
@@ -255,24 +212,6 @@ def _bracket_vec(x: Vec, y: Vec) -> Vec:
     return {key: c for key, c in out.items() if c}
 
 
-def _combine(p: int, v: Dict, q: int, w: Dict) -> Dict:
-    """p*v + q*w for sparse integer vectors, zeros dropped."""
-    out = {k: p * c for k, c in v.items()} if p != 1 else dict(v)
-    for k, c in w.items():
-        n = out.get(k, 0) + q * c
-        if n:
-            out[k] = n
-        else:
-            out.pop(k, None)
-    return out
-
-
-@dataclass
-class _Row:
-    vec: IntVec  # primitive together with combo; vec[pivot] > 0
-    combo: Dict[int, int]  # vec = sum combo[r] * raw[r]
-
-
 class GeneratedSubalgebra:
     """Bracket closure of a generator list inside a truncation box.
 
@@ -287,13 +226,12 @@ class GeneratedSubalgebra:
     coefficients.  Membership targets are converted to the power basis.
 
     The closure runs on integer vectors {(k, m): c}: brackets come from the
-    one-variable product formula and the elimination is fraction-free.  Each
-    pivot row is a primitive integer vector with the integer combination of
-    raw elements it equals; a step reduces v to p*v - c*row with p, c the
-    two leading coefficients over their gcd, then divides out the content.
-    Only accepted brackets become WeylElements (the ``raw`` entries), and
-    ``eval_word`` re-evaluates a witness through the generic ``bracket``,
-    which re-checks it against the independent Weyl kernel.
+    one-variable product formula and the fraction-free elimination of
+    :mod:`winfty.echelon`, whose rows keep the integer combination of raw
+    elements each one equals.  Only accepted brackets become WeylElements
+    (the ``raw`` entries), and ``eval_word`` re-evaluates a witness through
+    the generic ``bracket``, which re-checks it against the independent Weyl
+    kernel.
     """
 
     def __init__(self, weyl: Weyl, generators: Sequence[Tuple[str, WeylElement]],
@@ -311,32 +249,9 @@ class GeneratedSubalgebra:
         self.deg_lo, self.deg_hi, self.d_cap = deg_lo, deg_hi, d_cap
         self.raw: List[Tuple[WeylElement, Word]] = []
         self._vecs: List[Tuple[IntVec, int]] = []  # raw[r] == vec / scale
-        self._rows: Dict[MonoKey, _Row] = {}
+        self._echelon = Echelon()
         self.rounds = 0
         self._grow()
-
-    # -- linear algebra ----------------------------------------------------
-
-    def _reduce(self, vec: IntVec, combo: Dict[int, int], s: int):
-        """Reduce vec = s*target + sum combo[r]*raw[r] by the pivot rows until
-        it vanishes or its leading key has no row; s = 0 means no target."""
-        while vec:
-            pivot = max(vec)
-            row = self._rows.get(pivot)
-            if row is None:
-                return vec, combo, s, pivot
-            r, c = row.vec[pivot], vec[pivot]
-            g = math.gcd(r, c)
-            p, c = r // g, c // g
-            vec = _combine(p, vec, -c, row.vec)
-            combo = _combine(p, combo, -c, row.combo)
-            s *= p
-            g = math.gcd(s, *vec.values(), *combo.values())
-            if g > 1:
-                vec = {k: v // g for k, v in vec.items()}
-                combo = {k: v // g for k, v in combo.items()}
-                s //= g
-        return vec, combo, s, None
 
     def _in_box(self, vec: Vec) -> bool:
         return all(self.deg_lo <= k <= self.deg_hi and 1 <= m <= self.d_cap
@@ -348,16 +263,9 @@ class GeneratedSubalgebra:
         box and independent of the rows; x is its element, if already built."""
         if not vec or not self._in_box(vec):
             return False
-        ivec, s = _integral(vec, scale)
-        idx = len(self.raw)
-        red, combo, _s, pivot = self._reduce(ivec, {idx: s}, 0)
-        if pivot is None:
+        ivec, s = integral(vec, scale)
+        if not self._echelon.insert(ivec, s, len(self.raw)):
             return False
-        g = math.gcd(*red.values(), *combo.values())
-        if red[pivot] < 0:
-            g = -g
-        self._rows[pivot] = _Row({k: v // g for k, v in red.items()},
-                                 {k: v // g for k, v in combo.items()})
         if x is None:
             const = self.weyl.ring.const
             x = WeylElement(self.weyl, {((Fraction(k),), (m,)): const(Fraction(c, s))
@@ -367,7 +275,7 @@ class GeneratedSubalgebra:
         return True
 
     def _grow(self):
-        gens = [_integral(_to_vec(g)) for _name, g in self.generators]
+        gens = [integral(_to_vec(g)) for _name, g in self.generators]
         frontier = []
         for (name, g), (vec, s) in zip(self.generators, gens):
             if self._try_add(vec, s, name, g):
@@ -384,7 +292,7 @@ class GeneratedSubalgebra:
 
     @property
     def dimension(self) -> int:
-        return len(self._rows)
+        return len(self._echelon)
 
     # -- queries -----------------------------------------------------------
 
@@ -395,13 +303,10 @@ class GeneratedSubalgebra:
         vec = _to_vec(target.to_power())
         if not self._in_box(vec):
             raise ValueError("target lies outside the truncation caps")
-        ivec, s = _integral(vec)
-        red, combo, s, pivot = self._reduce(ivec, {}, s)
-        if pivot is not None:
+        coeffs = self._echelon.solve(*integral(vec))
+        if coeffs is None:
             return None
-        # reduction expressed s*target + sum combo_r raw_r = 0
-        return sorted(((Fraction(-c, s), r) for r, c in combo.items()),
-                      key=lambda t: t[1])
+        return [(coeffs[r], r) for r in sorted(coeffs)]
 
     def word_text(self, word: Word) -> str:
         if isinstance(word, str):

@@ -137,9 +137,6 @@ class Scalar:
         i = self.ring._index[name]
         return max((e[i] for e in self.terms), default=0)
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     # -- arithmetic -------------------------------------------------------
 
     def _coerce(self, other) -> "Scalar":

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple, Union
 
-from .lattice import Direction, Lattice, LatticePoint, inner
+from .lattice import Direction, Lattice, _as_vector, inner
 from .report import VerificationReport
 from .scalars import Exponent, Rat, Ring, Scalar, binom
 
@@ -75,11 +75,9 @@ def _falling_coeffs(m: int) -> Tuple[int, ...]:
 
 
 def _as_gamma(g) -> Gamma:
-    if isinstance(g, LatticePoint):
-        return g.ambient
     if isinstance(g, (int, Fraction)):
         return (Fraction(g),)
-    return tuple(Fraction(x) for x in g)
+    return _as_vector(g)
 
 
 class Weyl:

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from winfty.onevar import (DfElement, GeneratedSubalgebra, _bracket_vec, _integral,
-                           _to_vec, generation_membership, standard_generators)
+from winfty.echelon import integral
+from winfty.onevar import (DfElement, GeneratedSubalgebra, _bracket_vec, _to_vec,
+                           generation_membership, standard_generators)
 from winfty.weyl import BasisMismatchError, Weyl, bracket
 
 W1 = Weyl(1, subalgebra="w1")
@@ -160,7 +161,7 @@ def test_bracket_vec_matches_generic_bracket():
         x, y = element(), element()
         expect = _to_vec(bracket(x, y))
         assert _bracket_vec(_to_vec(x), _to_vec(y)) == expect
-        ivec, s = _integral(expect)
+        ivec, s = integral(expect)
         assert all(type(c) is int for c in ivec.values()) and s > 0
         assert {k: Fraction(c, s) for k, c in ivec.items()} == expect
 

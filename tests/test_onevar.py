@@ -46,6 +46,14 @@ def test_from_weyl_round_trip():
     assert DfElement.from_weyl(x.to_weyl(W)) == x
 
 
+@pytest.mark.parametrize("f", [[0.1], {2: "3"}])
+def test_non_rational_d_coefficients_rejected(f):
+    with pytest.raises(TypeError):
+        DfElement.of(0, f)
+    with pytest.raises(TypeError):
+        df_bracket(0, f, 1, [1])
+
+
 def test_ddt_is_tinv_d():
     assert ddt_power(W, 1) == W.tD((-1,))
 

@@ -277,6 +277,15 @@ def test_grade():
     assert (W.tD((1,)) + W.tD((2,))).grade() is None
 
 
+@pytest.mark.parametrize("gamma", [(0.1,), ("1",)])
+def test_non_rational_grades_rejected(gamma):
+    # a float grade would be stored as its binary expansion
+    with pytest.raises(TypeError):
+        W.tD(gamma)
+    with pytest.raises(TypeError):
+        W.monomial(gamma, (1,))
+
+
 def test_project_window():
     x = W.tD((1,)) + W.monomial((5,), (3,))
     win = GradingWindow.interval(2)
