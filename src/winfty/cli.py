@@ -101,15 +101,12 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from .lattice import Lattice
-
     # Only a formal alpha has a meaning here: it adds alpha to the ring.
     reads = {"n", "gamma", "subalgebra"} | ({"alpha"} if args.alpha == "formal" else set())
     opts = _options(args)
     check_options("eval", opts, reads)
-    lattice = Lattice(opts.gamma) if opts.gamma else None
     ring = Ring(("alpha",)) if args.alpha == "formal" else Ring()
-    weyl = Weyl(args.n, ring=ring, lattice=lattice, subalgebra=args.subalgebra)
+    weyl = Weyl(args.n, ring=ring, lattice=opts.lattice(args.n), subalgebra=args.subalgebra)
     value = parse_element(args.expression, Session(weyl))
     if isinstance(value, Scalar):
         text = str(value)

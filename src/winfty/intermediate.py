@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .lattice import Lattice
+from .lattice import Lattice, _integers
 from .report import VerificationReport
 from .scalars import Ring, Scalar, rising
 from .weyl import Gamma, Weyl, WeylElement, _falling_coeffs, bracket, mul
@@ -52,14 +52,11 @@ class IntermediateModule:
     def lattice(self) -> Lattice:
         return self.weyl.lattice
 
-    def alpha_numeric(self) -> Tuple[Fraction, ...]:
-        return tuple(a.as_fraction() for a in self.alpha)
-
     def unbounded(self) -> "IntermediateModule":
         return IntermediateModule(self.kind, self.alpha, self.weyl, None)
 
     def basis_vector(self, coords: Sequence[int]) -> ModuleVector:
-        coords = tuple(int(c) for c in coords)
+        coords = _integers(coords)
         self._check_window(coords)
         return {coords: self.weyl.ring.one}
 
@@ -85,7 +82,7 @@ def make_module(kind: str, alpha, weyl: Weyl, window=None) -> IntermediateModule
         if isinstance(alpha, (int, Fraction, Scalar)):
             alpha = [alpha]
         avec = tuple(ring.coerce(a) for a in alpha)
-    win = None if window is None else frozenset(tuple(int(c) for c in w) for w in window)
+    win = None if window is None else frozenset(map(_integers, window))
     return IntermediateModule(kind, avec, weyl, win)
 
 
@@ -96,6 +93,15 @@ def box_window(lattice: Lattice, radius: int) -> frozenset:
 
 
 # -- the action ------------------------------------------------------------
+
+
+def _argument(m: IntermediateModule, b: Gamma, g: Gamma) -> Tuple[int, Tuple[Scalar, ...]]:
+    """(s, x) with t^b f(D) y_g = s f(x) y_(b+g) for every polynomial f, where
+    b, g are ambient: x = alpha + g, s = 1 on A; x = -(alpha + b + g), s = -1
+    on B (the module docstring's formulas, as (-x)^mu = (-1)^|mu| x^mu)."""
+    if m.kind == KIND_A:
+        return 1, tuple(a + gi for a, gi in zip(m.alpha, g))
+    return -1, tuple(-(a + bi + gi) for a, bi, gi in zip(m.alpha, b, g))
 
 
 def act(m: IntermediateModule, x: WeylElement, vec) -> ModuleVector:
@@ -118,15 +124,11 @@ def act(m: IntermediateModule, x: WeylElement, vec) -> ModuleVector:
                 if b_coords is None:
                     raise ValueError(f"monomial exponent {b_amb} is not in the lattice")
                 solved[b_amb] = b_coords
-            if m.kind == KIND_A:
-                coeff = ring.one
-                for ai, gi, mi in zip(m.alpha, g_amb, mu):
-                    coeff = coeff * (ai + gi) ** mi
-            else:
-                coeff = ring.const((-1) ** (sum(mu) + 1))
-                for ai, bi, gi, mi in zip(m.alpha, b_amb, g_amb, mu):
-                    coeff = coeff * (ai + bi + gi) ** mi
-            coeff = coeff * c * vc
+            s, xs = _argument(m, b_amb, g_amb)
+            coeff = c * vc * s
+            for xi, mi in zip(xs, mu):
+                if mi:
+                    coeff = coeff * xi ** mi
             if coeff.is_zero():
                 continue
             target = tuple(p + q for p, q in zip(coords, b_coords))
@@ -228,14 +230,11 @@ def assoc_module_check(m: IntermediateModule, samples: int = 100, seed: int = 0,
 
 def _reaches(m: IntermediateModule, src: Coords, dst: Coords) -> bool:
     """Can some monomial action carry y_src onto y_dst with nonzero coefficient?"""
-    alpha = m.alpha_numeric()
     lattice = m.lattice
-    if m.kind == KIND_A:
-        point = lattice.ambient(src)
-    else:
-        point = lattice.ambient(dst)
-    # (alpha + point)^mu is nonzero for some |mu| >= 1 iff a component survives
-    return any(a + p != 0 for a, p in zip(alpha, point))
+    b = lattice.ambient(tuple(d - s for d, s in zip(dst, src)))
+    _s, x = _argument(m, b, lattice.ambient(src))
+    # x^mu is nonzero for some |mu| >= 1 iff a component of x is nonzero
+    return any(not xi.is_zero() for xi in x)
 
 
 def submodule_scan(m: IntermediateModule, window: Optional[Sequence[Coords]] = None
@@ -343,15 +342,8 @@ def _raw_poly_action(m: IntermediateModule, beta: int, g_coeffs: Sequence[int],
 
     A: g(alpha + k);  B: -g(-(alpha + beta + k)).
     """
-    ring = m.weyl.ring
-    a = m.alpha[0]
-    if m.kind == KIND_A:
-        x = a + k
-        sign = 1
-    else:
-        x = -(a + beta + k)
-        sign = -1
-    out = ring.zero
+    sign, (x,) = _argument(m, (beta,), (k,))
+    out = m.weyl.ring.zero
     for e, c in enumerate(g_coeffs):
         if c:
             out = out + x ** e * c

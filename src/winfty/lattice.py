@@ -12,6 +12,7 @@ needed).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
@@ -27,6 +28,12 @@ def _rational(x) -> Fraction:
         raise TypeError(f"coordinates must be int or Fraction, "
                         f"got {type(x).__name__} {x!r}")
     return Fraction(x)
+
+
+def _integers(v: Sequence) -> Tuple[int, ...]:
+    # int() would truncate 1.7 and parse "2"; operator.index raises TypeError
+    # for anything but an integer (a Fraction included)
+    return tuple(map(operator.index, v))
 
 
 def _as_vector(v: Sequence) -> Vector:
@@ -71,6 +78,7 @@ class Lattice:
 
     def ambient(self, coords: Sequence[int]) -> Vector:
         """Map integer coordinates to the ambient rational vector."""
+        coords = _integers(coords)
         if len(coords) != self.rank:
             raise ValueError(f"expected {self.rank} coordinates, got {len(coords)}")
         out = [Fraction(0)] * self.dim

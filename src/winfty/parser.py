@@ -38,17 +38,9 @@ class UnknownSymbolError(ParseError):
 
 @dataclass
 class Session:
-    """Evaluation context: the algebra plus the declared parameter names."""
+    """Evaluation context: the algebra, whose ring declares the parameter names."""
 
     weyl: Weyl
-
-    @property
-    def n(self) -> int:
-        return self.weyl.n
-
-    @property
-    def parameters(self) -> Tuple[str, ...]:
-        return self.weyl.ring.symbols
 
 
 # -- tokenizer -------------------------------------------------------------

@@ -382,19 +382,10 @@ def falling(a: Union[Scalar, Rat], j: int):
 
 
 def rising(a: Union[Scalar, Rat], j: int):
-    """a(a+1)...(a+j-1); the empty product 1 when j = 0."""
+    """a(a+1)...(a+j-1) = [a+j-1]_j; the empty product 1 when j = 0."""
     if j < 0:
         raise ValueError("rising factorial needs j >= 0")
-    if isinstance(a, Scalar):
-        out = a.ring.one
-        for m in range(j):
-            out = out * (a + m)
-        return out
-    a = Fraction(a)
-    out = Fraction(1)
-    for m in range(j):
-        out *= a + m
-    return out
+    return falling(a + (j - 1), j)
 
 
 def binom(a: Union[Scalar, Rat], j: int):

@@ -5,7 +5,9 @@ k + alpha), the two unprimed constants p1, p2, their primed copies pp1, pp2,
 and the identity index i.  The P-series formulas are both transcribed from
 their displayed closed forms and re-derived from the Virasoro recurrence
 [tD, t^(j-1)D] = (j-2) t^j D; any mismatch is reported verbatim rather than
-silently repaired.
+silently repaired.  The displayed relations (2.7)-(2.9) are transcribed once,
+in ``_q_coefficients``: ``build_f_polynomials`` reads them with a symbolic i
+and two constant sets, ``verify_yk_relations`` with an integer i and one set.
 """
 
 from __future__ import annotations
@@ -137,6 +139,24 @@ class FPolys:
     g: Scalar
 
 
+def _q_coefficients(p, pp, i):
+    """(f1, f2, f3): the coefficients of q_i in relations (2.7), (2.8), (2.9),
+    with p(j, c) = p_{j,k+c-i} and pp(j, c) = p'_{j,k+c}."""
+    f1 = (3 * (p(1, 1) * p(1) - 2 * p(1, 1) * pp(1) + pp(1, 1) * pp(1))
+          + 2 * (2 * i - 1) * (p(2) - pp(2)))
+    f2 = (p(1, 2) * p(1, 1) * p(1)
+          - 3 * p(1, 2) * p(1, 1) * pp(1)
+          + 3 * p(1, 2) * pp(1, 1) * pp(1)
+          - pp(1, 2) * pp(1, 1) * pp(1)
+          + (i - 1) * (i - 2) * (p(3) - pp(3))
+          + 2 * (i - 1) * (p(1, 2) * (p(2) - pp(2))
+                           - (p(2, 1) - pp(2, 1)) * pp(1)))
+    f3 = (10 * (p(2, 2) * p(2) - 2 * p(2, 2) * pp(2) + pp(2, 2) * pp(2))
+          - 6 * (i - 4) * (p(4) - pp(4))
+          - 15 * (p(1, 3) * (p(3) - pp(3)) - (p(3, 1) - pp(3, 1)) * pp(1)))
+    return f1, f2, f3
+
+
 def build_f_polynomials(ps: Optional[PSeries] = None) -> FPolys:
     """Substitute the P-series into the displayed q_i coefficients.
 
@@ -153,18 +173,7 @@ def build_f_polynomials(ps: Optional[PSeries] = None) -> FPolys:
     def pp(j, c=0):
         return ps.pjk(j, c, primed=True)
 
-    f1 = (3 * (p(1, 1) * p(1) - 2 * p(1, 1) * pp(1) + pp(1, 1) * pp(1))
-          + 2 * (2 * i - 1) * (p(2) - pp(2)))
-    f2 = (p(1, 2) * p(1, 1) * p(1)
-          - 3 * p(1, 2) * p(1, 1) * pp(1)
-          + 3 * p(1, 2) * pp(1, 1) * pp(1)
-          - pp(1, 2) * pp(1, 1) * pp(1)
-          + (i - 1) * (i - 2) * (p(3) - pp(3))
-          + 2 * (i - 1) * (p(1, 2) * (p(2) - pp(2))
-                           - (p(2, 1) - pp(2, 1)) * pp(1)))
-    f3 = (10 * (p(2, 2) * p(2) - 2 * p(2, 2) * pp(2) + pp(2, 2) * pp(2))
-          - 6 * (i - 4) * (p(4) - pp(4))
-          - 15 * (p(1, 3) * (p(3) - pp(3)) - (p(3, 1) - pp(3, 1)) * pp(1)))
+    f1, f2, f3 = _q_coefficients(p, pp, i)
     f1_shifted = f1.substitute({"i": i - 2})
     g = falling(i + 1, 4) * falling(i - 1, 4) * f3 - falling(i + 1, 6) * f1_shifted * f1
     return FPolys(ring, f1, f2, f3, g)
@@ -230,13 +239,13 @@ def verify_yk_relations(data: PQData, ring: Optional[Ring] = None) -> Verificati
     # the rational constants commute with the kbar shift, so substitute them
     # once per j and build each shifted polynomial once per call
     base = {j: pj.substitute(consts) for j, pj in ps.transcribed.items()}
-    shifted: Dict[Tuple[int, int], Scalar] = {}
+    memo: Dict[Tuple[int, int], Scalar] = {}
 
-    def p(j, shift=0):
-        key = (j, shift)
-        if key not in shifted:
-            shifted[key] = base[j].shift("kbar", shift) if shift else base[j]
-        return shifted[key]
+    def shifted(j, c=0):
+        key = (j, c)
+        if key not in memo:
+            memo[key] = base[j].shift("kbar", c) if c else base[j]
+        return memo[key]
 
     def q(j) -> Fraction:
         if j < 1:
@@ -250,24 +259,12 @@ def verify_yk_relations(data: PQData, ring: Optional[Ring] = None) -> Verificati
 
     residuals = {}
     for i in (1, 3, 5):
+        # the module data has one constant set: p' = p, both read the same series
+        f1, f2, f3 = _q_coefficients(lambda j, c=0: shifted(j, c - i), shifted, i)
         qi = q(i)
-        r27 = (ring.const(-falling(Fraction(i + 1), 4) * q(i - 2))
-               - (3 * (p(1, 1 - i) * p(1, -i) * qi - 2 * p(1, 1 - i) * qi * p(1)
-                       + qi * p(1, 1) * p(1))
-                  + 2 * (2 * i - 1) * (p(2, -i) * qi - qi * p(2))))
-        r28 = -(p(1, 2 - i) * p(1, 1 - i) * p(1, -i) * qi
-                - 3 * p(1, 2 - i) * p(1, 1 - i) * qi * p(1)
-                + 3 * p(1, 2 - i) * qi * p(1, 1) * p(1)
-                - qi * p(1, 2) * p(1, 1) * p(1)
-                + (i - 1) * (i - 2) * (p(3, -i) * qi - qi * p(3))
-                + 2 * (i - 1) * (p(1, 2 - i) * (p(2, -i) * qi - qi * p(2))
-                                 - (p(2, 1 - i) * qi - qi * p(2, 1)) * p(1)))
-        r29 = (ring.const(falling(Fraction(i + 1), 6) * q(i - 4))
-               - (10 * (p(2, 2 - i) * p(2, -i) * qi - 2 * p(2, 2 - i) * qi * p(2)
-                        + qi * p(2, 2) * p(2))
-                  - 6 * (i - 4) * (p(4, -i) * qi - qi * p(4))
-                  - 15 * (p(1, 3 - i) * (p(3, -i) * qi - qi * p(3))
-                          - (p(3, 1 - i) * qi - qi * p(3, 1)) * p(1))))
+        r27 = ring.const(-falling(Fraction(i + 1), 4) * q(i - 2)) - f1 * qi
+        r28 = -(f2 * qi)
+        r29 = ring.const(falling(Fraction(i + 1), 6) * q(i - 4)) - f3 * qi
         for label, r in (("2.7", r27), ("2.8", r28), ("2.9", r29)):
             if not r.is_zero():
                 residuals[f"{label}[i={i}]"] = str(r)

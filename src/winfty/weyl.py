@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple, Union
 
-from .lattice import Direction, Lattice, _as_vector, inner
+from .lattice import Direction, Lattice, _as_vector, _integers, inner
 from .report import VerificationReport
 from .scalars import Exponent, Rat, Ring, Scalar, binom
 
@@ -112,7 +112,7 @@ class Weyl:
     def monomial(self, gamma, mu: Sequence[int], coeff: Union[Scalar, Rat] = 1,
                  basis: str = POWER) -> "WeylElement":
         gamma = _as_gamma(gamma)
-        mu = tuple(int(m) for m in mu)
+        mu = _integers(mu)
         if len(gamma) != self.n or len(mu) != self.n:
             raise ValueError("monomial exponents have wrong dimension")
         if any(m < 0 for m in mu):
@@ -255,43 +255,32 @@ class WeylElement:
     def to_power(self) -> "WeylElement":
         if self.basis == POWER:
             return self
-        out: Dict[TermKey, Scalar] = {}
-        for (g, mu), c in self.terms.items():
-            # expand each coordinate's falling factorial into powers of D_i
-            partial = {(): Fraction(1)}
-            for m in mu:
-                coeffs = _falling_coeffs(m)
-                nxt: Dict[Tuple[int, ...], Fraction] = {}
-                for stem, sc in partial.items():
-                    for j, fc in enumerate(coeffs):
-                        if fc:
-                            key = stem + (j,)
-                            nxt[key] = nxt.get(key, Fraction(0)) + sc * fc
-                partial = nxt
-            for nu, f in partial.items():
-                key = (g, nu)
-                out[key] = out.get(key, self.weyl.ring.zero) + c * f
-        return WeylElement(self.weyl, out, POWER, self.central)
+        return self._convert(POWER, _falling_coeffs)
 
     def to_falling(self) -> "WeylElement":
         if self.basis == FALLING:
             return self
+        return self._convert(FALLING, lambda m: [_stirling2(m, j) for j in range(m + 1)])
+
+    def _convert(self, basis: str, row) -> "WeylElement":
+        """Re-expand each term into ``basis``, coordinate by coordinate: the
+        exponent m becomes sum_j row(m)[j] times basis exponent j."""
         out: Dict[TermKey, Scalar] = {}
         for (g, mu), c in self.terms.items():
             partial = {(): 1}
             for m in mu:
+                coeffs = row(m)
                 nxt: Dict[Tuple[int, ...], int] = {}
                 for stem, sc in partial.items():
-                    for j in range(0, m + 1):
-                        s2 = _stirling2(m, j)
-                        if s2:
+                    for j, fc in enumerate(coeffs):
+                        if fc:
                             key = stem + (j,)
-                            nxt[key] = nxt.get(key, 0) + sc * s2
+                            nxt[key] = nxt.get(key, 0) + sc * fc
                 partial = nxt
             for nu, f in partial.items():
                 key = (g, nu)
                 out[key] = out.get(key, self.weyl.ring.zero) + c * f
-        return WeylElement(self.weyl, out, FALLING, self.central)
+        return WeylElement(self.weyl, out, basis, self.central)
 
 
 class GradingWindow:

@@ -39,6 +39,36 @@ def test_action_kind_a_alpha_zero_kills_y0():
 def test_action_kind_b():
     m = make_module("B", [frac("1/2")], W1)
     assert act(m, W1.tD((1,)), (0,)) == {(1,): RING.const(Fraction(3, 2))}
+    # even |mu|: (-1)^(2+1) (1/2 + 1 + 0)^2 = -9/4
+    assert act(m, W1.monomial((1,), (2,)), (0,)) == {(1,): RING.const(Fraction(-9, 4))}
+
+
+RING2 = Ring(("a1", "a2"))
+SKEW = Lattice([(1, 0), (1, 2)])
+W2_SKEW = Weyl(2, ring=RING2, lattice=SKEW, subalgebra="w1")
+
+
+@pytest.mark.parametrize("kind", ("A", "B"))
+@pytest.mark.parametrize("mu", ((2, 1), (1, 1), (0, 2), (3, 0)))
+def test_action_rank2_formal_matches_docstring(kind, mu):
+    # b = ambient(1, -1) = (0, -2) acting on g = ambient(2, 1) = (3, 2)
+    a1, a2 = RING2.sym("a1"), RING2.sym("a2")
+    if kind == "A":
+        want = (a1 + 3) ** mu[0] * (a2 + 2) ** mu[1]
+    else:
+        want = (a1 + 0 + 3) ** mu[0] * (a2 - 2 + 2) ** mu[1] * (-1) ** (sum(mu) + 1)
+    m = make_module(kind, "formal", W2_SKEW)
+    assert act(m, W2_SKEW.monomial((0, -2), mu), (2, 1)) == {(3, 0): want}
+
+
+@pytest.mark.parametrize("coords", ((1.5,), ("1",), (Fraction(1, 2),)),
+                         ids=("float", "str", "fraction"))
+def test_act_rejects_non_integer_coordinates(coords):
+    m = make_module("A", [frac("1/2")], W1)
+    with pytest.raises(TypeError):
+        act(m, W1.tD((1,)), coords)
+    with pytest.raises(TypeError):
+        make_module("A", [frac("1/2")], W1, window=[coords])
 
 
 def test_act_solves_each_exponent_once(monkeypatch):
@@ -141,11 +171,39 @@ def test_b0_has_coline(window):
 
 
 def test_highest_weight_scan(window):
-    none_found = highest_weight_scan(make_module("A", [frac("1/2")], W1), window)
-    assert not none_found.get("saw_positive_actions", False) or True
+    # no vector below the window's top is killed; the top sees no positive action
+    top = {"coords": (8,), "saw_positive_actions": False, "also_lowest_weight": False}
+    for kind, alpha in (("A", frac("1/2")), ("B", frac("1/2")), ("B", 0)):
+        assert highest_weight_scan(make_module(kind, [alpha], W1), window) == top
     hw = highest_weight_scan(make_module("A", [0], W1), window)
-    assert hw["coords"] == (0,)
-    assert hw["also_lowest_weight"]
+    assert hw == {"coords": (0,), "saw_positive_actions": True, "also_lowest_weight": True}
+
+
+@pytest.mark.parametrize("kind", ("A", "B"))
+@pytest.mark.parametrize("alpha", ((0, 2), (0, frac("1/2")), (-1, 0)))
+def test_submodule_scan_rank2_matches_brute_force(kind, alpha):
+    # reachability read off act on every t^b D^mu with |mu| <= 2
+    window = sorted(box_window(SKEW, 1))
+    m = make_module(kind, list(alpha), Weyl(2, lattice=SKEW, subalgebra="w1"))
+    mus = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+
+    def reaches(src, dst):
+        b = SKEW.ambient(tuple(d - s for d, s in zip(dst, src)))
+        return any(act(m, m.weyl.monomial(b, mu), src) for mu in mus)
+
+    found = []
+    for start in window:
+        closure, stack = {start}, [start]
+        while stack:
+            cur = stack.pop()
+            for nxt in window:
+                if nxt not in closure and reaches(cur, nxt):
+                    closure.add(nxt)
+                    stack.append(nxt)
+        if len(closure) < len(window) and sorted(closure) not in found:
+            found.append(sorted(closure))
+    found.sort(key=lambda c: (len(c), c))
+    assert submodule_scan(m, window) == found
 
 
 def test_highest_weight_scan_empty_window():

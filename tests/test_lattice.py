@@ -43,10 +43,13 @@ def test_nondegenerate():
     lambda: Lattice.standard(1).membership(("3",)),
     lambda: Direction.of((0.1,)),
     lambda: inner((0.5,), Direction.of((1,))),
+    lambda: Lattice([(1, 0), (1, 2)]).ambient((0.5, 1)),
+    lambda: Lattice([(1, 0), (1, 2)]).ambient((Fraction(1, 2), 1)),
 ], ids=["float-generator", "str-generator", "str-member", "float-direction",
-        "float-inner"])
+        "float-inner", "float-ambient", "fraction-ambient"])
 def test_non_rational_coordinates_rejected(build):
-    # a float would be stored as its binary expansion, a string parsed
+    # a float would be stored as its binary expansion, a string parsed; lattice
+    # coordinates must be ints, as (1/2, 1) maps to (3/2, 2), outside the lattice
     with pytest.raises(TypeError):
         build()
 

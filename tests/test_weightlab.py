@@ -1,7 +1,10 @@
 """Weight-space polynomial laboratory: the p-series, the Virasoro
 consistency constraint, and the coefficient claims about f2 and g."""
 
+import dataclasses
 from fractions import Fraction
+
+import pytest
 
 from winfty.scalars import falling, rising
 from winfty.weightlab import (build_f_polynomials, build_p_series,
@@ -88,3 +91,18 @@ def test_yk_relations_on_module_data():
             rep = verify_yk_relations(data)
             assert rep.passed, rep.residual
             assert rep.details["i_values"] == [1, 3, 5]
+
+
+@pytest.mark.parametrize("kind", ("A", "B"))
+def test_yk_relations_report_tampered_data(kind):
+    weyl = Weyl(1, ring=Ring(("alpha",)), subalgebra="w1")
+    data = normalize_ddt_basis(make_module(kind, [Fraction(1, 2)], weyl), range(-3, 4))
+    q = dict(data.q)
+    q[3] = q[3] * 2
+    rep = verify_yk_relations(dataclasses.replace(data, q=q))
+    assert not rep.passed
+    assert rep.residual == str({"2.7[i=3]": "24", "2.7[i=5]": "-360"})
+    rep = verify_yk_relations(dataclasses.replace(data, p1_const=weyl.ring.one))
+    assert not rep.passed
+    assert rep.residual == str({"2.7[i=3]": "72", "2.8[i=3]": "-72", "2.7[i=5]": "240",
+                                "2.8[i=5]": "-720", "2.9[i=5]": "-3600"})

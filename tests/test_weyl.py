@@ -8,7 +8,7 @@ import pytest
 
 from winfty.lattice import Direction
 from winfty.printer import format_element
-from winfty.scalars import Ring
+from winfty.scalars import Ring, falling
 from winfty.weyl import (BasisMismatchError, GradingWindow, SubalgebraError,
                          Weyl, act_on_combination, bracket, cocycle,
                          degree_one_bracket, mul, operator_action, verify_jacobi)
@@ -194,6 +194,29 @@ def test_equality_and_hash_cross_bases():
     assert h.to_falling() != h - hat.central(1)
 
 
+def test_to_power_matches_falling_action_n2():
+    # [D_i]_m acts on t^g as falling(g_i, m), independently of the conversion
+    ring = Ring(("alpha",))
+    w = Weyl(2, ring=ring)
+    a = ring.sym("alpha")
+    rng = random.Random(5)
+    for _ in range(30):
+        x = w.zero("falling")
+        for _ in range(3):
+            gamma = (rng.randint(-3, 3), rng.randint(-3, 3))
+            mu = (rng.randint(0, 4), rng.randint(0, 4))
+            c = a * a * rng.randint(-2, 2) + a * rng.randint(1, 3) + rng.randint(-2, 2)
+            x = x + w.monomial(gamma, mu, c, basis="falling")
+        g = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 2)) for _ in range(2))
+        want = {}
+        for (gamma, mu), c in x.terms.items():
+            target = tuple(p + q for p, q in zip(g, gamma))
+            f = falling(g[0], mu[0]) * falling(g[1], mu[1])
+            want[target] = want.get(target, ring.zero) + c * f
+        assert operator_action(x.to_power(), g) == {
+            k: v for k, v in want.items() if not v.is_zero()}
+
+
 def test_conversions_mutually_inverse():
     rng = random.Random(3)
     for _ in range(40):
@@ -298,6 +321,13 @@ def test_project_keeps_central_exactly_when_window_holds_zero():
     assert x.project(GradingWindow.interval(0)) == x
     assert x.project(GradingWindow.interval(1)) == hat.tD((3,))
     assert x.project(GradingWindow.interval(-2, 0)).is_zero()
+
+
+@pytest.mark.parametrize("mu", ((1.7,), ("2",)), ids=("float", "str"))
+def test_monomial_rejects_non_integer_d_exponents(mu):
+    # int() would have truncated 1.7 to 1 and parsed "2"
+    with pytest.raises(TypeError):
+        W.monomial((1,), mu)
 
 
 def test_w1_guard():
