@@ -24,7 +24,7 @@ def integral(vec: Mapping[Hashable, Union[int, Fraction]],
              scale: int = 1) -> Tuple[IntVec, int]:
     """(w, s) with vec / scale == w / s, w integral and s > 0, both divided
     by their common gcd."""
-    d = math.lcm(*(c.denominator for c in vec.values()))
+    d = math.lcm(*[c.denominator for c in vec.values()])
     s = scale * d
     w = {k: c.numerator * (d // c.denominator) for k, c in vec.items()}
     g = math.gcd(s, *w.values())

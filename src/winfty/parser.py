@@ -397,7 +397,8 @@ class _Sum:
         self.yields = False
 
     def element(self) -> WeylElement:
-        return WeylElement(self.weyl, self.terms, self.basis, self.central)
+        # _put keeps the map zero-free, and the sum is dropped after this call
+        return WeylElement._trusted(self.weyl, self.terms, self.basis, self.central)
 
 
 def _eval_sum(summands, session: Session) -> Value:

@@ -16,7 +16,9 @@ Kernel: a product clears each factor to integer numerators over the lcm of
 its denominators, accumulates plain ``int`` products per output exponent and
 builds one Fraction per output term, so no gcd is taken per term pair (the
 approach of Monagan & Pearce, "Sparse polynomial multiplication and division
-in Maple 14", 2009).  A rational-constant factor scales term by term.
+in Maple 14", 2009).  A rational-constant factor scales term by term, and
+a product of two one-term polynomials is one coefficient product and one
+exponent sum.
 :meth:`Scalar.substitute` computes each power of a substituted value once per
 call and collects all terms into one map.  Results the kernel already knows
 to be zero-free go through :meth:`Scalar._trusted`, which skips the zero
@@ -95,7 +97,9 @@ class Ring:
 
 def _cleared(terms: Dict[Exponent, Fraction]) -> Tuple[int, List[Tuple[Exponent, int]]]:
     """The lcm d of the denominators and the integer numerators c*d per term."""
-    d = math.lcm(*(c.denominator for c in terms.values()))
+    # a list, not a generator: a starred generator builds its argument tuple
+    # by resizing, and CPython keeps the freed tuples on free lists that grow
+    d = math.lcm(*[c.denominator for c in terms.values()])
     return d, [(e, c.numerator * (d // c.denominator)) for e, c in terms.items()]
 
 
@@ -203,6 +207,10 @@ class Scalar:
             return self._scale(t2[zero_exp])
         if len(t1) == 1 and zero_exp in t1:
             return other._scale(t1[zero_exp])
+        if len(t1) == 1 and len(t2) == 1:
+            (e1, c1), = t1.items()
+            (e2, c2), = t2.items()
+            return Scalar._trusted(self.ring, {tuple(map(_add, e1, e2)): c1 * c2})
         d1, n1 = _cleared(t1)
         d2, n2 = _cleared(t2)
         acc: Dict[Exponent, int] = {}
@@ -374,6 +382,10 @@ def falling(a: Union[Scalar, Rat], j: int):
         for m in range(j):
             out = out * (a - m)
         return out
+    if not isinstance(a, (int, Fraction)):
+        # Fraction(a) would take a float's binary expansion and parse a string
+        raise TypeError(f"falling factorials take an int, Fraction or Scalar, "
+                        f"got {type(a).__name__} {a!r}")
     a = Fraction(a)
     out = Fraction(1)
     for m in range(j):

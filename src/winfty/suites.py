@@ -107,8 +107,12 @@ def _suite_jacobi(opts: SuiteOptions) -> ReportDocument:
         raise ValueError(f"jacobi runs n = 1 and n = 2; --n {opts.n} selects "
                          f"neither for the --gamma lattice")
     samples = opts.samples or 200
-    doc = ReportDocument("jacobi", seed=opts.seed,
-                         params={"samples": samples, "max_mu": opts.max_mu})
+    params = {"samples": samples, "max_mu": opts.max_mu}
+    if opts.gamma is not None:
+        # the default Z^n report keeps its form; a --gamma one names its lattice
+        params.update(n=opts.n, gamma=[[str(c) for c in g]
+                                       for g in opts.lattice(opts.n).generators])
+    doc = ReportDocument("jacobi", seed=opts.seed, params=params)
     for n in (1, 2):
         rng = random.Random(opts.seed + n)
         weyl = Weyl(n, lattice=opts.lattice(n) if n == opts.n else None,

@@ -7,10 +7,19 @@ coordinate.  The associative product expands
 
     (t^a D^mu)(t^b D^nu) = sum_lambda C(mu,lambda) b^lambda t^(a+b) D^(mu+nu-lambda)
 
-accumulating raw ring coefficients per output monomial and building one
-Scalar for each at the end; the lambda_i > 0 factors vanish when b_i = 0 and
-are never formed.  The Lie bracket is the commutator, accumulated directly:
-the lambda = 0 terms of xy and yx are equal (the coefficient ring is
+Kernel: a product or bracket runs in integer arithmetic, as the Scalar
+kernel does (after Monagan & Pearce, "Sparse polynomial multiplication and
+division in Maple 14", 2009).  Each factor's coefficients are cleared to
+integer numerators over one lcm d of all their denominators, and each grade
+coordinate to an integer B_i over Q_i, the lcm of the i-th grade
+denominators of both factors.  With M_i the largest mu_i of either factor,
+lambda_i <= M_i, so b_i^lambda_i scaled by Q_i^M_i is the integer
+B_i^lambda_i Q_i^(M_i - lambda_i).  The kernel accumulates ints per output
+grade, mu and coefficient exponent, and builds one Fraction per nonzero
+output coefficient over d_x d_y prod_i Q_i^M_i; on integral grades Q_i = 1
+and that scale is 1.  The lambda_i > 0 terms vanish when b_i = 0 and are
+never formed.  The Lie bracket is the commutator, accumulated directly: the
+lambda = 0 terms of xy and yx are equal (the coefficient ring is
 commutative), so they are skipped rather than built and cancelled.
 
 An independent oracle realizes elements as concrete operators on the group
@@ -20,11 +29,11 @@ formula; it shares no code with the product kernel.
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .lattice import Direction, Lattice, _as_vector, _integers, inner
 from .report import VerificationReport
@@ -33,6 +42,8 @@ from .scalars import Exponent, Rat, Ring, Scalar, binom
 Gamma = Tuple[Fraction, ...]
 Mu = Tuple[int, ...]
 TermKey = Tuple[Gamma, Mu]
+
+_add = operator.add
 
 POWER = "power"
 FALLING = "falling"
@@ -172,6 +183,18 @@ class WeylElement:
         self.basis = basis
         self.central = central if central is not None else weyl.ring.zero
 
+    @classmethod
+    def _trusted(cls, weyl: Weyl, terms: Dict[TermKey, Scalar], basis: str = POWER,
+                 central: Optional[Scalar] = None) -> "WeylElement":
+        """Wrap ``terms`` as is, without a copy: every coefficient nonzero,
+        ``basis`` valid, and nobody changes the map afterwards."""
+        out = object.__new__(cls)
+        out.weyl = weyl
+        out.terms = terms
+        out.basis = basis
+        out.central = central if central is not None else weyl.ring.zero
+        return out
+
     # -- linear structure -------------------------------------------------
 
     def _check_compat(self, other: "WeylElement"):
@@ -186,12 +209,20 @@ class WeylElement:
         self._check_compat(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            out[k] = out.get(k, self.weyl.ring.zero) + c
-        return WeylElement(self.weyl, out, self.basis, self.central + other.central)
+            size = len(out)
+            old = out.setdefault(k, c)  # one hash of the Fraction key when new
+            if len(out) == size:
+                total = old + c
+                if total:
+                    out[k] = total
+                else:
+                    del out[k]
+        return WeylElement._trusted(self.weyl, out, self.basis,
+                                    self.central + other.central)
 
     def __neg__(self) -> "WeylElement":
-        return WeylElement(self.weyl, {k: -c for k, c in self.terms.items()},
-                           self.basis, -self.central)
+        return WeylElement._trusted(self.weyl, {k: -c for k, c in self.terms.items()},
+                                    self.basis, -self.central)
 
     def __sub__(self, other: "WeylElement") -> "WeylElement":
         return self + (-other)
@@ -318,71 +349,102 @@ def _check_product_inputs(x: WeylElement, y: WeylElement):
         raise SubalgebraError("the associative product is not defined on the center")
 
 
-def _lambda_factors(mu: Mu, b: Gamma):
-    """Per coordinate, the pairs (lambda_i, C(mu_i, lambda_i) b_i^lambda_i).
+ClearedTerms = List[Tuple[Tuple[int, ...], Mu, List[Tuple[Exponent, int]]]]
 
-    Each list starts with lambda_i = 0; when b_i = 0 it holds only that
-    entry, since every lambda_i > 0 factor vanishes.
+
+def _cleared(x: WeylElement, grade_den: Sequence[int]) -> Tuple[int, ClearedTerms]:
+    """x over one coefficient denominator d: per term the grade times
+    ``grade_den`` (integers) and the coefficient's terms times d (integers)."""
+    # a list, not a generator (see scalars._cleared)
+    d = math.lcm(*[c.denominator for s in x.terms.values() for c in s.terms.values()])
+    return d, [(tuple(gi.numerator * (q // gi.denominator) for gi, q in zip(g, grade_den)),
+                mu, [(e, c.numerator * (d // c.denominator)) for e, c in s.terms.items()])
+               for (g, mu), s in x.terms.items()]
+
+
+def _lambda_rows(mu: Mu, nu: Mu, b: Sequence[int], q_powers):
+    """Per coordinate, the pairs (mu_i + nu_i - lambda_i, row entry) where the
+    entry is C(mu_i, lambda_i) B_i^lambda_i Q_i^(M_i - lambda_i), an integer:
+    b_i^lambda_i = B_i^lambda_i / Q_i^lambda_i scaled by Q_i^M_i.  The grade
+    b is cleared to B, and q_powers[i] lists Q_i^0, ..., Q_i^M_i.
+
+    Each row starts with lambda_i = 0; when B_i = 0 it holds only that entry,
+    since every lambda_i > 0 term vanishes.
     """
-    out = []
-    for m, bi in zip(mu, b):
-        row = [(0, 1)]
+    rows = []
+    for m, n, bi, qp in zip(mu, nu, b, q_powers):
+        top = len(qp) - 1
+        row = [(m + n, qp[top])]
         if bi:
-            if bi.denominator == 1:
-                bi = bi.numerator  # int factors keep the products cheap
             power = 1
             for li in range(1, m + 1):
                 power *= bi
-                row.append((li, math.comb(m, li) * power))
-        out.append(row)
-    return out
+                row.append((m + n - li, math.comb(m, li) * power * qp[top - li]))
+        rows.append(row)
+    return rows
 
 
-RawTerms = Dict[Gamma, Dict[Mu, Dict[Exponent, Fraction]]]
+RawTerms = Dict[Tuple[int, ...], Dict[Mu, Dict[Exponent, int]]]
 
 
-def _accumulate(acc: RawTerms, x: WeylElement, y: WeylElement, sign: int,
-                skip_lambda0: bool):
-    """Add sign * x*y into ``acc``, a map gamma -> mu -> raw ring coefficients.
+def _accumulate(acc: RawTerms, xs: ClearedTerms, ys: ClearedTerms, q_powers,
+                sign: int, skip_lambda0: bool):
+    """Add sign * x*y, over the common denominator, into ``acc``: a map from
+    cleared grade to mu to integer ring coefficients.
 
-    Keyed by gamma first so the Fraction tuple is hashed once per term pair.
     With ``skip_lambda0`` the lambda = 0 terms t^(a+b) D^(mu+nu) are left out.
     """
-    for (a, mu), cx in x.terms.items():
-        for (b, nu), cy in y.terms.items():
-            coeff: Dict[Exponent, Fraction] = {}
-            for e1, c1 in cx.terms.items():
-                for e2, c2 in cy.terms.items():
-                    e = tuple(p + q for p, q in zip(e1, e2))
+    for a, mu, cx in xs:
+        for b, nu, cy in ys:
+            coeff: Dict[Exponent, int] = {}
+            for e1, c1 in cx:
+                for e2, c2 in cy:
+                    e = tuple(map(_add, e1, e2))
                     coeff[e] = coeff.get(e, 0) + c1 * c2
-            by_mu = acc.setdefault(tuple(p + q for p, q in zip(a, b)), {})
-            lambdas = itertools.product(*_lambda_factors(mu, b))
+            combos = [((), sign)]
+            for row in _lambda_rows(mu, nu, b, q_powers):
+                combos = [(stem + (ei,), f * fi) for stem, f in combos for ei, fi in row]
             if skip_lambda0:
-                next(lambdas)
-            for lam in lambdas:
-                f = sign
-                exp = []
-                for (li, fl), m, n in zip(lam, mu, nu):
-                    f *= fl
-                    exp.append(m + n - li)
-                raw = by_mu.setdefault(tuple(exp), {})
+                del combos[0]
+            by_mu = acc.setdefault(tuple(map(_add, a, b)), {})
+            for exp, f in combos:
+                raw = by_mu.setdefault(exp, {})
                 for e, c in coeff.items():
                     raw[e] = raw.get(e, 0) + c * f
 
 
-def _element(weyl: Weyl, acc: RawTerms) -> WeylElement:
+def _element(weyl: Weyl, acc: RawTerms, grade_den: Sequence[int], d: int) -> WeylElement:
+    """The element of ``acc`` with grades over ``grade_den`` and coefficients over d."""
     ring = weyl.ring
-    return WeylElement(weyl, {(g, mu): Scalar(ring, raw)
-                              for g, by_mu in acc.items() for mu, raw in by_mu.items()},
-                       POWER)
+    terms: Dict[TermKey, Scalar] = {}
+    for g, by_mu in acc.items():
+        gamma = tuple(map(Fraction, g, grade_den))
+        for mu, raw in by_mu.items():
+            coeff = {e: Fraction(v, d) for e, v in raw.items() if v}
+            if coeff:
+                terms[(gamma, mu)] = Scalar._trusted(ring, coeff)
+    return WeylElement._trusted(weyl, terms, POWER)
+
+
+def _product(x: WeylElement, y: WeylElement, commutator: bool) -> WeylElement:
+    """x*y, or x*y - y*x without its lambda = 0 terms (see the module notes)."""
+    _check_product_inputs(x, y)
+    keys = list(x.terms) + list(y.terms)
+    grade_den = [math.lcm(*[g[i].denominator for g, _mu in keys]) for i in range(x.weyl.n)]
+    top = [max((mu[i] for _g, mu in keys), default=0) for i in range(x.weyl.n)]
+    q_powers = [[q ** j for j in range(m + 1)] for q, m in zip(grade_den, top)]
+    dx, xs = _cleared(x, grade_den)
+    dy, ys = _cleared(y, grade_den)
+    acc: RawTerms = {}
+    _accumulate(acc, xs, ys, q_powers, 1, commutator)
+    if commutator:
+        _accumulate(acc, ys, xs, q_powers, -1, True)
+    return _element(x.weyl, acc, grade_den, dx * dy * math.prod(qp[-1] for qp in q_powers))
 
 
 def mul(x: WeylElement, y: WeylElement) -> WeylElement:
     """Associative product (1.2), bilinear over the coefficient ring."""
-    _check_product_inputs(x, y)
-    acc: RawTerms = {}
-    _accumulate(acc, x, y, 1, False)
-    return _element(x.weyl, acc)
+    return _product(x, y, False)
 
 
 def _commutator(x: WeylElement, y: WeylElement) -> WeylElement:
@@ -391,11 +453,7 @@ def _commutator(x: WeylElement, y: WeylElement) -> WeylElement:
     Those terms are c_x c_y t^(a+b) D^(mu+nu) in both products, equal because
     the coefficient ring is commutative, so they always cancel.
     """
-    _check_product_inputs(x, y)
-    acc: RawTerms = {}
-    _accumulate(acc, x, y, 1, True)
-    _accumulate(acc, y, x, -1, True)
-    return _element(x.weyl, acc)
+    return _product(x, y, True)
 
 
 def bracket(x: WeylElement, y: WeylElement) -> WeylElement:
@@ -436,11 +494,11 @@ def ext_bracket(x: WeylElement, y: WeylElement) -> WeylElement:
     """Bracket in the centrally extended one-variable algebra."""
     xp, yp = x.to_power(), y.to_power()
     # the center contributes nothing: strip central coordinates first
-    xs = WeylElement(xp.weyl, xp.terms, POWER)
-    ys = WeylElement(yp.weyl, yp.terms, POWER)
+    xs = WeylElement._trusted(xp.weyl, xp.terms)
+    ys = WeylElement._trusted(yp.weyl, yp.terms)
     plain = _commutator(xs, ys)
     c = cocycle(xs, ys)
-    return WeylElement(plain.weyl, plain.terms, POWER, c)
+    return WeylElement._trusted(plain.weyl, plain.terms, POWER, c)
 
 
 def operator_action(x: WeylElement, gamma) -> Dict[Gamma, Scalar]:

@@ -124,6 +124,10 @@ def test_non_rational_constants_are_rejected(bad):
         RING.coerce(bad)
     with pytest.raises(TypeError):
         A / bad
+    # Fraction(bad) would read 0.1 as its binary expansion and parse "1/2"
+    for combinatorial in (falling, rising, binom):
+        with pytest.raises(TypeError):
+            combinatorial(bad, 2)
 
 
 def test_float_coefficients_rejected_by_elements_and_modules():
@@ -145,11 +149,11 @@ COEFFS = st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1
                           Fraction(3, 4), Fraction(-5, 3), Fraction(2), Fraction(7, 6)])
 
 
-def term_lists(ring, max_factors):
+def term_lists(ring, max_factors, min_size=0, max_size=5):
     # a monomial is a product of up to max_factors ring symbols
     mono = st.lists(st.integers(0, ring.nvars - 1), max_size=max_factors).map(
         lambda idx: tuple(idx.count(i) for i in range(ring.nvars)))
-    return st.lists(st.tuples(mono, COEFFS), max_size=5)
+    return st.lists(st.tuples(mono, COEFFS), min_size=min_size, max_size=max_size)
 
 
 def build(ring, terms):
@@ -180,9 +184,11 @@ def test_arithmetic_matches_sympy(ring_name, data):
     terms = term_lists(ring, 3)
     p, P = build(ring, data.draw(terms))
     q, Q = build(ring, data.draw(terms))
+    m, M = build(ring, data.draw(term_lists(ring, 3, 1, 1)))  # one term, maybe a constant
     e = data.draw(st.integers(0, 4))
     for got, want in ((p + q, P + Q), (p - q, P - Q), (p * q, P * Q),
-                      (p - p, 0), ((p + q) * (p - q), P ** 2 - Q ** 2), (p ** e, P ** e)):
+                      (p - p, 0), ((p + q) * (p - q), P ** 2 - Q ** 2), (p ** e, P ** e),
+                      (m * m, M * M), (m * p, M * P), (m ** e, M ** e)):
         assert_matches(got, want, ring)
     assert hash(p * q) == hash(q * p)
     assert hash((p + q) - q) == hash(p)

@@ -1,6 +1,7 @@
 """The suite dispatcher: naming, determinism, report structure."""
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
@@ -40,6 +41,18 @@ def test_seeded_suites_are_deterministic():
     a = run_suite("cocycle", opts).to_json()
     b = run_suite("cocycle", opts).to_json()
     assert a == b
+
+
+def test_jacobi_report_records_its_lattice():
+    default = run_suite("jacobi", SuiteOptions(samples=5))
+    half = run_suite("jacobi", SuiteOptions(samples=5, gamma=[[Fraction(1, 2)]]))
+    rank2 = run_suite("jacobi", SuiteOptions(
+        samples=5, n=2, gamma=[[Fraction(1, 2), Fraction(1, 3)], [0, Fraction(2, 5)]]))
+    assert default.passed and half.passed and rank2.passed
+    assert len({default.to_json(), half.to_json(), rank2.to_json()}) == 3
+    assert "gamma" not in default.params
+    assert half.params["gamma"] == [["1/2"]] and half.params["n"] == 1
+    assert rank2.params["gamma"] == [["1/2", "1/3"], ["0", "2/5"]]
 
 
 def test_assoc_dichotomy_records_witness():

@@ -1,12 +1,13 @@
 """Core algebra: the associative product, the bracket, grading, bases,
 and the operator-action oracle that keeps the product formula honest."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from winfty.lattice import Direction
+from winfty.lattice import Direction, Lattice
 from winfty.printer import format_element
 from winfty.scalars import Ring, falling
 from winfty.weyl import (BasisMismatchError, GradingWindow, SubalgebraError,
@@ -58,6 +59,13 @@ def test_mul_associative_on_random_triples():
             assert mul(mul(x, y), z) == mul(x, mul(y, z))
 
 
+def test_add_doubles_and_cancels():
+    x = W.monomial((1,), (2,), Fraction(3, 2)) + W.tD((Fraction(1, 2),))
+    assert (x + x).terms == x.scale(2).terms
+    assert (x + x.scale(-1)).terms == {}
+    assert (x - W.tD((Fraction(1, 2),))).terms == W.monomial((1,), (2,), Fraction(3, 2)).terms
+
+
 def test_mul_rejects_falling_basis():
     xf = W.monomial((1,), (2,), basis="falling")
     with pytest.raises(BasisMismatchError):
@@ -68,9 +76,13 @@ def test_mul_rejects_falling_basis():
 #
 # Rational and formal coefficients (multi-term polynomials in a1, a2), and
 # grades with zero coordinates, where the b_i = 0 pruning of the lambda sum
-# applies.
+# applies.  Grades come from the algebra's lattice, so Gamma = (1/2)Z and
+# the rank-2 lattice Z(1/2,1/3) + Z(0,2/5) exercise the grade-denominator
+# scale of the integer kernel.
 
 FORMAL = Ring(("a1", "a2"))
+HALF = Lattice([(Fraction(1, 2),)])
+RANK2 = Lattice([(Fraction(1, 2), Fraction(1, 3)), (0, Fraction(2, 5))])
 
 
 def rand_coeff(ring, rng):
@@ -85,19 +97,29 @@ def rand_coeff(ring, rng):
 def rand_kernel_element(weyl, rng, max_mu=4, w1=False):
     out = weyl.zero()
     for _ in range(rng.randint(1, 3)):
-        gamma = tuple(0 if rng.random() < 0.4 else rng.randint(-5, 5)
-                      for _ in range(weyl.n))
+        coords = tuple(0 if rng.random() < 0.4 else rng.randint(-5, 5)
+                       for _ in range(weyl.lattice.rank))
         mu = [0] * weyl.n
         for _ in range(rng.randint(1 if w1 else 0, max_mu)):
             mu[rng.randrange(weyl.n)] += 1
-        out = out + weyl.monomial(gamma, mu, rand_coeff(weyl.ring, rng))
+        out = out + weyl.monomial(weyl.lattice.ambient(coords), mu,
+                                  rand_coeff(weyl.ring, rng))
     return out
 
 
-KERNEL_ALGEBRAS = [Weyl(n, ring=ring) for n in (1, 2) for ring in (Ring(), FORMAL)]
+def kernel_id(weyl):
+    lattice = "" if weyl.lattice == Lattice.standard(weyl.n) else (
+        "-half" if weyl.lattice == HALF else "-rank2")
+    return f"n{weyl.n}-{weyl.ring.nvars}sym{lattice}"
 
 
-@pytest.mark.parametrize("weyl", KERNEL_ALGEBRAS, ids=lambda w: f"n{w.n}-{w.ring.nvars}sym")
+NON_INTEGRAL = [Weyl(n, ring=ring, lattice=lattice)
+                for n, lattice in ((1, HALF), (2, RANK2)) for ring in (Ring(), FORMAL)]
+KERNEL_ALGEBRAS = ([Weyl(n, ring=ring) for n in (1, 2) for ring in (Ring(), FORMAL)]
+                   + NON_INTEGRAL)
+
+
+@pytest.mark.parametrize("weyl", KERNEL_ALGEBRAS, ids=kernel_id)
 def test_bracket_is_commutator_of_mul(weyl):
     rng = random.Random(31 + weyl.n + weyl.ring.nvars)
     for _ in range(40):
@@ -105,7 +127,7 @@ def test_bracket_is_commutator_of_mul(weyl):
         assert bracket(x, y) == mul(x, y) - mul(y, x)
 
 
-@pytest.mark.parametrize("weyl", KERNEL_ALGEBRAS, ids=lambda w: f"n{w.n}-{w.ring.nvars}sym")
+@pytest.mark.parametrize("weyl", KERNEL_ALGEBRAS, ids=kernel_id)
 def test_kernel_mul_matches_operator_action(weyl):
     rng = random.Random(41 + weyl.n + weyl.ring.nvars)
     for _ in range(30):
@@ -119,9 +141,28 @@ def test_kernel_mul_matches_operator_action(weyl):
                 x, operator_action(y, g))
 
 
-@pytest.mark.parametrize("ring", [Ring(), FORMAL], ids=["rational", "formal"])
-def test_hat_bracket_is_commutator_plus_cocycle(ring):
-    hat = Weyl(1, ring=ring, subalgebra="hat")
+# sha256 of the printed products and brackets below, recorded with the
+# Fraction-accumulating kernel that the integer kernel replaced.
+NON_INTEGRAL_DIGEST = "5b75cf1d0b3768e6b4e02ee7ce10bfae976f794e316ed3eebebad7e2672dbe1c"
+
+
+def test_non_integral_products_match_recorded_digest():
+    texts = []
+    for weyl in NON_INTEGRAL:
+        rng = random.Random(61 + weyl.n + weyl.ring.nvars)
+        for _ in range(5):
+            x, y = rand_kernel_element(weyl, rng), rand_kernel_element(weyl, rng)
+            texts += [format_element(mul(x, y)), format_element(bracket(x, y))]
+    assert len(texts) == 40
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == NON_INTEGRAL_DIGEST
+
+
+@pytest.mark.parametrize("ring,lattice", [(Ring(), None), (FORMAL, None),
+                                          (Ring(), HALF), (FORMAL, HALF)],
+                         ids=["rational", "formal", "rational-half", "formal-half"])
+def test_hat_bracket_is_commutator_plus_cocycle(ring, lattice):
+    hat = Weyl(1, ring=ring, lattice=lattice, subalgebra="hat")
     rng = random.Random(51 + ring.nvars)
     for _ in range(40):
         x = rand_kernel_element(hat, rng, w1=True)
