@@ -181,8 +181,7 @@ def lie_module_check(m: IntermediateModule, samples: int = 100, seed: int = 0,
         if res:
             failures.append((s, _vec_text(res)))
     name = f"lie-module[{m.kind}]"
-    return VerificationReport(name, not failures,
-                              None if not failures else str(failures[:3]),
+    return VerificationReport(name, str(failures[:3]) if failures else None,
                               details={"samples": samples, "failures": len(failures)})
 
 
@@ -215,12 +214,10 @@ def assoc_module_check(m: IntermediateModule, samples: int = 100, seed: int = 0,
                               "staged_action": _vec_text(rhs),
                               "residual": _vec_text(res)})
     if m.kind == KIND_A:
-        passed = not witnesses
-        residual = None if passed else witnesses[0]["residual"]
+        residual = witnesses[0]["residual"] if witnesses else None
     else:
-        passed = bool(witnesses)
-        residual = None if passed else "no associativity failure found for kind B"
-    return VerificationReport(f"assoc-module[{m.kind}]", passed, residual,
+        residual = None if witnesses else "no associativity failure found for kind B"
+    return VerificationReport(f"assoc-module[{m.kind}]", residual,
                               details={"cases": len(cases),
                                        "witnesses": witnesses[:3]})
 

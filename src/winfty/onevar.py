@@ -125,8 +125,7 @@ def verify_named_identity(weyl: Weyl, name: str, i: int = 1) -> VerificationRepo
         lhs = bracket(d2, bracket(d2, T[2]))
         rhs = ddt_power(weyl, 3).scale(8)
         res = lhs - rhs
-        return VerificationReport("CUBE", res.is_zero(),
-                                  None if res.is_zero() else format_element(res))
+        return VerificationReport("CUBE", None if res.is_zero() else format_element(res))
     if i < 1:
         raise ValueError("identity index i must be >= 1")
     X = ddt_power(weyl, i)
@@ -135,13 +134,13 @@ def verify_named_identity(weyl: Weyl, name: str, i: int = 1) -> VerificationRepo
         rhs = (bracket(T[2], bracket(T[2], X)).scale(3)
                + bracket(T[3], X).scale(2 * (2 * i - 1)))
         res = rhs - lhs
-        return VerificationReport(f"L23-1[i={i}]", res.is_zero(),
+        return VerificationReport(f"L23-1[i={i}]",
                                   None if res.is_zero() else format_element(res))
     if name == "L23-2":
         res = (bracket(T[2], bracket(T[2], bracket(T[2], X)))
                + bracket(T[4], X).scale((i - 1) * (i - 2))
                + bracket(T[2], bracket(T[3], X)).scale(2 * (i - 1)))
-        return VerificationReport(f"L23-2[i={i}]", res.is_zero(),
+        return VerificationReport(f"L23-2[i={i}]",
                                   None if res.is_zero() else format_element(res))
     # L23-3: evaluate every syntactically plausible nesting and record which
     # of them balances; the display in the source is ambiguous.
@@ -163,11 +162,10 @@ def verify_named_identity(weyl: Weyl, name: str, i: int = 1) -> VerificationRepo
         outcomes[label] = res.is_zero()
         if not res.is_zero():
             residuals[label] = format_element(res)
-    passed = any(outcomes.values())
     zero_readings = sorted(k for k, ok in outcomes.items() if ok)
     return VerificationReport(
-        f"L23-3[i={i}]", passed,
-        None if passed else "; ".join(f"{k}: {v}" for k, v in sorted(residuals.items())),
+        f"L23-3[i={i}]",
+        None if zero_readings else "; ".join(f"{k}: {v}" for k, v in sorted(residuals.items())),
         details={"zero_readings": zero_readings, "outcomes": outcomes})
 
 
@@ -339,24 +337,21 @@ def standard_generators(weyl: Weyl, i0: int, m0: int, d_cap: int = 6
 
 
 def generation_membership(weyl: Weyl, i0: int, m0: int, target: DfElement,
-                          deg_hi: int = 40, d_cap: int = 6,
-                          sub: Optional[GeneratedSubalgebra] = None
-                          ) -> VerificationReport:
+                          deg_hi: int = 40, d_cap: int = 6) -> VerificationReport:
     """Certify target in the subalgebra generated per the one-variable claim.
 
     The returned report carries an explicit bracket-word witness whose
     re-evaluation equals the target (tests exercise this).
     """
-    if sub is None:
-        sub = GeneratedSubalgebra(weyl, standard_generators(weyl, i0, m0, d_cap),
-                                  deg_lo=0, deg_hi=deg_hi, d_cap=d_cap)
+    sub = GeneratedSubalgebra(weyl, standard_generators(weyl, i0, m0, d_cap),
+                              deg_lo=0, deg_hi=deg_hi, d_cap=d_cap)
     elt = target.to_weyl(weyl)
     name = f"generation[i0={i0},m0={m0},target=t^{target.degree}Df]"
     combo = sub.membership(elt)
     if combo is None:
-        return VerificationReport(name, False, residual="target not reached within caps",
+        return VerificationReport(name, "target not reached within caps",
                                   details={"dimension": sub.dimension})
     witness = [(str(c), sub.word_text(sub.raw[r][1])) for c, r in combo]
-    return VerificationReport(name, True, details={"witness": witness,
-                                                   "combo": [(str(c), r) for c, r in combo],
-                                                   "dimension": sub.dimension})
+    return VerificationReport(name, details={"witness": witness,
+                                             "combo": [(str(c), r) for c, r in combo],
+                                             "dimension": sub.dimension})

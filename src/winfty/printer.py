@@ -8,13 +8,10 @@ the output is deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 from typing import Tuple
 
 from .scalars import Scalar
-
-
-def _frac(q: Fraction) -> str:
-    return str(q)
 
 
 def format_monomial(gamma: Tuple[Fraction, ...], mu: Tuple[int, ...],
@@ -22,9 +19,9 @@ def format_monomial(gamma: Tuple[Fraction, ...], mu: Tuple[int, ...],
     parts = []
     if any(g != 0 for g in gamma):
         if n == 1:
-            parts.append(f"t^({_frac(gamma[0])})")
+            parts.append(f"t^({gamma[0]})")
         else:
-            parts.append("t[" + ",".join(_frac(g) for g in gamma) + "]")
+            parts.append("t[" + ",".join(map(str, gamma)) + "]")
     for i, m in enumerate(mu):
         if m == 0:
             continue
@@ -44,7 +41,7 @@ def _format_coeff(c: Scalar) -> Tuple[str, str]:
         q = c.as_fraction()
         sign = "-" if q < 0 else "+"
         mag = abs(q)
-        return sign, ("" if mag == 1 else _frac(mag))
+        return sign, ("" if mag == 1 else str(mag))
     return "+", f"({c})"
 
 
@@ -52,9 +49,8 @@ def format_element(x) -> str:
     if x.is_zero():
         return "0"
     parts = []
-    for key in sorted(x.terms):
-        gamma, mu = key
-        sign, coeff = _format_coeff(x.terms[key])
+    for (gamma, mu), c in sorted(x.terms.items(), key=itemgetter(0)):
+        sign, coeff = _format_coeff(c)
         mono = format_monomial(gamma, mu, x.basis, x.weyl.n)
         if coeff:
             text = f"{coeff}*{mono}"

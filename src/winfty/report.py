@@ -14,14 +14,17 @@ class VerificationReport:
     """Outcome of a single identity/property check.
 
     ``residual`` is the canonical text form of the leftover element or
-    polynomial when the check fails (None when it passes), so failures are
-    reproducible from the report alone.
+    polynomial when the check fails, so failures are reproducible from the
+    report alone; the check passed exactly when it is None.
     """
 
     name: str
-    passed: bool
     residual: Optional[str] = None
     details: Dict[str, Any] = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return self.residual is None
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -69,6 +72,6 @@ class ReportDocument:
         for c in sorted(self.checks, key=lambda c: c.name):
             status = "ok" if c.passed else "FAIL"
             lines.append(f"  [{status}] {c.name}")
-            if not c.passed and c.residual is not None:
+            if not c.passed:
                 lines.append(f"         residual: {c.residual}")
         return "\n".join(lines)

@@ -125,8 +125,7 @@ def _suite_jacobi(opts: SuiteOptions) -> ReportDocument:
             if not rep.passed:
                 failures.append(rep.residual)
         doc.add(VerificationReport(
-            f"jacobi[n={n}]", not failures,
-            None if not failures else failures[0],
+            f"jacobi[n={n}]", failures[0] if failures else None,
             details={"zero_residuals": samples - len(failures),
                      "samples": samples}))
     return doc
@@ -152,8 +151,7 @@ def _suite_oracle(opts: SuiteOptions) -> ReportDocument:
                     bad.append({"x": format_element(x), "y": format_element(y),
                                 "gamma": [str(c) for c in g]})
         doc.add(VerificationReport(
-            f"mul-vs-operator[n={n}]", not bad,
-            None if not bad else str(bad[0]),
+            f"mul-vs-operator[n={n}]", str(bad[0]) if bad else None,
             details={"pairs": samples, "vectors_per_pair": 5}))
     # closed form for brackets of degree-one elements
     rng = random.Random(opts.seed + 77)
@@ -172,8 +170,7 @@ def _suite_oracle(opts: SuiteOptions) -> ReportDocument:
                           weyl2.from_direction(gam, d2))
         if closed != generic:
             bad.append(format_element(closed - generic))
-    doc.add(VerificationReport("degree-one-closed-form", not bad,
-                               None if not bad else bad[0],
+    doc.add(VerificationReport("degree-one-closed-form", bad[0] if bad else None,
                                details={"cases": cases}))
     return doc
 
@@ -191,8 +188,7 @@ def _suite_cocycle(opts: SuiteOptions) -> ReportDocument:
         rep = verify_cocycle_condition(x, y, z)
         if not rep.passed:
             bad.append(rep.residual)
-    doc.add(VerificationReport("cocycle-condition", not bad,
-                               None if not bad else bad[0],
+    doc.add(VerificationReport("cocycle-condition", bad[0] if bad else None,
                                details={"triples": samples}))
 
     half = opts.samples or 100
@@ -203,8 +199,7 @@ def _suite_cocycle(opts: SuiteOptions) -> ReportDocument:
         rep = verify_jacobi(x, y, z, name="ext-jacobi")
         if not rep.passed:
             bad.append(rep.residual)
-    doc.add(VerificationReport("ext-bracket-jacobi", not bad,
-                               None if not bad else bad[0],
+    doc.add(VerificationReport("ext-bracket-jacobi", bad[0] if bad else None,
                                details={"triples": half}))
 
     bad = []
@@ -214,8 +209,7 @@ def _suite_cocycle(opts: SuiteOptions) -> ReportDocument:
         s = cocycle(x, y) + cocycle(y, x)
         if not s.is_zero():
             bad.append(str(s))
-    doc.add(VerificationReport("cocycle-antisymmetry", not bad,
-                               None if not bad else bad[0],
+    doc.add(VerificationReport("cocycle-antisymmetry", bad[0] if bad else None,
                                details={"pairs": half}))
     return doc
 
@@ -229,13 +223,11 @@ def _suite_onevar(opts: SuiteOptions) -> ReportDocument:
     doc.add(verify_named_identity(weyl, "CUBE"))
 
     # unique zero reading of the ambiguous identity, uniform over i
-    always_zero = None
-    for i in range(1, 13):
-        rep = verify_named_identity(weyl, "L23-3", i)
-        zr = set(rep.details["zero_readings"])
-        always_zero = zr if always_zero is None else (always_zero & zr)
+    readings = [set(rep.details["zero_readings"])
+                for rep in doc.checks if rep.name.startswith("L23-3[")]
+    always_zero = set.intersection(*readings)
     doc.add(VerificationReport(
-        "L23-3-unique-reading", len(always_zero) == 1,
+        "L23-3-unique-reading",
         None if len(always_zero) == 1 else f"zero readings: {sorted(always_zero)}",
         details={"reading": sorted(always_zero)}))
 
@@ -253,8 +245,7 @@ def _suite_onevar(opts: SuiteOptions) -> ReportDocument:
                           DfElement.of(j, g).to_weyl(weyl))
         if closed != generic:
             bad.append(format_element(closed - generic))
-    doc.add(VerificationReport("df-closed-form", not bad,
-                               None if not bad else bad[0],
+    doc.add(VerificationReport("df-closed-form", bad[0] if bad else None,
                                details={"cases": cases}))
     return doc
 
@@ -272,8 +263,7 @@ def _suite_lemma21(opts: SuiteOptions) -> ReportDocument:
                 if sub.membership(weyl.monomial((k,), (m,))) is None:
                     missing.append(f"t^{k}D^{m}")
         doc.add(VerificationReport(
-            f"generation-coverage[i0={i0}]", not missing,
-            None if not missing else ", ".join(missing[:10]),
+            f"generation-coverage[i0={i0}]", ", ".join(missing[:10]) if missing else None,
             details={"targets": 4 * (41 - 3 * i0), "dimension": sub.dimension}))
         # one witness, re-evaluated from the generators alone
         target = DfElement.of(3 * i0, {1: Fraction(1)})
@@ -282,10 +272,9 @@ def _suite_lemma21(opts: SuiteOptions) -> ReportDocument:
         acc = weyl.zero()
         for c, r in combo:
             acc = acc + sub.eval_word(sub.raw[r][1]).scale(c)
-        ok = acc == elt
         doc.add(VerificationReport(
-            f"witness-reevaluation[i0={i0}]", ok,
-            None if ok else format_element(acc - elt),
+            f"witness-reevaluation[i0={i0}]",
+            None if acc == elt else format_element(acc - elt),
             details={"target": format_element(elt),
                      "witness": [(str(c), sub.word_text(sub.raw[r][1]))
                                  for c, r in combo]}))
@@ -346,10 +335,9 @@ def _suite_submodules(opts: SuiteOptions) -> ReportDocument:
             continue
         m = make_module(kind, [alpha], weyl)
         found = submodule_scan(m, window)
-        ok = found == expected
         doc.add(VerificationReport(
-            f"submodules[{kind},alpha={alpha}]", ok,
-            None if ok else f"found {found}",
+            f"submodules[{kind},alpha={alpha}]",
+            None if found == expected else f"found {found}",
             details={"proper_submodules": [len(s) for s in found]}))
     return doc
 
@@ -367,18 +355,16 @@ def _suite_normalize(opts: SuiteOptions) -> ReportDocument:
         bad = [(i, k) for i in range(-1, 6) for k in ks
                if data.p[(i, k)] != rising(a + k, i + 1)]
         doc.add(VerificationReport(
-            f"P-rising-form[{kind}]", not bad,
-            None if not bad else f"first mismatch at (i,k)={bad[0]}",
+            f"P-rising-form[{kind}]", f"first mismatch at (i,k)={bad[0]}" if bad else None,
             details={"i_range": [-1, 5]}))
         odd_ok = all(data.q[i] == ring.one for i in (1, 3, 5))
-        doc.add(VerificationReport(f"Q-odd-trivial[{kind}]", odd_ok,
+        doc.add(VerificationReport(f"Q-odd-trivial[{kind}]",
                                    None if odd_ok else str({i: str(data.q[i])
                                                             for i in (1, 3, 5)})))
         want = ring.one if kind == "A" else -ring.one
         q2_ok = data.q[2] == want and data.q[2] * data.q[2] == ring.one
         doc.add(VerificationReport(
-            f"Q2-sign[{kind}]", q2_ok,
-            None if q2_ok else str(data.q[2]),
+            f"Q2-sign[{kind}]", None if q2_ok else str(data.q[2]),
             details={"Q2": str(data.q[2])}))
     return doc
 
@@ -410,9 +396,7 @@ def _suite_weightlab_yk(opts: SuiteOptions) -> ReportDocument:
     for kind in opts.kinds():
         m = make_module(kind, [alpha], weyl)
         data = normalize_ddt_basis(m, range(-3, 4))
-        rep = verify_yk_relations(data)
-        rep.name = f"yk-relations[{kind}]"
-        doc.add(rep)
+        doc.add(verify_yk_relations(data))
     return doc
 
 

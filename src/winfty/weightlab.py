@@ -49,10 +49,10 @@ class PSeries:
         return out
 
 
-def build_p_series(ring: Optional[Ring] = None) -> PSeries:
+def build_p_series() -> PSeries:
     """The scalar P-series: anchors, displayed closed forms, and the
     recurrence re-derivation of p_{j,k} for j = 3, 4, 5."""
-    ring = ring if ring is not None else weightlab_ring()
+    ring = weightlab_ring()
     kb = ring.sym("kbar")
     p1 = ring.sym("p1")
     p2 = ring.sym("p2")
@@ -107,7 +107,7 @@ def virasoro_consistency(ps: Optional[PSeries] = None) -> VerificationReport:
     target = consistency_polynomial(ring)
     details: Dict = {}
     if residual.degree_in("kbar") != 0:
-        return VerificationReport("virasoro-consistency", False, str(residual),
+        return VerificationReport("virasoro-consistency", str(residual),
                                   details={"reason": "residual depends on kbar"})
     factor = None
     if not residual.is_zero():
@@ -124,7 +124,7 @@ def virasoro_consistency(ps: Optional[PSeries] = None) -> VerificationReport:
         spot = residual.substitute({"p1": v1, "p2": v2})
         details[f"spot{label}"] = str(spot)
         passed = passed and spot.is_zero()
-    return VerificationReport("virasoro-consistency", passed,
+    return VerificationReport("virasoro-consistency",
                               None if passed else str(residual), details)
 
 
@@ -192,13 +192,12 @@ def coefficient_claims(fp: Optional[FPolys] = None) -> VerificationReport:
     g_eq = fp.g.substitute({"pp1": p1})
     c12 = g_eq.coeff_of("i", 12)
     ok12 = c12 == 6 * p1
-    passed = ok4 and ok12
     details = {"f2_i4": str(c4), "g_i12_at_pp1=p1": str(c12)}
     # recorded, not asserted: is f2 identically zero at equal constant sets?
     f2_eq = fp.f2.substitute({"pp1": p1, "pp2": ring.sym("p2")})
     details["f2_at_equal_constants_zero"] = f2_eq.is_zero()
-    residual = None if passed else f"i^4: {c4}; i^12: {c12}"
-    return VerificationReport("coefficient-claims", passed, residual, details)
+    residual = None if ok4 and ok12 else f"i^4: {c4}; i^12: {c12}"
+    return VerificationReport("coefficient-claims", residual, details)
 
 
 def p_series_report(ps: Optional[PSeries] = None) -> VerificationReport:
@@ -221,18 +220,18 @@ def p_series_report(ps: Optional[PSeries] = None) -> VerificationReport:
         ps.discrepancies[j].is_zero() for j in (3, 4, 5))
     residual = None if passed else str(
         {j: str(ps.discrepancies[j]) for j in (3, 4, 5) if not ps.discrepancies[j].is_zero()})
-    return VerificationReport("p-series", passed, residual, details)
+    return VerificationReport("p-series", residual, details)
 
 
-def verify_yk_relations(data: PQData, ring: Optional[Ring] = None) -> VerificationReport:
+def verify_yk_relations(data: PQData) -> VerificationReport:
     """Instantiate the three displayed P/Q relations on concrete module data.
 
     The rank-one constants P1, P2 and the Q_i are read from ``data`` (they
     must be rational); the relations are then checked with a fully symbolic
     kbar for i in {1, 3, 5}, undefined Q indices counting as zero.
     """
-    ring = ring if ring is not None else weightlab_ring()
-    ps = build_p_series(ring)
+    ps = build_p_series()
+    ring = ps.ring
     if not data.p1_const.is_rational() or not data.p2_const.is_rational():
         raise ValueError("relations need rational P1/P2 constants")
     consts = {"p1": data.p1_const.as_fraction(), "p2": data.p2_const.as_fraction()}
@@ -268,8 +267,7 @@ def verify_yk_relations(data: PQData, ring: Optional[Ring] = None) -> Verificati
         for label, r in (("2.7", r27), ("2.8", r28), ("2.9", r29)):
             if not r.is_zero():
                 residuals[f"{label}[i={i}]"] = str(r)
-    passed = not residuals
-    return VerificationReport(f"yk-relations[{data.kind}]", passed,
-                              None if passed else str(residuals),
+    return VerificationReport(f"yk-relations[{data.kind}]",
+                              str(residuals) if residuals else None,
                               details={"i_values": [1, 3, 5],
                                        "constants": {k: str(v) for k, v in consts.items()}})

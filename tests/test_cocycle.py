@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from winfty.lattice import Lattice
 from winfty.weyl import (SubalgebraError, Weyl, bracket, cocycle, ext_bracket,
                          verify_cocycle_condition, verify_jacobi)
 
@@ -38,6 +39,19 @@ def test_cocycle_needs_one_variable():
     w2 = Weyl(2)
     with pytest.raises(SubalgebraError):
         cocycle(w2.tD((1, 0)), w2.tD((-1, 0), 1))
+
+
+@pytest.mark.parametrize("x, y", [
+    (W.tD((1,)), Weyl(2).monomial((-1, 0), (2, 0))),
+    (Weyl(1, lattice=Lattice([(Fraction(1, 2),)])).monomial((Fraction(1, 2),), (2,)),
+     W.monomial((Fraction(-1, 2),), (1,))),
+], ids=("n=1-with-n=2", "half-Z-with-Z"))
+def test_cocycle_rejects_incompatible_algebras(x, y):
+    # bracket refuses these pairs; the cocycle read 0 and -1/64 for them
+    with pytest.raises(ValueError):
+        bracket(x, y)
+    with pytest.raises(ValueError):
+        cocycle(x, y)
 
 
 def test_ext_bracket_adds_central_term():

@@ -64,10 +64,10 @@ def test_out_of_box_target_rejected(sub_i1):
         sub_i1.membership(W1.monomial((41,), (1,)))
 
 
-def test_generation_membership_report(sub_i1):
-    rep = generation_membership(W1, 1, 2, DfElement.of(7, {2: Fraction(1)}),
-                                sub=sub_i1)
+def test_generation_membership_report():
+    rep = generation_membership(W1, 1, 2, DfElement.of(7, {2: Fraction(1)}))
     assert rep.passed
+    assert rep.name == "generation[i0=1,m0=2,target=t^7Df]"
     witness = rep.details["witness"]
     assert witness and all(isinstance(w, tuple) and len(w) == 2
                            for w in witness)

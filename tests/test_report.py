@@ -1,0 +1,27 @@
+"""VerificationReport: the verdict is read off the residual."""
+
+import dataclasses
+
+import pytest
+
+from winfty.report import VerificationReport
+
+
+def test_passed_exactly_when_residual_is_none():
+    assert VerificationReport("x").passed
+    assert not VerificationReport("x", "r").passed
+    assert not VerificationReport("x", "").passed
+
+
+def test_to_dict_keeps_its_four_keys():
+    assert VerificationReport("x").to_dict() == {
+        "name": "x", "passed": True, "residual": None, "details": {}}
+    assert VerificationReport("x", "r", {"k": 1}).to_dict() == {
+        "name": "x", "passed": False, "residual": "r", "details": {"k": 1}}
+
+
+def test_verdict_is_not_a_field():
+    assert [f.name for f in dataclasses.fields(VerificationReport)] == [
+        "name", "residual", "details"]
+    with pytest.raises(AttributeError):
+        VerificationReport("x").passed = False

@@ -22,7 +22,7 @@ P2 = RING.sym("p2")
 
 
 def test_p_anchors():
-    ps = build_p_series(RING)
+    ps = build_p_series()
     assert ps.pjk(0) == KBAR
     assert ps.pjk(1) == rising(KBAR, 2) + P1
     assert ps.pjk(3) == (rising(KBAR, 4) + 6 * rising(KBAR, 2) * P1
@@ -30,7 +30,7 @@ def test_p_anchors():
 
 
 def test_p_collapse_at_zero_constants():
-    ps = build_p_series(RING)
+    ps = build_p_series()
     zero = {"p1": Fraction(0), "p2": Fraction(0)}
     for j in range(-1, 6):
         got = ps.pjk(j).substitute(zero)
@@ -38,7 +38,7 @@ def test_p_collapse_at_zero_constants():
 
 
 def test_transcribed_equals_rederived():
-    ps = build_p_series(RING)
+    ps = build_p_series()
     assert set(ps.discrepancies) == {3, 4, 5}
     assert all(d.is_zero() for d in ps.discrepancies.values())
 

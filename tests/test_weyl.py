@@ -356,6 +356,15 @@ def test_project_window():
     assert x.project(win) == W.monomial((5,), (3,))
 
 
+def test_interval_window_rejects_other_than_one_coordinate():
+    # the window read only the first coordinate and kept t[1,5]*D1
+    x = Weyl(2).monomial((1, 5), (1, 0))
+    with pytest.raises(ValueError):
+        x.project(GradingWindow.interval(0, 2))
+    with pytest.raises(ValueError):
+        GradingWindow.interval(0).contains(())
+
+
 def test_project_keeps_central_exactly_when_window_holds_zero():
     hat = Weyl(1, subalgebra="hat")
     x = hat.tD((3,)) + hat.central(5)
