@@ -6,11 +6,16 @@ the B-family is only a Lie module.
 The canonical witness: x = y = tD acting on y_0 at alpha = 1/2.
 """
 
+import pathlib
+import sys
 from fractions import Fraction
 
-from winfty.intermediate import act, make_module
-from winfty.scalars import Ring
-from winfty.weyl import Weyl, mul
+# import winfty from this checkout's src/, installed or not
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+from winfty.intermediate import act, make_module  # noqa: E402
+from winfty.scalars import Ring  # noqa: E402
+from winfty.weyl import Weyl, mul  # noqa: E402
 
 
 def show(kind: str) -> None:

@@ -10,7 +10,10 @@ import pathlib
 import sys
 import time
 
-from winfty.suites import SUITE_NAMES, SuiteOptions, run_suite
+# import winfty from this checkout's src/, installed or not
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+from winfty.suites import SUITE_NAMES, SuiteOptions, run_suite  # noqa: E402
 
 
 def main() -> int:

@@ -10,10 +10,10 @@ from .lattice import Direction, Lattice, inner
 from .onevar import (DfElement, GeneratedSubalgebra, ddt_power, df_bracket,
                      generation_membership, standard_generators, t_ddt,
                      verify_named_identity)
-from .intermediate import (IntermediateModule, PQData, WindowEscapeError, act,
-                           assoc_module_check, box_window, highest_weight_scan,
-                           lie_module_check, make_module, normalize_ddt_basis,
-                           sigma_eval, submodule_scan)
+from .intermediate import (IntermediateModule, PQData, act, assoc_module_check,
+                           box_window, highest_weight_scan, lie_module_check,
+                           make_module, normalize_ddt_basis, sigma_eval,
+                           submodule_scan)
 from .parser import ParseError, Session, UnknownSymbolError, as_element, parse, \
     parse_element
 from .printer import format_element, format_monomial

@@ -40,23 +40,25 @@ def _parse_alpha(text: str):
 
 
 def _add_common_flags(sub: argparse.ArgumentParser):
-    sub.add_argument("--n", type=int, default=1, help="number of variables")
+    # defaults are SuiteOptions', so check_options reads an omitted flag as unset
+    d = SuiteOptions()
+    sub.add_argument("--n", type=int, default=d.n, help="number of variables")
     sub.add_argument("--gamma", type=str, default=None,
                      help='lattice generators, e.g. "1,0;0,1"')
     sub.add_argument("--alpha", type=str, default=None,
                      help='module parameter: rational vector or "formal"')
-    sub.add_argument("--window", type=int, default=8, help="window radius")
-    sub.add_argument("--samples", type=int, default=None,
+    sub.add_argument("--window", type=int, default=d.window, help="window radius")
+    sub.add_argument("--samples", type=int, default=d.samples,
                      help="sample count for randomized checks")
-    sub.add_argument("--seed", type=int, default=0, help="RNG seed")
-    sub.add_argument("--max-mu", type=int, default=4, dest="max_mu",
+    sub.add_argument("--seed", type=int, default=d.seed, help="RNG seed")
+    sub.add_argument("--max-mu", type=int, default=d.max_mu, dest="max_mu",
                      help="maximum total D-order of random monomials")
     sub.add_argument("--json", type=str, default=None, dest="json_path",
                      help="write the JSON report to this path")
-    sub.add_argument("--kind", choices=("A", "B"), default=None,
+    sub.add_argument("--kind", choices=("A", "B"), default=d.kind,
                      help="restrict module suites to one kind")
     sub.add_argument("--subalgebra", choices=("w1", "full", "hat"),
-                     default="w1", help="algebra flavor")
+                     default=d.subalgebra, help="algebra flavor")
 
 
 def _build_parser() -> argparse.ArgumentParser:

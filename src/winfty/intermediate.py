@@ -6,22 +6,19 @@ as zero, and a monomial t^b D^mu acts by
     A_alpha : (t^b D^mu) y_g = (alpha + g)^mu y_(b+g)
     B_alpha : (t^b D^mu) y_g = (-1)^(|mu|+1) (alpha + b + g)^mu y_(b+g)
 
-with alpha either rational or a formal parameter vector.  Windows are
-explicit finite sets of lattice points; an action landing outside raises
-rather than truncating, which would break the module axioms silently.
+with alpha either rational or a formal parameter vector.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .lattice import Lattice, _integers
 from .report import VerificationReport
-from .scalars import Ring, Scalar, rising
-from .weyl import Gamma, Weyl, WeylElement, _falling_coeffs, bracket, mul
+from .scalars import Scalar, falling, rising
+from .weyl import Gamma, Weyl, WeylElement, bracket, mul
 
 Coords = Tuple[int, ...]
 ModuleVector = Dict[Coords, Scalar]
@@ -30,16 +27,11 @@ KIND_A = "A"
 KIND_B = "B"
 
 
-class WindowEscapeError(ValueError):
-    """An action landed on a basis vector outside the module's window."""
-
-
 @dataclass(frozen=True)
 class IntermediateModule:
     kind: str
     alpha: Tuple[Scalar, ...]
     weyl: Weyl
-    window: Optional[frozenset] = None  # coords tuples; None = unbounded
 
     def __post_init__(self):
         if self.kind not in (KIND_A, KIND_B):
@@ -52,20 +44,11 @@ class IntermediateModule:
     def lattice(self) -> Lattice:
         return self.weyl.lattice
 
-    def unbounded(self) -> "IntermediateModule":
-        return IntermediateModule(self.kind, self.alpha, self.weyl, None)
-
     def basis_vector(self, coords: Sequence[int]) -> ModuleVector:
-        coords = _integers(coords)
-        self._check_window(coords)
-        return {coords: self.weyl.ring.one}
-
-    def _check_window(self, coords: Coords):
-        if self.window is not None and coords not in self.window:
-            raise WindowEscapeError(f"basis index {coords} outside window")
+        return {_integers(coords): self.weyl.ring.one}
 
 
-def make_module(kind: str, alpha, weyl: Weyl, window=None) -> IntermediateModule:
+def make_module(kind: str, alpha, weyl: Weyl) -> IntermediateModule:
     """alpha: sequence of rationals/Scalars, or the string "formal".
 
     "formal" requires the ring to provide symbols a1..an (or "alpha" when
@@ -79,11 +62,8 @@ def make_module(kind: str, alpha, weyl: Weyl, window=None) -> IntermediateModule
         else:
             avec = tuple(ring.sym(f"a{i + 1}") for i in range(n))
     else:
-        if isinstance(alpha, (int, Fraction, Scalar)):
-            alpha = [alpha]
         avec = tuple(ring.coerce(a) for a in alpha)
-    win = None if window is None else frozenset(map(_integers, window))
-    return IntermediateModule(kind, avec, weyl, win)
+    return IntermediateModule(kind, avec, weyl)
 
 
 def box_window(lattice: Lattice, radius: int) -> frozenset:
@@ -132,7 +112,6 @@ def act(m: IntermediateModule, x: WeylElement, vec) -> ModuleVector:
             if coeff.is_zero():
                 continue
             target = tuple(p + q for p, q in zip(coords, b_coords))
-            m._check_window(target)
             out[target] = out.get(target, ring.zero) + coeff
     return {k: v for k, v in out.items() if not v.is_zero()}
 
@@ -168,15 +147,14 @@ def lie_module_check(m: IntermediateModule, samples: int = 100, seed: int = 0,
                      radius: int = 3, max_mu: int = 3) -> VerificationReport:
     """Residual [x,y]v - (x(yv) - y(xv)) on random homogeneous x, y."""
     rng = random.Random(seed)
-    mm = m.unbounded()
     failures = []
     for s in range(samples):
         x = _random_monomial(m.weyl, rng, radius, max_mu)
         y = _random_monomial(m.weyl, rng, radius, max_mu)
         gcoords = tuple(rng.randint(-radius, radius) for _ in range(m.lattice.rank))
-        v = mm.basis_vector(gcoords)
-        lhs = act(mm, bracket(x, y), v)
-        rhs = _vec_sub(act(mm, x, act(mm, y, v)), act(mm, y, act(mm, x, v)))
+        v = m.basis_vector(gcoords)
+        lhs = act(m, bracket(x, y), v)
+        rhs = _vec_sub(act(m, x, act(m, y, v)), act(m, y, act(m, x, v)))
         res = _vec_sub(lhs, rhs)
         if res:
             failures.append((s, _vec_text(res)))
@@ -193,7 +171,6 @@ def assoc_module_check(m: IntermediateModule, samples: int = 100, seed: int = 0,
     which exhibits the failure for B.
     """
     rng = random.Random(seed)
-    mm = m.unbounded()
     cases = []
     if m.weyl.n == 1:
         td = m.weyl.tD((1,))
@@ -204,9 +181,9 @@ def assoc_module_check(m: IntermediateModule, samples: int = 100, seed: int = 0,
                       tuple(rng.randint(-radius, radius) for _ in range(m.lattice.rank))))
     witnesses = []
     for x, y, gcoords in cases:
-        v = mm.basis_vector(gcoords)
-        lhs = act(mm, mul(x, y), v)
-        rhs = act(mm, x, act(mm, y, v))
+        v = m.basis_vector(gcoords)
+        lhs = act(m, mul(x, y), v)
+        rhs = act(m, x, act(m, y, v))
         res = _vec_sub(lhs, rhs)
         if res:
             witnesses.append({"x": repr(x), "y": repr(y), "v": f"y{list(gcoords)}",
@@ -234,8 +211,7 @@ def _reaches(m: IntermediateModule, src: Coords, dst: Coords) -> bool:
     return any(not xi.is_zero() for xi in x)
 
 
-def submodule_scan(m: IntermediateModule, window: Optional[Sequence[Coords]] = None
-                   ) -> List[List[Coords]]:
+def submodule_scan(m: IntermediateModule, window: Sequence[Coords]) -> List[List[Coords]]:
     """Proper graded invariant subspaces within the window.
 
     Weight spaces are one-dimensional, so a graded invariant subspace is a
@@ -244,10 +220,6 @@ def submodule_scan(m: IntermediateModule, window: Optional[Sequence[Coords]] = N
     """
     if any(not a.is_rational() for a in m.alpha):
         raise ValueError("submodule_scan needs a numeric alpha")
-    if window is None:
-        if m.window is None:
-            raise ValueError("no window given")
-        window = sorted(m.window)
     window = [tuple(w) for w in window]
     wset = set(window)
     reach: Dict[Coords, List[Coords]] = {}
@@ -272,8 +244,7 @@ def submodule_scan(m: IntermediateModule, window: Optional[Sequence[Coords]] = N
     return found
 
 
-def highest_weight_scan(m: IntermediateModule, window: Optional[Sequence[Coords]] = None
-                        ) -> Optional[Dict]:
+def highest_weight_scan(m: IntermediateModule, window: Sequence[Coords]) -> Optional[Dict]:
     """A basis vector killed by all positive-degree actions inside the window.
 
     Positivity is lexicographic on coordinates.  Weight spaces being
@@ -282,10 +253,6 @@ def highest_weight_scan(m: IntermediateModule, window: Optional[Sequence[Coords]
     """
     if any(not a.is_rational() for a in m.alpha):
         raise ValueError("highest_weight_scan needs a numeric alpha")
-    if window is None:
-        if m.window is None:
-            raise ValueError("no window given")
-        window = sorted(m.window)
     window = [tuple(w) for w in window]
     zero = (0,) * m.lattice.rank
     for g in sorted(window):
@@ -329,22 +296,11 @@ class PQData:
     p2_const: Scalar
 
 
-_D = (0, 1)  # coefficients of g(D) = D
-
-
-def _raw_poly_action(m: IntermediateModule, beta: int, g_coeffs: Sequence[int],
-                     k: int) -> Scalar:
-    """Coefficient of t^beta g(D) acting on y_k (scalar, before rescaling),
-    where g(D) = sum_e g_coeffs[e] D^e.
-
-    A: g(alpha + k);  B: -g(-(alpha + beta + k)).
-    """
-    sign, (x,) = _argument(m, (beta,), (k,))
-    out = m.weyl.ring.zero
-    for e, c in enumerate(g_coeffs):
-        if c:
-            out = out + x ** e * c
-    return out * sign
+def _falling_action(m: IntermediateModule, beta: int, j: int, k: int) -> Scalar:
+    """Coefficient of t^beta [D]_j on y_k (before rescaling): s [x]_j with
+    (s, x) from ``_argument``; j = 1 is t^beta D."""
+    s, (x,) = _argument(m, (beta,), (k,))
+    return falling(x, j) * s
 
 
 def normalize_ddt_basis(m: IntermediateModule, k_range: Sequence[int]) -> PQData:
@@ -365,7 +321,7 @@ def normalize_ddt_basis(m: IntermediateModule, k_range: Sequence[int]) -> PQData
     # when every r(k) linking neighbours in that window is nonzero
     r: Dict[int, Scalar] = {}
     for k in range(ks[0] - 5, ks[-1] + 7):
-        r[k] = _raw_poly_action(m, -1, _D, k)
+        r[k] = _falling_action(m, -1, 1, k)
         if r[k].is_zero():
             raise ZeroDivisionError(f"vanishing rescale denominator at k = {k}")
 
@@ -383,14 +339,13 @@ def normalize_ddt_basis(m: IntermediateModule, k_range: Sequence[int]) -> PQData
     p: Dict[Tuple[int, int], Scalar] = {}
     for i in range(-1, 6):
         for k in ks:
-            p[(i, k)] = rescaled(_raw_poly_action(m, i, _D, k), k, i)
+            p[(i, k)] = rescaled(_falling_action(m, i, 1, k), k, i)
 
     q: Dict[int, Scalar] = {}
     for i in range(1, 6):
         vals = []
         for k in ks:
-            raw = _raw_poly_action(m, -i, _falling_coeffs(i), k)
-            vals.append(rescaled(raw, k, -i))
+            vals.append(rescaled(_falling_action(m, -i, i, k), k, -i))
         if any(v != vals[0] for v in vals[1:]):
             raise AssertionError(f"Q_{i} depends on k: {[str(v) for v in vals]}")
         q[i] = vals[0]
@@ -413,6 +368,6 @@ def sigma_eval(m: IntermediateModule, k: int = 0) -> Scalar:
     """
     if m.weyl.n != 1 or m.lattice.rank != 1:
         raise ValueError("sigma_eval needs the rank-one case")
-    r1 = _raw_poly_action(m, 2, _D, k)                      # t^3 d/dt = t^2 D
-    r2 = _raw_poly_action(m, -2, _falling_coeffs(2), k + 2)  # (d/dt)^2 = t^-2 [D]_2
+    r1 = _falling_action(m, 2, 1, k)       # t^3 d/dt = t^2 D
+    r2 = _falling_action(m, -2, 2, k + 2)  # (d/dt)^2 = t^-2 [D]_2
     return r1 * r2

@@ -419,7 +419,7 @@ def _eval_sum(summands, session: Session) -> Value:
     return scalar if acc is None else acc.element()
 
 
-def evaluate(node: AST, session: Session) -> Value:
+def evaluate(node: AST, session: Session) -> Union[Scalar, WeylElement]:
     v = _eval(node, session)
     if isinstance(v, _Mono):
         return v.finalize(session.weyl)
@@ -490,15 +490,13 @@ def _eval(node: AST, session: Session) -> Value:
     raise AssertionError(f"unhandled node {kind}")
 
 
-def parse_element(text: str, session: Session) -> Value:
+def parse_element(text: str, session: Session) -> Union[Scalar, WeylElement]:
     """parse + evaluate in one call."""
     return evaluate(parse(text), session)
 
 
-def as_element(value: Value, weyl: Weyl) -> WeylElement:
+def as_element(value: Union[Scalar, WeylElement], weyl: Weyl) -> WeylElement:
     """Lift an evaluation result to a WeylElement (scalar c becomes c * 1)."""
     if isinstance(value, Scalar):
         return weyl.one().scale(value)
-    if isinstance(value, _Mono):
-        return value.finalize(weyl)
     return value

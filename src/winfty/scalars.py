@@ -106,12 +106,11 @@ def _cleared(terms: Dict[Exponent, Fraction]) -> Tuple[int, List[Tuple[Exponent,
 class Scalar:
     """A canonical sparse polynomial; immutable once constructed."""
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring: Ring, terms: Dict[Exponent, Fraction]):
         self.ring = ring
         self.terms = {e: c for e, c in terms.items() if c != 0}
-        self._hash = None
 
     @classmethod
     def _trusted(cls, ring: Ring, terms: Dict[Exponent, Fraction]) -> "Scalar":
@@ -119,7 +118,6 @@ class Scalar:
         out = object.__new__(cls)
         out.ring = ring
         out.terms = terms
-        out._hash = None
         return out
 
     # -- predicates -------------------------------------------------------
@@ -333,12 +331,9 @@ class Scalar:
 
     def __hash__(self):
         # A rational constant equals its Fraction, so it must hash like one.
-        if self._hash is None:
-            if self.is_rational():
-                self._hash = hash(self.as_fraction())
-            else:
-                self._hash = hash(frozenset(self.terms.items()))
-        return self._hash
+        if self.is_rational():
+            return hash(self.as_fraction())
+        return hash(frozenset(self.terms.items()))
 
     def __bool__(self):
         return bool(self.terms)

@@ -200,7 +200,8 @@ class WeylElement:
     def _check_compat(self, other: "WeylElement"):
         if self.weyl is not other.weyl:
             if (self.weyl.n != other.weyl.n or self.weyl.ring != other.weyl.ring
-                    or self.weyl.lattice != other.weyl.lattice):
+                    or self.weyl.lattice != other.weyl.lattice
+                    or self.weyl.subalgebra != other.weyl.subalgebra):
                 raise ValueError("elements of incompatible algebras")
         if self.basis != other.basis:
             raise BasisMismatchError(f"basis mismatch: {self.basis} vs {other.basis}")
@@ -315,30 +316,24 @@ class WeylElement:
 
 
 class GradingWindow:
-    """A predicate on Gamma-degrees; for n = 1 an integer interval [p, q)."""
+    """The Gamma-degrees k with lo <= k < hi (hi = None: no upper bound), for n = 1."""
 
-    def __init__(self, predicate, description: str = ""):
-        self._predicate = predicate
-        self.description = description
+    def __init__(self, lo: Fraction, hi: Optional[Fraction]):
+        self.lo = lo
+        self.hi = hi
 
     def contains(self, gamma) -> bool:
-        return self._predicate(_as_gamma(gamma))
+        g = _as_gamma(gamma)
+        if len(g) != 1:
+            raise ValueError(f"an interval window reads 1-coordinate grades, not {len(g)}")
+        k, = g
+        return k >= self.lo and (self.hi is None or k < self.hi)
 
     @classmethod
     def interval(cls, p, q=None) -> "GradingWindow":
-        """Degrees k with p <= k < q (q = None means unbounded above); n = 1,
-        so a grade with other than one coordinate raises ValueError."""
-        lo = Fraction(p)
-        hi = None if q is None else Fraction(q)
-
-        def pred(g: Gamma) -> bool:
-            if len(g) != 1:
-                raise ValueError(f"an interval window reads 1-coordinate grades, not {len(g)}")
-            k, = g
-            return k >= lo and (hi is None or k < hi)
-
-        desc = f"[{p},{'inf' if q is None else q})"
-        return cls(pred, desc)
+        """Degrees k with p <= k < q (q = None: no upper bound); a grade with
+        other than one coordinate raises ValueError."""
+        return cls(Fraction(p), None if q is None else Fraction(q))
 
 
 # -- products and brackets -------------------------------------------------

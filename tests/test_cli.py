@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from winfty.cli import main
+from winfty.cli import _build_parser, _options, main
+from winfty.suites import SuiteOptions
 
 
 def test_eval_monomial(capsys):
@@ -130,3 +131,8 @@ def test_eval_zero_denominator_is_a_syntax_error(capsys):
     # before, the CLI printed "error: Fraction(1, 0)"
     assert main(["eval", "t^(1/0)*D"]) == 2
     assert "error: zero denominator in '1/0' (at position 3)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", (["suite", "all"], ["eval", "D"]))
+def test_omitted_flags_give_the_default_options(command):
+    assert _options(_build_parser().parse_args(command)) == SuiteOptions()

@@ -5,10 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from winfty.intermediate import (WindowEscapeError, act, assoc_module_check,
-                                 box_window, highest_weight_scan,
-                                 lie_module_check, make_module,
-                                 normalize_ddt_basis, sigma_eval,
+from winfty.intermediate import (act, assoc_module_check, box_window,
+                                 highest_weight_scan, lie_module_check,
+                                 make_module, normalize_ddt_basis, sigma_eval,
                                  submodule_scan)
 from winfty.lattice import Lattice
 from winfty.scalars import Ring, rising
@@ -67,8 +66,6 @@ def test_act_rejects_non_integer_coordinates(coords):
     m = make_module("A", [frac("1/2")], W1)
     with pytest.raises(TypeError):
         act(m, W1.tD((1,)), coords)
-    with pytest.raises(TypeError):
-        make_module("A", [frac("1/2")], W1, window=[coords])
 
 
 def test_act_solves_each_exponent_once(monkeypatch):
@@ -93,13 +90,6 @@ def test_act_rejects_off_lattice_exponent():
     m = make_module("A", [frac("1/2")], weyl)
     with pytest.raises(ValueError, match="not in the lattice"):
         act(m, weyl.monomial((2,), (1,)) + weyl.monomial((3,), (1,)), (0,))
-
-
-def test_window_escape():
-    win = box_window(Lattice.standard(1), 2)
-    m = make_module("A", [frac("1/2")], W1, window=win)
-    with pytest.raises(WindowEscapeError):
-        act(m, W1.tD((5,)), (0,))
 
 
 def test_alpha_needs_n_coordinates_on_low_rank_lattice():

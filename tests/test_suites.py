@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from winfty.report import GRAMMAR_VERSION
-from winfty.suites import (SUITE_NAMES, SuiteOptions, UnknownSuiteError,
-                           UnsupportedOptionError, run_suite)
+from winfty.suites import (_SUITES, SUITE_NAMES, SuiteOptions,
+                           UnknownSuiteError, UnsupportedOptionError, run_suite)
 
 
 def test_unknown_suite_raises():
@@ -67,6 +67,18 @@ def test_kind_option_restricts_module_suites():
     doc = run_suite("normalize", SuiteOptions(kind="B"))
     assert doc.passed
     assert all("[B]" in c.name for c in doc.checks)
+
+
+def test_all_is_every_suite_under_its_name():
+    opts = SuiteOptions(samples=2, window=2)
+    doc = run_suite("all", opts)
+    assert doc.passed
+    want = []
+    for name, (_suite, reads) in _SUITES.items():
+        own = {f: getattr(opts, f) for f in reads & {"samples", "window"}}
+        want += [{**c.to_dict(), "name": f"{name}:{c.name}"}
+                 for c in run_suite(name, SuiteOptions(**own)).checks]
+    assert [c.to_dict() for c in doc.checks] == want
 
 
 # sha256 of run_suite(name, SuiteOptions(seed=0)).to_json(), recorded before

@@ -66,6 +66,18 @@ def test_add_doubles_and_cancels():
     assert (x - W.tD((Fraction(1, 2),))).terms == W.monomial((1,), (2,), Fraction(3, 2)).terms
 
 
+def test_sum_rejects_elements_of_another_subalgebra():
+    # the sum was an element of W^(1) holding t^(1), which has |mu| = 0
+    with pytest.raises(ValueError, match="incompatible"):
+        Weyl(1, subalgebra="w1").tD((1,)) + W.t((1,))
+
+
+def test_bracket_rejects_elements_of_another_subalgebra():
+    # the bracket of a W element with a hat one read -4*D - C
+    with pytest.raises(ValueError, match="incompatible"):
+        bracket(W.tD((2,)), Weyl(1, subalgebra="hat").tD((-2,)))
+
+
 def test_mul_rejects_falling_basis():
     xf = W.monomial((1,), (2,), basis="falling")
     with pytest.raises(BasisMismatchError):
