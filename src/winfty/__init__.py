@@ -8,12 +8,10 @@ All arithmetic is exact (rationals and sparse multivariate polynomials).
 
 from .lattice import Direction, Lattice, inner
 from .onevar import (DfElement, GeneratedSubalgebra, ddt_power, df_bracket,
-                     generation_membership, standard_generators, t_ddt,
-                     verify_named_identity)
+                     standard_generators, t_ddt, verify_named_identity)
 from .intermediate import (IntermediateModule, PQData, act, assoc_module_check,
                            box_window, highest_weight_scan, lie_module_check,
-                           make_module, normalize_ddt_basis, sigma_eval,
-                           submodule_scan)
+                           make_module, normalize_ddt_basis, submodule_scan)
 from .parser import ParseError, Session, UnknownSymbolError, as_element, parse, \
     parse_element
 from .printer import format_element, format_monomial
@@ -24,9 +22,9 @@ from .weightlab import (build_f_polynomials, build_p_series,
                         coefficient_claims, p_series_report,
                         verify_yk_relations, virasoro_consistency,
                         weightlab_ring)
-from .weyl import (BasisMismatchError, GradingWindow, SubalgebraError, Weyl,
-                   WeylElement, act_on_combination, bracket, cocycle,
-                   degree_one_bracket, ext_bracket, mul, operator_action,
-                   verify_cocycle_condition, verify_jacobi)
+from .weyl import (BasisMismatchError, SubalgebraError, Weyl, WeylElement,
+                   act_on_combination, bracket, cocycle, degree_one_bracket,
+                   ext_bracket, mul, operator_action, verify_cocycle_condition,
+                   verify_jacobi)
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ from .printer import format_element
 from .report import GRAMMAR_VERSION
 from .scalars import Ring, Scalar
 from .suites import SUITE_NAMES, SuiteOptions, UnknownSuiteError, check_options, run_suite
-from .weyl import BasisMismatchError, SubalgebraError, Weyl, WeylElement
+from .weyl import BasisMismatchError, SubalgebraError, Weyl
 
 
 def _parse_gamma(text: str) -> List[List[Fraction]]:

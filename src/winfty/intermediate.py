@@ -211,6 +211,16 @@ def _reaches(m: IntermediateModule, src: Coords, dst: Coords) -> bool:
     return any(not xi.is_zero() for xi in x)
 
 
+def _reach(m: IntermediateModule, window: Sequence[Coords]) -> Dict[Coords, List[Coords]]:
+    """For each window index, the other window indices that some monomial
+    action carries it onto with nonzero coefficient."""
+    if any(not a.is_rational() for a in m.alpha):
+        raise ValueError("the module scans need a numeric alpha")
+    window = [tuple(w) for w in window]
+    return {src: [dst for dst in window if dst != src and _reaches(m, src, dst)]
+            for src in window}
+
+
 def submodule_scan(m: IntermediateModule, window: Sequence[Coords]) -> List[List[Coords]]:
     """Proper graded invariant subspaces within the window.
 
@@ -218,15 +228,9 @@ def submodule_scan(m: IntermediateModule, window: Sequence[Coords]) -> List[List
     subset of window indices closed under reachability; the scan returns the
     distinct proper closures of singletons, which generate all of them.
     """
-    if any(not a.is_rational() for a in m.alpha):
-        raise ValueError("submodule_scan needs a numeric alpha")
-    window = [tuple(w) for w in window]
-    wset = set(window)
-    reach: Dict[Coords, List[Coords]] = {}
-    for src in window:
-        reach[src] = [dst for dst in window if dst != src and _reaches(m, src, dst)]
+    reach = _reach(m, window)
     found = []
-    for start in window:
+    for start in reach:
         closure = {start}
         stack = [start]
         while stack:
@@ -235,44 +239,27 @@ def submodule_scan(m: IntermediateModule, window: Sequence[Coords]) -> List[List
                 if nxt not in closure:
                     closure.add(nxt)
                     stack.append(nxt)
-        if closure != wset:
+        if len(closure) < len(reach):
             closed = sorted(closure)
             if closed not in found:
                 found.append(closed)
-    # keep only maximal-information distinct subspaces, sorted for determinism
     found.sort(key=lambda s: (len(s), s))
     return found
 
 
 def highest_weight_scan(m: IntermediateModule, window: Sequence[Coords]) -> Optional[Dict]:
-    """A basis vector killed by all positive-degree actions inside the window.
+    """The lowest basis vector that no action carries to a higher one inside
+    the window, or None.
 
     Positivity is lexicographic on coordinates.  Weight spaces being
     one-dimensional and the action graded, any annihilated vector is
     supported on annihilated basis vectors, so scanning y_g suffices.
     """
-    if any(not a.is_rational() for a in m.alpha):
-        raise ValueError("highest_weight_scan needs a numeric alpha")
-    window = [tuple(w) for w in window]
-    zero = (0,) * m.lattice.rank
-    for g in sorted(window):
-        killed = True
-        hit_any = False
-        for tgt in window:
-            diff = tuple(a - b for a, b in zip(tgt, g))
-            if diff <= zero:
-                continue
-            hit_any = True
-            if _reaches(m, g, tgt):
-                killed = False
-                break
-        if not killed:
-            continue
-        # caveat: is it also killed downward (a trivial vector)?
-        trivial = all(not _reaches(m, g, tgt) for tgt in window
-                      if tuple(a - b for a, b in zip(tgt, g)) < zero)
-        return {"coords": g, "saw_positive_actions": hit_any,
-                "also_lowest_weight": trivial}
+    reach = _reach(m, window)
+    for g in sorted(reach):
+        if all(dst < g for dst in reach[g]):
+            return {"coords": g, "saw_positive_actions": any(w > g for w in reach),
+                    "also_lowest_weight": not reach[g]}
     return None
 
 
@@ -314,7 +301,7 @@ def normalize_ddt_basis(m: IntermediateModule, k_range: Sequence[int]) -> PQData
     """
     if m.weyl.n != 1 or m.lattice.rank != 1:
         raise ValueError("normalize_ddt_basis needs the rank-one case")
-    ks = sorted(int(k) for k in k_range)
+    ks = sorted(_integers(k_range))
     ring = m.weyl.ring
     one = ring.one
     # the normalized basis spans k in [ks[0] - 6, ks[-1] + 6]; it exists only
@@ -358,16 +345,3 @@ def normalize_ddt_basis(m: IntermediateModule, k_range: Sequence[int]) -> PQData
     if any(v != p1_vals[0] for v in p1_vals) or any(v != p2_vals[0] for v in p2_vals):
         raise AssertionError("P_1/P_2 constants depend on k")
     return PQData(m.kind, a, tuple(ks), p, q, p1_vals[0], p2_vals[0])
-
-
-def sigma_eval(m: IntermediateModule, k: int = 0) -> Scalar:
-    """The scalar of (d/dt)^2 composed with (t^3 d/dt) on the weight space V_k.
-
-    The intermediate rescale cancels, so no normalization is needed; the
-    result equals rising(k+alpha, 3) * Q_2 for both kinds.
-    """
-    if m.weyl.n != 1 or m.lattice.rank != 1:
-        raise ValueError("sigma_eval needs the rank-one case")
-    r1 = _falling_action(m, 2, 1, k)       # t^3 d/dt = t^2 D
-    r2 = _falling_action(m, -2, 2, k + 2)  # (d/dt)^2 = t^-2 [D]_2
-    return r1 * r2

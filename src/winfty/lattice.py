@@ -1,4 +1,4 @@
-"""Finitely generated lattices in Q^n: membership, nondegeneracy, inner product.
+"""Finitely generated lattices in Q^n: membership and the inner product.
 
 A lattice is a free abelian group Z^r embedded in Q^n by a list of
 Z-linearly independent generator vectors.  Because the generators are also
@@ -99,10 +99,6 @@ class Lattice:
         if self.ambient(coords) != v:
             return None
         return coords
-
-    def nondegenerate(self) -> bool:
-        """True iff the generators span Q^n, i.e. contain a basis of F^n."""
-        return len(self._echelon) == self.dim
 
 
 @dataclass(frozen=True)

@@ -43,33 +43,11 @@ class DfElement:
     def of(cls, degree: int, f: Coeffs) -> "DfElement":
         return cls(degree, _d_poly(f))
 
-    def is_zero(self) -> bool:
-        return self.f.is_zero()
-
     def to_weyl(self, weyl: Weyl) -> WeylElement:
         out = weyl.zero()
         for (e,), c in sorted(self.f.terms.items()):
             out = out + weyl.monomial((self.degree,), (e + 1,), c)
         return out
-
-    @classmethod
-    def from_weyl(cls, x: WeylElement) -> "DfElement":
-        """Inverse of to_weyl; requires a homogeneous W^(1) element."""
-        if x.is_zero():
-            return cls.of(0, {})
-        if x.weyl.n != 1:
-            raise ValueError("one-variable elements only")
-        deg = x.grade()
-        if deg is None:
-            raise ValueError("element is not homogeneous")
-        f: Dict[int, Fraction] = {}
-        for (_g, mu), c in x.to_power().terms.items():
-            if mu[0] < 1:
-                raise ValueError("element has a |mu| = 0 component")
-            f[mu[0] - 1] = c.as_fraction()
-        if deg[0].denominator != 1:
-            raise ValueError("degree is not an integer")
-        return cls.of(int(deg[0]), f)
 
 
 def df_bracket(i: int, f: Coeffs, j: int, g: Coeffs) -> DfElement:
@@ -334,24 +312,3 @@ def standard_generators(weyl: Weyl, i0: int, m0: int, d_cap: int = 6
     for m in range(m0, d_cap):
         gens.append((f"D{m + 1}", weyl.monomial((0,), (m + 1,))))
     return gens
-
-
-def generation_membership(weyl: Weyl, i0: int, m0: int, target: DfElement,
-                          deg_hi: int = 40, d_cap: int = 6) -> VerificationReport:
-    """Certify target in the subalgebra generated per the one-variable claim.
-
-    The returned report carries an explicit bracket-word witness whose
-    re-evaluation equals the target (tests exercise this).
-    """
-    sub = GeneratedSubalgebra(weyl, standard_generators(weyl, i0, m0, d_cap),
-                              deg_lo=0, deg_hi=deg_hi, d_cap=d_cap)
-    elt = target.to_weyl(weyl)
-    name = f"generation[i0={i0},m0={m0},target=t^{target.degree}Df]"
-    combo = sub.membership(elt)
-    if combo is None:
-        return VerificationReport(name, "target not reached within caps",
-                                  details={"dimension": sub.dimension})
-    witness = [(str(c), sub.word_text(sub.raw[r][1])) for c, r in combo]
-    return VerificationReport(name, details={"witness": witness,
-                                             "combo": [(str(c), r) for c, r in combo],
-                                             "dimension": sub.dimension})

@@ -10,10 +10,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from .intermediate import (assoc_module_check, box_window, lie_module_check,
-                           make_module, normalize_ddt_basis, submodule_scan)
+from .intermediate import (assoc_module_check, box_window, highest_weight_scan,
+                           lie_module_check, make_module, normalize_ddt_basis,
+                           submodule_scan)
 from .lattice import Direction, Lattice
 from .onevar import (DfElement, GeneratedSubalgebra, df_bracket,
                      standard_generators, verify_named_identity)
@@ -53,6 +54,13 @@ class SuiteOptions:
     max_mu: int = 4
     kind: Optional[str] = None    # restrict module suites to "A" or "B"
     subalgebra: str = "w1"
+
+    def __post_init__(self):
+        for name, least in (("samples", 1), ("window", 0), ("max_mu", 1)):
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ValueError(f"--{name.replace('_', '-')} must be at least "
+                                 f"{least}, got {value}")
 
     def lattice(self, n: int) -> Lattice:
         if self.gamma is not None:
@@ -316,20 +324,25 @@ def _suite_submodules(opts: SuiteOptions) -> ReportDocument:
     ring = Ring(("alpha",))
     weyl = Weyl(1, ring=ring, subalgebra="w1")
     window = sorted(box_window(Lattice.standard(1), opts.window))
+    # (proper submodules, highest weight): only A_0 has a highest-weight
+    # vector below the window's top, the trivial line y_0
+    top = window[-1]
     expectations = {
-        ("A", Fraction(1, 2)): [],
-        ("B", Fraction(1, 2)): [],
-        ("A", Fraction(0)): [[(0,)]],
-        ("B", Fraction(0)): [sorted(c for c in window if c != (0,))],
+        ("A", Fraction(1, 2)): ([], top),
+        ("B", Fraction(1, 2)): ([], top),
+        ("A", Fraction(0)): ([[(0,)]], (0,)),
+        ("B", Fraction(0)): ([sorted(c for c in window if c != (0,))], top),
     }
     for (kind, alpha), expected in sorted(expectations.items()):
         if opts.kind and kind != opts.kind:
             continue
         m = make_module(kind, [alpha], weyl)
         found = submodule_scan(m, window)
+        highest = highest_weight_scan(m, window)["coords"]
         doc.add(VerificationReport(
             f"submodules[{kind},alpha={alpha}]",
-            None if found == expected else f"found {found}",
+            None if (found, highest) == expected
+            else f"found {found}, highest weight {highest}",
             details={"proper_submodules": [len(s) for s in found]}))
     return doc
 

@@ -85,12 +85,6 @@ def _falling_coeffs(m: int) -> Tuple[int, ...]:
     return tuple(coeffs)
 
 
-def _as_gamma(g) -> Gamma:
-    if isinstance(g, (int, Fraction)):
-        return (Fraction(g),)
-    return _as_vector(g)
-
-
 class Weyl:
     """Construction context: dimension n, coefficient ring, lattice, flavor.
 
@@ -122,7 +116,7 @@ class Weyl:
 
     def monomial(self, gamma, mu: Sequence[int], coeff: Union[Scalar, Rat] = 1,
                  basis: str = POWER) -> "WeylElement":
-        gamma = _as_gamma(gamma)
+        gamma = _as_vector(gamma)
         mu = _integers(mu)
         if len(gamma) != self.n or len(mu) != self.n:
             raise ValueError("monomial exponents have wrong dimension")
@@ -138,14 +132,6 @@ class Weyl:
 
     def one(self) -> "WeylElement":
         return self.monomial((0,) * self.n, (0,) * self.n)
-
-    def t(self, gamma) -> "WeylElement":
-        return self.monomial(gamma, (0,) * self.n)
-
-    def D(self, i: int = 0) -> "WeylElement":
-        mu = [0] * self.n
-        mu[i] = 1
-        return self.monomial((0,) * self.n, mu)
 
     def tD(self, gamma, i: int = 0) -> "WeylElement":
         """t^gamma D_i."""
@@ -262,25 +248,8 @@ class WeylElement:
 
     # -- structure queries ------------------------------------------------
 
-    def grade(self) -> Optional[Gamma]:
-        """Gamma-degree of a homogeneous element, None if mixed or zero."""
-        degrees = {g for (g, _mu) in self.terms}
-        if len(degrees) == 1:
-            return next(iter(degrees))
-        return None
-
     def max_mu(self) -> int:
         return max((sum(mu) for (_g, mu) in self.terms), default=0)
-
-    def project(self, window) -> "WeylElement":
-        """Keep the monomials whose Gamma-degree lies in ``window``, and the
-        central coordinate (of degree 0) when the window holds 0."""
-        kept = {k: c for k, c in self.terms.items() if window.contains(k[0])}
-        central = self.central if window.contains((0,) * self.weyl.n) else None
-        return WeylElement(self.weyl, kept, self.basis, central)
-
-    def in_w1(self) -> bool:
-        return all(sum(mu) >= 1 for (_g, mu) in self.terms)
 
     # -- basis conversion -------------------------------------------------
 
@@ -313,27 +282,6 @@ class WeylElement:
                 key = (g, nu)
                 out[key] = out.get(key, self.weyl.ring.zero) + c * f
         return WeylElement(self.weyl, out, basis, self.central)
-
-
-class GradingWindow:
-    """The Gamma-degrees k with lo <= k < hi (hi = None: no upper bound), for n = 1."""
-
-    def __init__(self, lo: Fraction, hi: Optional[Fraction]):
-        self.lo = lo
-        self.hi = hi
-
-    def contains(self, gamma) -> bool:
-        g = _as_gamma(gamma)
-        if len(g) != 1:
-            raise ValueError(f"an interval window reads 1-coordinate grades, not {len(g)}")
-        k, = g
-        return k >= self.lo and (self.hi is None or k < self.hi)
-
-    @classmethod
-    def interval(cls, p, q=None) -> "GradingWindow":
-        """Degrees k with p <= k < q (q = None: no upper bound); a grade with
-        other than one coordinate raises ValueError."""
-        return cls(Fraction(p), None if q is None else Fraction(q))
 
 
 # -- products and brackets -------------------------------------------------
@@ -506,7 +454,7 @@ def operator_action(x: WeylElement, gamma) -> Dict[Gamma, Scalar]:
     Built from first principles (D_i scales t^g by g_i, t^a shifts), with no
     reference to the product formula; serves as the oracle for mul.
     """
-    return act_on_combination(x, {_as_gamma(gamma): x.weyl.ring.one})
+    return act_on_combination(x, {_as_vector(gamma): x.weyl.ring.one})
 
 
 def act_on_combination(x: WeylElement, vec: Dict[Gamma, Scalar]) -> Dict[Gamma, Scalar]:
@@ -528,8 +476,8 @@ def act_on_combination(x: WeylElement, vec: Dict[Gamma, Scalar]) -> Dict[Gamma, 
 
 def degree_one_bracket(weyl: Weyl, beta, d: Direction, gamma, d2: Direction) -> WeylElement:
     """Closed form [t^beta d, t^gamma d'] = t^(beta+gamma)(<gamma,d>d' - <beta,d'>d)."""
-    beta_g = _as_gamma(beta)
-    gamma_g = _as_gamma(gamma)
+    beta_g = _as_vector(beta)
+    gamma_g = _as_vector(gamma)
     if len(beta_g) != weyl.n or d.dim != weyl.n or d2.dim != weyl.n:
         raise ValueError("dimension mismatch")
     s = tuple(p + q for p, q in zip(beta_g, gamma_g))

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from winfty import cli
 from winfty.cli import _build_parser, _options, main
 from winfty.suites import SuiteOptions
 
@@ -136,3 +137,21 @@ def test_eval_zero_denominator_is_a_syntax_error(capsys):
 @pytest.mark.parametrize("command", (["suite", "all"], ["eval", "D"]))
 def test_omitted_flags_give_the_default_options(command):
     assert _options(_build_parser().parse_args(command)) == SuiteOptions()
+
+
+@pytest.mark.parametrize("argv", (
+    ["suite", "jacobi", "--samples", "0"],
+    ["suite", "jacobi", "--samples", "-3"],
+    ["suite", "submodules", "--window", "-1"],
+    ["suite", "modules", "--max-mu", "0"],
+    ["suite", "assoc-dichotomy", "--max-mu", "0"],
+    ["suite", "oracle", "--max-mu", "0"],
+    ["eval", "D", "--max-mu", "0"],
+), ids=("samples-0", "samples-negative", "window-negative", "modules-max-mu-0",
+        "assoc-max-mu-0", "oracle-max-mu-0", "eval-max-mu-0"))
+def test_out_of_range_numbers_exit_2_before_any_suite_runs(argv, monkeypatch, capsys):
+    # before, `--samples 0` ran 200 samples, `--window -1` reported FAIL and
+    # `--max-mu 0` looped forever in the module samplers
+    monkeypatch.setattr(cli, "run_suite", lambda *a: pytest.fail("a suite ran"))
+    assert main(argv) == 2
+    assert "must be at least" in capsys.readouterr().err

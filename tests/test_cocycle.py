@@ -74,7 +74,7 @@ def test_ext_bracket_reduces_to_plain_when_delta_fails():
 
 
 def test_cocycle_condition_examples():
-    assert verify_cocycle_condition(W.tD((1,)), W.tD((-1,)), W.D()).passed
+    assert verify_cocycle_condition(W.tD((1,)), W.tD((-1,)), W.monomial((0,), (1,))).passed
     x = W.monomial((2,), (3,), Fraction(1, 2))
     assert verify_cocycle_condition(x, x, W.tD((1,))).passed
     assert verify_cocycle_condition(

@@ -7,8 +7,7 @@ import pytest
 
 from winfty.intermediate import (act, assoc_module_check, box_window,
                                  highest_weight_scan, lie_module_check,
-                                 make_module, normalize_ddt_basis, sigma_eval,
-                                 submodule_scan)
+                                 make_module, normalize_ddt_basis, submodule_scan)
 from winfty.lattice import Lattice
 from winfty.scalars import Ring, rising
 from winfty.weyl import Weyl
@@ -226,6 +225,13 @@ def test_normalize_q_signs(kind, expected_q2):
     assert data.q[2] * data.q[2] == RING.one
 
 
+@pytest.mark.parametrize("k_range", ([0.5, 1.7, 2.9], ["1"]), ids=("float", "str"))
+def test_normalize_rejects_non_integer_k(k_range):
+    # int() read [0.5, 1.7, 2.9] as (0, 1, 2) and parsed "1"
+    with pytest.raises(TypeError):
+        normalize_ddt_basis(make_module("A", "formal", W1), k_range)
+
+
 def test_normalize_rejects_vanishing_denominator():
     m = make_module("A", [0], W1)
     with pytest.raises(ZeroDivisionError):
@@ -239,27 +245,3 @@ def test_normalize_rejects_vanishing_denominator_at_range_edges(kind, alpha):
     m = make_module(kind, [alpha], W1)
     with pytest.raises(ZeroDivisionError):
         normalize_ddt_basis(m, range(-3, 4))
-
-
-# -- sigma -----------------------------------------------------------------
-
-
-def test_sigma_values():
-    a = Fraction(1, 2)
-    ma = make_module("A", [a], W1)
-    mb = make_module("B", [a], W1)
-    assert sigma_eval(ma, 0) == RING.const(rising(a, 3))
-    assert sigma_eval(mb, 0) == RING.const(-rising(a, 3))
-    assert sigma_eval(ma, 2) == RING.const(rising(a + 2, 3))
-
-
-def test_sigma_degenerate_alpha():
-    m = make_module("A", [Fraction(-2)], W1)
-    assert sigma_eval(m, 0).is_zero()
-
-
-def test_sigma_formal_matches_rising_times_q2():
-    for kind, sign in (("A", 1), ("B", -1)):
-        m = make_module(kind, "formal", W1)
-        a = m.alpha[0]
-        assert sigma_eval(m, 0) == rising(a, 3) * sign

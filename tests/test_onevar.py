@@ -20,7 +20,7 @@ def test_df_bracket_td_t2d():
 
 def test_df_bracket_antisymmetry():
     f = {0: Fraction(2), 3: Fraction(1, 3)}
-    assert df_bracket(4, f, 4, f).is_zero()
+    assert df_bracket(4, f, 4, f).f.is_zero()
 
 
 def test_df_bracket_d2_td():
@@ -41,11 +41,6 @@ def test_df_bracket_matches_generic():
         assert closed == generic
 
 
-def test_from_weyl_round_trip():
-    x = DfElement.of(-2, {0: Fraction(1, 2), 3: Fraction(5)})
-    assert DfElement.from_weyl(x.to_weyl(W)) == x
-
-
 @pytest.mark.parametrize("f", [[0.1], {2: "3"}])
 def test_non_rational_d_coefficients_rejected(f):
     with pytest.raises(TypeError):
@@ -64,7 +59,7 @@ def test_ddt_squared():
 
 
 def test_t4_times_ddt2():
-    got = mul(W.t((4,)), ddt_power(W, 2))
+    got = mul(W.monomial((4,), (0,)), ddt_power(W, 2))
     assert got == W.monomial((2,), (2,), basis="falling").to_power()
 
 
@@ -87,7 +82,7 @@ def test_ddt_powers_compose():
 @pytest.mark.parametrize("i", range(-4, 5))
 @pytest.mark.parametrize("j", range(1, 6))
 def test_ti_plus_j_ddt_j_is_falling(i, j):
-    got = mul(W.t((i + j,)), ddt_power(W, j))
+    got = mul(W.monomial((i + j,), (0,)), ddt_power(W, j))
     assert got == W.monomial((i,), (j,), basis="falling").to_power()
 
 

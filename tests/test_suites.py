@@ -1,6 +1,8 @@
 """The suite dispatcher: naming, determinism, report structure."""
 
 import hashlib
+import pathlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -25,9 +27,25 @@ def test_default_valued_options_are_accepted():
     assert run_suite("weightlab-215", opts).to_json() == run_suite("weightlab-215").to_json()
 
 
-def test_suite_names_cover_dispatcher():
-    for name in SUITE_NAMES:
-        assert name == "all" or name in SUITE_NAMES
+def test_readme_lists_the_suite_names():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    listed = re.search(r"^Suites: (.*?)\.$", readme, re.M | re.S).group(1)
+    assert tuple(re.findall(r"`([^`]+)`", listed)) == SUITE_NAMES
+
+
+@pytest.mark.parametrize("field,value", (
+    ("samples", 0), ("samples", -3), ("window", -1), ("max_mu", 0)))
+def test_options_reject_out_of_range_numbers(field, value):
+    # before, samples 0 ran 200 samples, samples -3 reported
+    # "zero_residuals": -3, and max_mu 0 hung the module samplers
+    with pytest.raises(ValueError, match="must be at least"):
+        SuiteOptions(**{field: value})
+
+
+def test_options_accept_the_least_numbers():
+    opts = SuiteOptions(samples=1, window=0, max_mu=1)
+    assert (opts.samples, opts.window, opts.max_mu) == (1, 0, 1)
+    assert run_suite("jacobi", SuiteOptions(samples=1, max_mu=1)).passed
 
 
 def test_report_json_carries_grammar_version():

@@ -10,9 +10,9 @@ import pytest
 from winfty.lattice import Direction, Lattice
 from winfty.printer import format_element
 from winfty.scalars import Ring, falling
-from winfty.weyl import (BasisMismatchError, GradingWindow, SubalgebraError,
-                         Weyl, act_on_combination, bracket, cocycle,
-                         degree_one_bracket, mul, operator_action, verify_jacobi)
+from winfty.weyl import (BasisMismatchError, SubalgebraError, Weyl,
+                         act_on_combination, bracket, cocycle, degree_one_bracket,
+                         mul, operator_action, verify_jacobi)
 
 W = Weyl(1)
 W2 = Weyl(2)
@@ -46,7 +46,7 @@ def test_mul_across_negative_degree():
 
 
 def test_mul_with_mu_zero_left_factor_shifts():
-    x = W.t((Fraction(5, 2),))
+    x = W.monomial((Fraction(5, 2),), (0,))
     y = W.monomial((1,), (3,))
     assert mul(x, y) == W.monomial((Fraction(7, 2),), (3,))
 
@@ -69,7 +69,7 @@ def test_add_doubles_and_cancels():
 def test_sum_rejects_elements_of_another_subalgebra():
     # the sum was an element of W^(1) holding t^(1), which has |mu| = 0
     with pytest.raises(ValueError, match="incompatible"):
-        Weyl(1, subalgebra="w1").tD((1,)) + W.t((1,))
+        Weyl(1, subalgebra="w1").tD((1,)) + W.monomial((1,), (0,))
 
 
 def test_bracket_rejects_elements_of_another_subalgebra():
@@ -224,7 +224,7 @@ def test_to_falling_d_squared():
 
 
 def test_falling_one_is_d():
-    assert W.monomial((0,), (1,), basis="falling").to_power() == W.D()
+    assert W.monomial((0,), (1,), basis="falling").to_power() == W.monomial((0,), (1,))
 
 
 def test_t2_falling3_expansion():
@@ -282,7 +282,7 @@ def test_conversions_mutually_inverse():
 
 def test_operator_action_examples():
     g = (Fraction(7, 2),)
-    assert operator_action(W.D(), g) == {g: W.ring.const(Fraction(7, 2))}
+    assert operator_action(W.monomial((0,), (1,)), g) == {g: W.ring.const(Fraction(7, 2))}
     assert operator_action(W.tD((1,)), (Fraction(2),)) == {
         (Fraction(3),): W.ring.const(2)}
     x = W.monomial((3,), (2,)) + W.monomial((3,), (1,), 2)
@@ -348,11 +348,6 @@ def test_degree_one_matches_generic_bracket():
 # -- grading ---------------------------------------------------------------
 
 
-def test_grade():
-    assert W.monomial((3,), (2,)).grade() == (Fraction(3),)
-    assert (W.tD((1,)) + W.tD((2,))).grade() is None
-
-
 @pytest.mark.parametrize("gamma", [(0.1,), ("1",)])
 def test_non_rational_grades_rejected(gamma):
     # a float grade would be stored as its binary expansion
@@ -360,29 +355,6 @@ def test_non_rational_grades_rejected(gamma):
         W.tD(gamma)
     with pytest.raises(TypeError):
         W.monomial(gamma, (1,))
-
-
-def test_project_window():
-    x = W.tD((1,)) + W.monomial((5,), (3,))
-    win = GradingWindow.interval(2)
-    assert x.project(win) == W.monomial((5,), (3,))
-
-
-def test_interval_window_rejects_other_than_one_coordinate():
-    # the window read only the first coordinate and kept t[1,5]*D1
-    x = Weyl(2).monomial((1, 5), (1, 0))
-    with pytest.raises(ValueError):
-        x.project(GradingWindow.interval(0, 2))
-    with pytest.raises(ValueError):
-        GradingWindow.interval(0).contains(())
-
-
-def test_project_keeps_central_exactly_when_window_holds_zero():
-    hat = Weyl(1, subalgebra="hat")
-    x = hat.tD((3,)) + hat.central(5)
-    assert x.project(GradingWindow.interval(0)) == x
-    assert x.project(GradingWindow.interval(1)) == hat.tD((3,))
-    assert x.project(GradingWindow.interval(-2, 0)).is_zero()
 
 
 @pytest.mark.parametrize("mu", ((1.7,), ("2",)), ids=("float", "str"))
@@ -395,8 +367,7 @@ def test_monomial_rejects_non_integer_d_exponents(mu):
 def test_w1_guard():
     w1 = Weyl(1, subalgebra="w1")
     with pytest.raises(SubalgebraError):
-        w1.t((1,))
-    assert w1.tD((1,)).in_w1()
+        w1.monomial((1,), (0,))
 
 
 def test_symbolic_coefficients_flow_through_bracket():
