@@ -13,12 +13,12 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
-from .parser import ParseError, Session, parse_element
+from .parser import Session, parse_element
 from .printer import format_element
 from .report import GRAMMAR_VERSION
 from .scalars import Ring, Scalar
-from .suites import SUITE_NAMES, SuiteOptions, UnknownSuiteError, check_options, run_suite
-from .weyl import BasisMismatchError, SubalgebraError, Weyl
+from .suites import SUITE_NAMES, SuiteOptions, check_options, run_suite
+from .weyl import Weyl
 
 
 def _parse_gamma(text: str) -> List[List[Fraction]]:
@@ -135,8 +135,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "suite":
             return _cmd_suite(args)
         return _cmd_eval(args)
-    except (UnknownSuiteError, ParseError, SubalgebraError, BasisMismatchError,
-            ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -48,10 +48,6 @@ class ReportDocument:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def add(self, check: VerificationReport) -> VerificationReport:
-        self.checks.append(check)
-        return check
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "suite": self.suite,

@@ -1,8 +1,8 @@
 """Named verification suites: every identity check behind one dispatcher.
 
-Each suite builds a ReportDocument whose JSON rendering is byte-identical
-for a fixed seed and option set (checks are sorted by name at emission and
-no wall time is recorded).
+``run_suite`` wraps a suite's checks in a ReportDocument whose JSON rendering
+is byte-identical for a fixed seed and option set (checks are sorted by name
+at emission and no wall time is recorded).
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .intermediate import (assoc_module_check, box_window, highest_weight_scan,
                            lie_module_check, make_module, normalize_ddt_basis,
@@ -99,10 +99,27 @@ def _random_poly(rng: random.Random, deg: int) -> Dict[int, Fraction]:
     return f
 
 
-# -- individual suites -----------------------------------------------------
+# -- individual suites ------------------------------------------------------
+# Each runner returns (params, checks); run_suite wraps them in the report.
+_Run = Tuple[Dict[str, Any], List[VerificationReport]]
 
 
-def _suite_jacobi(opts: SuiteOptions) -> ReportDocument:
+def _sample(count: int, case) -> Tuple[Optional[str], int]:
+    """Run ``case`` ``count`` times; each call draws its own sample and returns
+    its residual text, or None when it passes. Returns the first residual and
+    the number of failing cases."""
+    bad = [r for r in (case() for _ in range(count)) if r is not None]
+    return (bad[0] if bad else None), len(bad)
+
+
+def _difference(got, want) -> Optional[str]:
+    return None if got == want else format_element(got - want)
+
+
+def _suite_jacobi(opts: SuiteOptions) -> _Run:
+    if opts.gamma is None and opts.n != 1:
+        raise ValueError("jacobi always runs n = 1 and n = 2; --n picks the one "
+                         "that gets the --gamma lattice, so it needs --gamma")
     if opts.n not in (1, 2):
         raise ValueError(f"jacobi runs n = 1 and n = 2; --n {opts.n} selects "
                          f"neither for the --gamma lattice")
@@ -112,179 +129,150 @@ def _suite_jacobi(opts: SuiteOptions) -> ReportDocument:
         # the default Z^n report keeps its form; a --gamma one names its lattice
         params.update(n=opts.n, gamma=[[str(c) for c in g]
                                        for g in opts.lattice(opts.n).generators])
-    doc = ReportDocument("jacobi", seed=opts.seed, params=params)
+    checks = []
     for n in (1, 2):
         rng = random.Random(opts.seed + n)
         weyl = Weyl(n, lattice=opts.lattice(n) if n == opts.n else None,
                     subalgebra="w1")
-        failures = []
-        for _ in range(samples):
-            x, y, z = (_random_homogeneous(weyl, rng, max_mu=opts.max_mu)
-                       for _ in range(3))
-            rep = verify_jacobi(x, y, z)
-            if not rep.passed:
-                failures.append(rep.residual)
-        doc.add(VerificationReport(
-            f"jacobi[n={n}]", failures[0] if failures else None,
-            details={"zero_residuals": samples - len(failures),
-                     "samples": samples}))
-    return doc
+        first, failed = _sample(samples, lambda: verify_jacobi(
+            *(_random_homogeneous(weyl, rng, max_mu=opts.max_mu)
+              for _ in range(3))).residual)
+        checks.append(VerificationReport(
+            f"jacobi[n={n}]", first,
+            details={"zero_residuals": samples - failed, "samples": samples}))
+    return params, checks
 
 
-def _suite_oracle(opts: SuiteOptions) -> ReportDocument:
+def _suite_oracle(opts: SuiteOptions) -> _Run:
     samples = opts.samples or 200
-    doc = ReportDocument("oracle", seed=opts.seed, params={"samples": samples})
+    checks = []
     for n in (1, 2):
         rng = random.Random(opts.seed + 10 * n)
         weyl = Weyl(n)
-        bad = []
-        for _ in range(samples):
+
+        def pair():
             x = _random_homogeneous(weyl, rng, max_mu=opts.max_mu)
             y = _random_homogeneous(weyl, rng, max_mu=opts.max_mu)
             xy = mul(x, y)
-            for _ in range(5):
-                g = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3))
-                          for _ in range(n))
-                direct = operator_action(xy, g)
-                staged = act_on_combination(x, operator_action(y, g))
-                if direct != staged:
-                    bad.append({"x": format_element(x), "y": format_element(y),
-                                "gamma": [str(c) for c in g]})
-        doc.add(VerificationReport(
-            f"mul-vs-operator[n={n}]", str(bad[0]) if bad else None,
+            gs = [tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+                        for _ in range(n)) for _ in range(5)]
+            return next((str({"x": format_element(x), "y": format_element(y),
+                              "gamma": [str(c) for c in g]}) for g in gs
+                         if operator_action(xy, g)
+                         != act_on_combination(x, operator_action(y, g))), None)
+
+        checks.append(VerificationReport(
+            f"mul-vs-operator[n={n}]", _sample(samples, pair)[0],
             details={"pairs": samples, "vectors_per_pair": 5}))
     # closed form for brackets of degree-one elements
     rng = random.Random(opts.seed + 77)
     weyl2 = Weyl(2)
-    bad = []
-    cases = opts.samples or 100
-    for _ in range(cases):
+
+    def degree_one():
         beta = tuple(Fraction(rng.randint(-4, 4)) for _ in range(2))
         gam = tuple(Fraction(rng.randint(-4, 4)) for _ in range(2))
-        d = Direction.of([Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-                          for _ in range(2)])
-        d2 = Direction.of([Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-                           for _ in range(2)])
-        closed = degree_one_bracket(weyl2, beta, d, gam, d2)
-        generic = bracket(weyl2.from_direction(beta, d),
-                          weyl2.from_direction(gam, d2))
-        if closed != generic:
-            bad.append(format_element(closed - generic))
-    doc.add(VerificationReport("degree-one-closed-form", bad[0] if bad else None,
-                               details={"cases": cases}))
-    return doc
+        d, d2 = (Direction.of([Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                               for _ in range(2)]) for _ in range(2))
+        return _difference(degree_one_bracket(weyl2, beta, d, gam, d2),
+                           bracket(weyl2.from_direction(beta, d),
+                                   weyl2.from_direction(gam, d2)))
+
+    cases = opts.samples or 100
+    checks.append(VerificationReport("degree-one-closed-form",
+                                     _sample(cases, degree_one)[0],
+                                     details={"cases": cases}))
+    return {"samples": samples}, checks
 
 
-def _suite_cocycle(opts: SuiteOptions) -> ReportDocument:
+def _suite_cocycle(opts: SuiteOptions) -> _Run:
     samples = opts.samples or 200
-    doc = ReportDocument("cocycle", seed=opts.seed, params={"samples": samples})
+    half = opts.samples or 100
     hat = Weyl(1, subalgebra="hat")
     rng = random.Random(opts.seed + 5)
 
-    bad = []
-    for _ in range(samples):
-        x, y, z = (_random_homogeneous(hat, rng, max_mu=opts.max_mu)
-                   for _ in range(3))
-        rep = verify_cocycle_condition(x, y, z)
-        if not rep.passed:
-            bad.append(rep.residual)
-    doc.add(VerificationReport("cocycle-condition", bad[0] if bad else None,
-                               details={"triples": samples}))
+    def draw(k):
+        return (_random_homogeneous(hat, rng, max_mu=opts.max_mu) for _ in range(k))
 
-    half = opts.samples or 100
-    bad = []
-    for _ in range(half):
-        x, y, z = (_random_homogeneous(hat, rng, max_mu=opts.max_mu)
-                   for _ in range(3))
-        rep = verify_jacobi(x, y, z, name="ext-jacobi")
-        if not rep.passed:
-            bad.append(rep.residual)
-    doc.add(VerificationReport("ext-bracket-jacobi", bad[0] if bad else None,
-                               details={"triples": half}))
-
-    bad = []
-    for _ in range(half):
-        x = _random_homogeneous(hat, rng, max_mu=opts.max_mu)
-        y = _random_homogeneous(hat, rng, max_mu=opts.max_mu)
+    def antisymmetry():
+        x, y = draw(2)
         s = cocycle(x, y) + cocycle(y, x)
-        if not s.is_zero():
-            bad.append(str(s))
-    doc.add(VerificationReport("cocycle-antisymmetry", bad[0] if bad else None,
-                               details={"pairs": half}))
-    return doc
+        return None if s.is_zero() else str(s)
+
+    return {"samples": samples}, [
+        VerificationReport(
+            "cocycle-condition",
+            _sample(samples, lambda: verify_cocycle_condition(*draw(3)).residual)[0],
+            details={"triples": samples}),
+        VerificationReport(
+            "ext-bracket-jacobi",
+            _sample(half, lambda: verify_jacobi(*draw(3)).residual)[0],
+            details={"triples": half}),
+        VerificationReport("cocycle-antisymmetry", _sample(half, antisymmetry)[0],
+                           details={"pairs": half}),
+    ]
 
 
-def _suite_onevar(opts: SuiteOptions) -> ReportDocument:
-    doc = ReportDocument("onevar-identities", seed=opts.seed, params={})
+def _suite_onevar(opts: SuiteOptions) -> _Run:
     weyl = Weyl(1)
-    for name in ("L23-1", "L23-2", "L23-3"):
-        for i in range(1, 13):
-            doc.add(verify_named_identity(weyl, name, i))
-    doc.add(verify_named_identity(weyl, "CUBE"))
+    checks = [verify_named_identity(weyl, name, i)
+              for name in ("L23-1", "L23-2", "L23-3") for i in range(1, 13)]
+    checks.append(verify_named_identity(weyl, "CUBE"))
 
     # unique zero reading of the ambiguous identity, uniform over i
     readings = [set(rep.details["zero_readings"])
-                for rep in doc.checks if rep.name.startswith("L23-3[")]
+                for rep in checks if rep.name.startswith("L23-3[")]
     always_zero = set.intersection(*readings)
-    doc.add(VerificationReport(
+    checks.append(VerificationReport(
         "L23-3-unique-reading",
         None if len(always_zero) == 1 else f"zero readings: {sorted(always_zero)}",
         details={"reading": sorted(always_zero)}))
 
     # closed-form bracket against the generic product bracket
     rng = random.Random(opts.seed + 3)
-    cases = opts.samples or 100
-    bad = []
-    for _ in range(cases):
+
+    def df_case():
         i = rng.randint(-6, 6)
         j = rng.randint(-6, 6)
         f = _random_poly(rng, 6)
         g = _random_poly(rng, 6)
-        closed = df_bracket(i, f, j, g).to_weyl(weyl)
-        generic = bracket(DfElement.of(i, f).to_weyl(weyl),
-                          DfElement.of(j, g).to_weyl(weyl))
-        if closed != generic:
-            bad.append(format_element(closed - generic))
-    doc.add(VerificationReport("df-closed-form", bad[0] if bad else None,
-                               details={"cases": cases}))
-    return doc
+        return _difference(df_bracket(i, f, j, g).to_weyl(weyl),
+                           bracket(DfElement.of(i, f).to_weyl(weyl),
+                                   DfElement.of(j, g).to_weyl(weyl)))
+
+    cases = opts.samples or 100
+    checks.append(VerificationReport("df-closed-form", _sample(cases, df_case)[0],
+                                     details={"cases": cases}))
+    return {}, checks
 
 
-def _suite_lemma21(opts: SuiteOptions) -> ReportDocument:
-    doc = ReportDocument("lemma21", seed=opts.seed,
-                         params={"deg_hi": 40, "d_cap": 6, "m0": 2})
+def _suite_lemma21(opts: SuiteOptions) -> _Run:
     weyl = Weyl(1, subalgebra="w1")
+    checks = []
     for i0 in (1, 2):
         sub = GeneratedSubalgebra(weyl, standard_generators(weyl, i0, 2),
                                   deg_lo=0, deg_hi=40, d_cap=6)
-        missing = []
-        for m in range(1, 5):
-            for k in range(3 * i0, 41):
-                if sub.membership(weyl.monomial((k,), (m,))) is None:
-                    missing.append(f"t^{k}D^{m}")
-        doc.add(VerificationReport(
+        missing = [f"t^{k}D^{m}" for m in range(1, 5) for k in range(3 * i0, 41)
+                   if sub.membership(weyl.monomial((k,), (m,))) is None]
+        checks.append(VerificationReport(
             f"generation-coverage[i0={i0}]", ", ".join(missing[:10]) if missing else None,
             details={"targets": 4 * (41 - 3 * i0), "dimension": sub.dimension}))
         # one witness, re-evaluated from the generators alone
-        target = DfElement.of(3 * i0, {1: Fraction(1)})
-        elt = target.to_weyl(weyl)
+        elt = DfElement.of(3 * i0, {1: Fraction(1)}).to_weyl(weyl)
         combo = sub.membership(elt)
         acc = weyl.zero()
         for c, r in combo:
             acc = acc + sub.eval_word(sub.raw[r][1]).scale(c)
-        doc.add(VerificationReport(
-            f"witness-reevaluation[i0={i0}]",
-            None if acc == elt else format_element(acc - elt),
+        checks.append(VerificationReport(
+            f"witness-reevaluation[i0={i0}]", _difference(acc, elt),
             details={"target": format_element(elt),
                      "witness": [(str(c), sub.word_text(sub.raw[r][1]))
                                  for c, r in combo]}))
-    return doc
+    return {"deg_hi": 40, "d_cap": 6, "m0": 2}, checks
 
 
-def _suite_modules(opts: SuiteOptions) -> ReportDocument:
+def _suite_modules(opts: SuiteOptions) -> _Run:
     samples = opts.samples or 100
-    doc = ReportDocument("modules", seed=opts.seed,
-                         params={"samples": samples, "alpha": "formal"})
+    checks = []
     for n in (1, 2):
         ring = Ring(tuple(f"a{i + 1}" for i in range(n)))
         weyl = Weyl(n, ring=ring, subalgebra="w1")
@@ -292,37 +280,43 @@ def _suite_modules(opts: SuiteOptions) -> ReportDocument:
             m = make_module(kind, "formal", weyl)
             rep = lie_module_check(m, samples, opts.seed, max_mu=opts.max_mu)
             rep.name = f"lie-module[{kind},n={n}]"
-            doc.add(rep)
-    return doc
+            checks.append(rep)
+    return {"samples": samples, "alpha": "formal"}, checks
 
 
-def _parse_alpha1(opts: SuiteOptions, default: Fraction) -> Fraction:
-    if opts.alpha in (None, "formal"):
-        return default
-    a = opts.alpha[0] if isinstance(opts.alpha, (list, tuple)) else opts.alpha
-    return Fraction(a)
+def _alpha1(opts: SuiteOptions) -> Fraction:
+    """The one rational --alpha of the rank-one module suites, 1/2 by default."""
+    alpha = opts.alpha
+    if isinstance(alpha, (list, tuple)) and len(alpha) == 1:
+        alpha = alpha[0]
+    if alpha is None:
+        return Fraction(1, 2)
+    if not isinstance(alpha, (int, Fraction)):
+        raise ValueError("assoc-dichotomy and weightlab-yk read --alpha as one "
+                         "rational, not a vector or 'formal'")
+    return Fraction(alpha)
 
 
-def _suite_assoc(opts: SuiteOptions) -> ReportDocument:
-    alpha = _parse_alpha1(opts, Fraction(1, 2))
+def _rank_one_modules(opts: SuiteOptions, alpha):
+    weyl = Weyl(1, ring=Ring(("alpha",)), subalgebra="w1")
+    return [make_module(kind, alpha, weyl) for kind in opts.kinds()]
+
+
+def _suite_assoc(opts: SuiteOptions) -> _Run:
+    alpha = _alpha1(opts)
     samples = opts.samples or 100
-    doc = ReportDocument("assoc-dichotomy", seed=opts.seed,
-                         params={"alpha": str(alpha), "samples": samples})
-    ring = Ring(("alpha",))
-    weyl = Weyl(1, ring=ring, subalgebra="w1")
-    for kind in opts.kinds():
-        m = make_module(kind, [alpha], weyl)
+    checks = []
+    for m in _rank_one_modules(opts, [alpha]):
         rep = assoc_module_check(m, samples, opts.seed, max_mu=opts.max_mu)
-        rep.name = f"assoc-dichotomy[{kind}]"
-        doc.add(rep)
-    return doc
+        rep.name = f"assoc-dichotomy[{m.kind}]"
+        checks.append(rep)
+    return {"alpha": str(alpha), "samples": samples}, checks
 
 
-def _suite_submodules(opts: SuiteOptions) -> ReportDocument:
-    doc = ReportDocument("submodules", seed=opts.seed,
-                         params={"window": opts.window})
-    ring = Ring(("alpha",))
-    weyl = Weyl(1, ring=ring, subalgebra="w1")
+def _suite_submodules(opts: SuiteOptions) -> _Run:
+    if opts.window < 1:
+        raise ValueError("submodules needs --window at least 1: a window of "
+                         "y_0 alone holds no proper submodule to find")
     window = sorted(box_window(Lattice.standard(1), opts.window))
     # (proper submodules, highest weight): only A_0 has a highest-weight
     # vector below the window's top, the trivial line y_0
@@ -333,76 +327,47 @@ def _suite_submodules(opts: SuiteOptions) -> ReportDocument:
         ("A", Fraction(0)): ([[(0,)]], (0,)),
         ("B", Fraction(0)): ([sorted(c for c in window if c != (0,))], top),
     }
-    for (kind, alpha), expected in sorted(expectations.items()):
-        if opts.kind and kind != opts.kind:
-            continue
-        m = make_module(kind, [alpha], weyl)
-        found = submodule_scan(m, window)
-        highest = highest_weight_scan(m, window)["coords"]
-        doc.add(VerificationReport(
-            f"submodules[{kind},alpha={alpha}]",
-            None if (found, highest) == expected
-            else f"found {found}, highest weight {highest}",
-            details={"proper_submodules": [len(s) for s in found]}))
-    return doc
+    checks = []
+    for alpha in (Fraction(0), Fraction(1, 2)):
+        for m in _rank_one_modules(opts, [alpha]):
+            found = submodule_scan(m, window)
+            highest = highest_weight_scan(m, window)["coords"]
+            checks.append(VerificationReport(
+                f"submodules[{m.kind},alpha={alpha}]",
+                None if (found, highest) == expectations[m.kind, alpha]
+                else f"found {found}, highest weight {highest}",
+                details={"proper_submodules": [len(s) for s in found]}))
+    return {"window": opts.window}, checks
 
 
-def _suite_normalize(opts: SuiteOptions) -> ReportDocument:
-    doc = ReportDocument("normalize", seed=opts.seed,
-                         params={"alpha": "formal", "k_range": [-3, 3]})
-    ring = Ring(("alpha",))
-    weyl = Weyl(1, ring=ring, subalgebra="w1")
+def _suite_normalize(opts: SuiteOptions) -> _Run:
     ks = range(-3, 4)
-    for kind in opts.kinds():
-        m = make_module(kind, "formal", weyl)
+    checks = []
+    for m in _rank_one_modules(opts, "formal"):
+        kind, one = m.kind, m.weyl.ring.one
         data = normalize_ddt_basis(m, ks)
         a = m.alpha[0]
         bad = [(i, k) for i in range(-1, 6) for k in ks
                if data.p[(i, k)] != rising(a + k, i + 1)]
-        doc.add(VerificationReport(
+        checks.append(VerificationReport(
             f"P-rising-form[{kind}]", f"first mismatch at (i,k)={bad[0]}" if bad else None,
             details={"i_range": [-1, 5]}))
-        odd_ok = all(data.q[i] == ring.one for i in (1, 3, 5))
-        doc.add(VerificationReport(f"Q-odd-trivial[{kind}]",
-                                   None if odd_ok else str({i: str(data.q[i])
-                                                            for i in (1, 3, 5)})))
-        want = ring.one if kind == "A" else -ring.one
-        q2_ok = data.q[2] == want and data.q[2] * data.q[2] == ring.one
-        doc.add(VerificationReport(
-            f"Q2-sign[{kind}]", None if q2_ok else str(data.q[2]),
-            details={"Q2": str(data.q[2])}))
-    return doc
+        odd_ok = all(data.q[i] == one for i in (1, 3, 5))
+        checks.append(VerificationReport(
+            f"Q-odd-trivial[{kind}]",
+            None if odd_ok else str({i: str(data.q[i]) for i in (1, 3, 5)})))
+        q2 = data.q[2]
+        q2_ok = q2 == (one if kind == "A" else -one) and q2 * q2 == one
+        checks.append(VerificationReport(f"Q2-sign[{kind}]", None if q2_ok else str(q2),
+                                         details={"Q2": str(q2)}))
+    return {"alpha": "formal", "k_range": [-3, 3]}, checks
 
 
-def _suite_weightlab_p(opts: SuiteOptions) -> ReportDocument:
-    doc = ReportDocument("weightlab-p", seed=opts.seed, params={})
-    doc.add(p_series_report())
-    return doc
-
-
-def _suite_weightlab_215(opts: SuiteOptions) -> ReportDocument:
-    doc = ReportDocument("weightlab-215", seed=opts.seed, params={})
-    doc.add(virasoro_consistency())
-    return doc
-
-
-def _suite_weightlab_f(opts: SuiteOptions) -> ReportDocument:
-    doc = ReportDocument("weightlab-f", seed=opts.seed, params={})
-    doc.add(coefficient_claims())
-    return doc
-
-
-def _suite_weightlab_yk(opts: SuiteOptions) -> ReportDocument:
-    alpha = _parse_alpha1(opts, Fraction(1, 2))
-    doc = ReportDocument("weightlab-yk", seed=opts.seed,
-                         params={"alpha": str(alpha)})
-    ring = Ring(("alpha",))
-    weyl = Weyl(1, ring=ring, subalgebra="w1")
-    for kind in opts.kinds():
-        m = make_module(kind, [alpha], weyl)
-        data = normalize_ddt_basis(m, range(-3, 4))
-        doc.add(verify_yk_relations(data))
-    return doc
+def _suite_weightlab_yk(opts: SuiteOptions) -> _Run:
+    alpha = _alpha1(opts)
+    return {"alpha": str(alpha)}, [
+        verify_yk_relations(normalize_ddt_basis(m, range(-3, 4)))
+        for m in _rank_one_modules(opts, [alpha])]
 
 
 # Suite name -> (runner, the SuiteOptions fields it reads besides seed).
@@ -416,9 +381,9 @@ _SUITES = {
     "assoc-dichotomy": (_suite_assoc, {"alpha", "samples", "max_mu", "kind"}),
     "submodules": (_suite_submodules, {"window", "kind"}),
     "normalize": (_suite_normalize, {"kind"}),
-    "weightlab-p": (_suite_weightlab_p, set()),
-    "weightlab-215": (_suite_weightlab_215, set()),
-    "weightlab-f": (_suite_weightlab_f, set()),
+    "weightlab-p": (lambda opts: ({}, [p_series_report()]), set()),
+    "weightlab-215": (lambda opts: ({}, [virasoro_consistency()]), set()),
+    "weightlab-f": (lambda opts: ({}, [coefficient_claims()]), set()),
     "weightlab-yk": (_suite_weightlab_yk, {"alpha", "kind"}),
 }
 SUITE_NAMES = (*_SUITES, "all")
@@ -441,17 +406,17 @@ def run_suite(name: str, options: Optional[SuiteOptions] = None) -> ReportDocume
     """
     opts = options or SuiteOptions()
     if name == "all":
-        check_options("suite 'all'", opts,
-                      set().union({"seed"}, *(r for _s, r in _SUITES.values())))
-        doc = ReportDocument("all", seed=opts.seed, params={})
-        for sub_name, (suite, _reads) in _SUITES.items():
-            for check in suite(opts).checks:
-                check.name = f"{sub_name}:{check.name}"
-                doc.add(check)
-        return doc
-    if name not in _SUITES:
+        reads = set().union(*(r for _s, r in _SUITES.values()))
+    elif name in _SUITES:
+        reads = _SUITES[name][1]
+    else:
         raise UnknownSuiteError(
             f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    suite, reads = _SUITES[name]
     check_options(f"suite {name!r}", opts, reads | {"seed"})
-    return suite(opts)
+    if name == "all":
+        params, checks = {}, [
+            VerificationReport(f"{sub}:{c.name}", c.residual, c.details)
+            for sub, (suite, _r) in _SUITES.items() for c in suite(opts)[1]]
+    else:
+        params, checks = _SUITES[name][0](opts)
+    return ReportDocument(name, checks, params, seed=opts.seed)

@@ -157,13 +157,13 @@ def _q_coefficients(p, pp, i):
     return f1, f2, f3
 
 
-def build_f_polynomials(ps: Optional[PSeries] = None) -> FPolys:
+def build_f_polynomials() -> FPolys:
     """Substitute the P-series into the displayed q_i coefficients.
 
     f1, f2, f3 are exact polynomials in i with coefficients in kbar, p1, p2,
     pp1, pp2; g(i) = [i+1]_4 [i-1]_4 f3(i) - [i+1]_6 f1(i-2) f1(i).
     """
-    ps = ps if ps is not None else build_p_series()
+    ps = build_p_series()
     ring = ps.ring
     i = ring.sym("i")
 
@@ -179,11 +179,11 @@ def build_f_polynomials(ps: Optional[PSeries] = None) -> FPolys:
     return FPolys(ring, f1, f2, f3, g)
 
 
-def coefficient_claims(fp: Optional[FPolys] = None) -> VerificationReport:
+def coefficient_claims() -> VerificationReport:
     """The two coefficient-extraction claims, as exact polynomial identities:
     the i^4 coefficient of f2 is p1 - pp1, and after setting pp1 = p1 the
     i^12 coefficient of g is 6 p1."""
-    fp = fp if fp is not None else build_f_polynomials()
+    fp = build_f_polynomials()
     ring = fp.ring
     p1 = ring.sym("p1")
     pp1 = ring.sym("pp1")
@@ -200,13 +200,13 @@ def coefficient_claims(fp: Optional[FPolys] = None) -> VerificationReport:
     return VerificationReport("coefficient-claims", residual, details)
 
 
-def p_series_report(ps: Optional[PSeries] = None) -> VerificationReport:
+def p_series_report() -> VerificationReport:
     """Transcription-vs-derivation dual sourcing for p3, p4, p5.
 
     A nonzero discrepancy polynomial is reported verbatim (suspected typo in
     the source display), never auto-corrected.
     """
-    ps = ps if ps is not None else build_p_series()
+    ps = build_p_series()
     details = {f"p{j}_discrepancy": str(ps.discrepancies[j]) for j in (3, 4, 5)}
     # anchors and the p1 = p2 = 0 collapse p_{j,k} = [kbar]^(j+1)
     kb = ps.ring.sym("kbar")

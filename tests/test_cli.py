@@ -155,3 +155,43 @@ def test_out_of_range_numbers_exit_2_before_any_suite_runs(argv, monkeypatch, ca
     monkeypatch.setattr(cli, "run_suite", lambda *a: pytest.fail("a suite ran"))
     assert main(argv) == 2
     assert "must be at least" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", (
+    ["suite", "jacobi", "--n", "2", "--samples", "2"],
+    ["suite", "all", "--n", "2", "--samples", "2", "--window", "2"],
+), ids=("jacobi", "all"))
+def test_jacobi_n_without_gamma_exits_2(argv, capsys):
+    # before, both exited 0 with the default report: jacobi always runs
+    # n = 1 and n = 2, and --n only picks the one that gets the --gamma lattice
+    assert main(argv) == 2
+    assert "needs --gamma" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", (
+    ["suite", "assoc-dichotomy", "--alpha", "formal", "--samples", "2"],
+    ["suite", "assoc-dichotomy", "--alpha", "1,2", "--samples", "2"],
+    ["suite", "weightlab-yk", "--alpha", "formal"],
+    ["suite", "weightlab-yk", "--alpha", "1,2"],
+    ["suite", "all", "--alpha", "formal", "--samples", "2", "--window", "2"],
+), ids=("assoc-formal", "assoc-vector", "yk-formal", "yk-vector", "all-formal"))
+def test_alpha_other_than_one_rational_exits_2(argv, capsys):
+    # before, --alpha formal ran alpha = 1/2 and --alpha 1,2 ran alpha = 1,
+    # and each report recorded the value it ran
+    assert main(argv) == 2
+    assert "read --alpha as one rational" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", ("assoc-dichotomy", "weightlab-yk"))
+def test_one_rational_alpha_is_recorded(suite, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["suite", suite, "--alpha", "1/3", "--json", str(out)]) == 0
+    capsys.readouterr()
+    assert json.loads(out.read_text())["params"]["alpha"] == "1/3"
+
+
+def test_submodules_window_0_exits_2(capsys):
+    # before, it reported FAIL and exited 1: a window of y_0 alone holds
+    # no proper submodule, so the suite has nothing to check
+    assert main(["suite", "submodules", "--window", "0"]) == 2
+    assert "--window at least 1" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """The suite dispatcher: naming, determinism, report structure."""
 
+import dataclasses
 import hashlib
 import pathlib
 import re
@@ -71,6 +72,7 @@ def test_jacobi_report_records_its_lattice():
     assert "gamma" not in default.params
     assert half.params["gamma"] == [["1/2"]] and half.params["n"] == 1
     assert rank2.params["gamma"] == [["1/2", "1/3"], ["0", "2/5"]]
+    assert rank2.params["n"] == 2
 
 
 def test_assoc_dichotomy_records_witness():
@@ -85,6 +87,34 @@ def test_kind_option_restricts_module_suites():
     doc = run_suite("normalize", SuiteOptions(kind="B"))
     assert doc.passed
     assert all("[B]" in c.name for c in doc.checks)
+
+
+_FIELDS = {f.name for f in dataclasses.fields(SuiteOptions)}
+
+
+class _RecordingOptions(SuiteOptions):
+    """SuiteOptions that records which of its fields are read."""
+
+    def __post_init__(self):
+        self.read = set()
+        super().__post_init__()
+        self.read.clear()
+
+    def __getattribute__(self, name):
+        if name in _FIELDS:
+            object.__getattribute__(self, "read").add(name)
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES[:-1])
+def test_registry_lists_the_options_each_suite_reads(name):
+    # a listed field the runner does not read is a flag silently ignored; a
+    # read field not listed is one check_options never lets be set. Every
+    # report records the seed, so a runner that draws nothing need not read it.
+    suite, reads = _SUITES[name]
+    opts = _RecordingOptions(samples=2, window=2)
+    suite(opts)
+    assert opts.read | {"seed"} == reads | {"seed"}
 
 
 def test_all_is_every_suite_under_its_name():
