@@ -382,10 +382,9 @@ def falling(a: Union[Scalar, Rat], j: int):
         raise TypeError(f"falling factorials take an int, Fraction or Scalar, "
                         f"got {type(a).__name__} {a!r}")
     a = Fraction(a)
-    out = Fraction(1)
-    for m in range(j):
-        out *= a - m
-    return out
+    # a - m = (p - m q)/q: multiply ints, build one Fraction
+    p, q = a.numerator, a.denominator
+    return Fraction(math.prod([p - m * q for m in range(j)]), q ** j)
 
 
 def rising(a: Union[Scalar, Rat], j: int):

@@ -56,7 +56,9 @@ class SuiteOptions:
     subalgebra: str = "w1"
 
     def __post_init__(self):
-        for name, least in (("samples", 1), ("window", 0), ("max_mu", 1)):
+        # only submodules reads window, and a window of y_0 alone holds no
+        # proper submodule to find
+        for name, least in (("samples", 1), ("window", 1), ("max_mu", 1)):
             value = getattr(self, name)
             if value is not None and value < least:
                 raise ValueError(f"--{name.replace('_', '-')} must be at least "
@@ -116,13 +118,16 @@ def _difference(got, want) -> Optional[str]:
     return None if got == want else format_element(got - want)
 
 
-def _suite_jacobi(opts: SuiteOptions) -> _Run:
+def _check_jacobi_n(opts: SuiteOptions) -> None:
     if opts.gamma is None and opts.n != 1:
         raise ValueError("jacobi always runs n = 1 and n = 2; --n picks the one "
                          "that gets the --gamma lattice, so it needs --gamma")
     if opts.n not in (1, 2):
         raise ValueError(f"jacobi runs n = 1 and n = 2; --n {opts.n} selects "
                          f"neither for the --gamma lattice")
+
+
+def _suite_jacobi(opts: SuiteOptions) -> _Run:
     samples = opts.samples or 200
     params = {"samples": samples, "max_mu": opts.max_mu}
     if opts.gamma is not None:
@@ -314,9 +319,6 @@ def _suite_assoc(opts: SuiteOptions) -> _Run:
 
 
 def _suite_submodules(opts: SuiteOptions) -> _Run:
-    if opts.window < 1:
-        raise ValueError("submodules needs --window at least 1: a window of "
-                         "y_0 alone holds no proper submodule to find")
     window = sorted(box_window(Lattice.standard(1), opts.window))
     # (proper submodules, highest weight): only A_0 has a highest-weight
     # vector below the window's top, the trivial line y_0
@@ -388,6 +390,14 @@ _SUITES = {
 }
 SUITE_NAMES = (*_SUITES, "all")
 
+# Suite name -> a check that raises ValueError on option values its runner
+# cannot run with; run_suite makes every check before any suite starts.
+_OPTION_CHECKS = {
+    "jacobi": _check_jacobi_n,
+    "assoc-dichotomy": _alpha1,
+    "weightlab-yk": _alpha1,
+}
+
 
 def check_options(command: str, opts: SuiteOptions, reads) -> None:
     """Raise UnsupportedOptionError if ``opts`` sets a field outside ``reads``
@@ -402,17 +412,23 @@ def run_suite(name: str, options: Optional[SuiteOptions] = None) -> ReportDocume
     """Run a named suite; "all" concatenates every suite's checks.
 
     Raises UnsupportedOptionError when ``options`` sets an option the suite
-    does not read ("all" reads the options of any of its suites).
+    does not read ("all" reads the options of any of its suites), and
+    ValueError when a suite cannot run with an option's value; either is
+    raised before any suite runs.
     """
     opts = options or SuiteOptions()
     if name == "all":
-        reads = set().union(*(r for _s, r in _SUITES.values()))
+        names = list(_SUITES)
     elif name in _SUITES:
-        reads = _SUITES[name][1]
+        names = [name]
     else:
         raise UnknownSuiteError(
             f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    reads = set().union(*(_SUITES[sub][1] for sub in names))
     check_options(f"suite {name!r}", opts, reads | {"seed"})
+    for sub in names:
+        if sub in _OPTION_CHECKS:
+            _OPTION_CHECKS[sub](opts)
     if name == "all":
         params, checks = {}, [
             VerificationReport(f"{sub}:{c.name}", c.residual, c.details)

@@ -413,25 +413,41 @@ def bracket(x: WeylElement, y: WeylElement) -> WeylElement:
     return _commutator(x, y)
 
 
+@lru_cache(maxsize=None)
+def _psi(a: Fraction, m: int, n: int) -> Fraction:
+    """psi(t^a D^m, t^-a D^n): (1.3) summed over D^m = sum_j S(m,j) [D]_j."""
+    total = Fraction(0)
+    for j in range(m + 1):
+        for k in range(n + 1):
+            s = _stirling2(m, j) * _stirling2(n, k)
+            if s:
+                total += ((-1) ** j * s * math.factorial(j) * math.factorial(k)
+                          * binom(a + j, j + k + 1))
+    return total
+
+
 def cocycle(x: WeylElement, y: WeylElement) -> Scalar:
     """The 2-cocycle psi of the one-variable central extension (1.3).
 
     psi(t^a [D]_mu, t^b [D]_nu) = delta_{a,-b} (-1)^mu mu! nu! C(a+mu, mu+nu+1),
-    extended bilinearly; power-basis inputs are converted first.
+    extended bilinearly.  It runs in the power basis, where D^m =
+    sum_j S(m,j) [D]_j gives
+
+        psi(t^a D^m, t^-a D^n) = sum_{j,k} S(m,j) S(n,k) (-1)^j j! k! C(a+j, j+k+1),
+
+    one rational per (a, m, n), cached.  Falling-basis inputs are converted.
     """
     if x.weyl.n != 1:
         raise SubalgebraError("the cocycle is defined only for n = 1")
-    xf = x.to_falling()
-    yf = y.to_falling()
-    xf._check_compat(yf)
+    x, y = x.to_power(), y.to_power()
+    x._check_compat(y)
+    partners: Dict[Fraction, List[Tuple[int, Scalar]]] = {}
+    for ((b,), (n,)), cy in y.terms.items():
+        partners.setdefault(-b, []).append((n, cy))
     out = x.weyl.ring.zero
-    for (a, mu), cx in xf.terms.items():
-        for (b, nu), cy in yf.terms.items():
-            if tuple(-v for v in b) != a:
-                continue
-            m, n = mu[0], nu[0]
-            f = (Fraction((-1) ** m) * math.factorial(m) * math.factorial(n)
-                 * binom(a[0] + m, m + n + 1))
+    for ((a,), (m,)), cx in x.terms.items():
+        for n, cy in partners.get(a, ()):
+            f = _psi(a, m, n)
             if f:
                 out = out + cx * cy * f
     return out

@@ -147,8 +147,9 @@ def test_omitted_flags_give_the_default_options(command):
     ["suite", "assoc-dichotomy", "--max-mu", "0"],
     ["suite", "oracle", "--max-mu", "0"],
     ["eval", "D", "--max-mu", "0"],
+    ["suite", "all", "--window", "0"],
 ), ids=("samples-0", "samples-negative", "window-negative", "modules-max-mu-0",
-        "assoc-max-mu-0", "oracle-max-mu-0", "eval-max-mu-0"))
+        "assoc-max-mu-0", "oracle-max-mu-0", "eval-max-mu-0", "all-window-0"))
 def test_out_of_range_numbers_exit_2_before_any_suite_runs(argv, monkeypatch, capsys):
     # before, `--samples 0` ran 200 samples, `--window -1` reported FAIL and
     # `--max-mu 0` looped forever in the module samplers
@@ -194,4 +195,4 @@ def test_submodules_window_0_exits_2(capsys):
     # before, it reported FAIL and exited 1: a window of y_0 alone holds
     # no proper submodule, so the suite has nothing to check
     assert main(["suite", "submodules", "--window", "0"]) == 2
-    assert "--window at least 1" in capsys.readouterr().err
+    assert "--window must be at least 1" in capsys.readouterr().err

@@ -1,11 +1,13 @@
 """The one-variable 2-cocycle and the centrally extended bracket."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from winfty.lattice import Lattice
+from winfty.scalars import Ring
 from winfty.weyl import (SubalgebraError, Weyl, bracket, cocycle, ext_bracket,
                          verify_cocycle_condition, verify_jacobi)
 
@@ -113,3 +115,68 @@ def test_cocycle_condition_random():
     for _ in range(60):
         x, y, z = rand_hat(rng), rand_hat(rng), rand_hat(rng)
         assert verify_cocycle_condition(x, y, z).passed
+
+
+# -- differential check against the falling-basis closed form (1.3) --------
+
+def closed_form_binomial(x, r):
+    out = Fraction(1)
+    for i in range(r):
+        out *= Fraction(x - i, i + 1)
+    return out
+
+
+def closed_form_cocycle(x, y):
+    """(1.3) term by term on the falling-basis forms of x and y:
+    psi(t^a [D]_m, t^-a [D]_n) = (-1)^m m! n! C(a+m, m+n+1)."""
+    out = x.weyl.ring.zero
+    for ((a,), (m,)), cx in x.to_falling().terms.items():
+        for ((b,), (n,)), cy in y.to_falling().terms.items():
+            if a + b == 0:
+                f = ((-1) ** m * math.factorial(m) * math.factorial(n)
+                     * closed_form_binomial(a + m, m + n + 1))
+                out = out + cx * cy * f
+    return out
+
+
+HALF = Lattice([(Fraction(1, 2),)])
+
+
+def random_side(weyl, rng, grades, basis):
+    out = weyl.zero(basis)
+    for g in grades:
+        if weyl.ring.nvars:
+            alpha = weyl.ring.sym("alpha")
+            coeff = alpha * rng.randint(-3, 3) + rng.randint(-4, 4) or alpha
+        else:
+            coeff = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
+        out = out + weyl.monomial(g, (rng.randint(1, 6),), coeff, basis=basis)
+    return out
+
+
+def random_pair(weyl, rng, bases):
+    """x and y with opposite grades, so most of their terms pair up."""
+    grades = [weyl.lattice.ambient((rng.randint(-6, 6),))
+              for _ in range(rng.randint(1, 3))]
+    return (random_side(weyl, rng, grades, bases[0]),
+            random_side(weyl, rng, [(-g,) for (g,) in grades], bases[1]))
+
+
+@pytest.mark.parametrize("bases", [("power", "power"), ("falling", "falling"),
+                                   ("power", "falling"), ("falling", "power")],
+                         ids=lambda b: "-".join(b))
+@pytest.mark.parametrize("ring", [Ring(), Ring(("alpha",))], ids=("rational", "alpha"))
+@pytest.mark.parametrize("lattice", [None, HALF], ids=("Z", "half-Z"))
+def test_cocycle_matches_falling_closed_form(lattice, ring, bases):
+    weyl = Weyl(1, ring=ring, lattice=lattice, subalgebra="hat")
+    rng = random.Random(31)
+    nonzero = negative = 0
+    for _ in range(30):
+        x, y = random_pair(weyl, rng, bases)
+        got = cocycle(x, y)
+        assert got == closed_form_cocycle(x, y)
+        nonzero += not got.is_zero()
+        # a + 1 < 0: the j = 1 binomial C(a+1, k+2) of the power-basis sum
+        # has a negative top
+        negative += any(a[0] + 1 < 0 for a, _mu in x.terms)
+    assert nonzero >= 10 and negative >= 10

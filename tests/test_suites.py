@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from winfty import suites
 from winfty.report import GRAMMAR_VERSION
 from winfty.suites import (_SUITES, SUITE_NAMES, SuiteOptions,
                            UnknownSuiteError, UnsupportedOptionError, run_suite)
@@ -23,6 +24,20 @@ def test_all_rejects_an_option_no_suite_reads():
         run_suite("all", SuiteOptions(subalgebra="hat"))
 
 
+@pytest.mark.parametrize("opts", (
+    SuiteOptions(alpha="formal"),
+    SuiteOptions(alpha=[Fraction(1, 2), Fraction(1, 3)]),
+), ids=("alpha-formal", "alpha-vector"))
+def test_all_checks_every_option_before_any_suite_runs(opts, monkeypatch):
+    # before, "all" ran jacobi, oracle, cocycle, ... and raised only when
+    # assoc-dichotomy's turn came
+    ran = []
+    monkeypatch.setattr(suites, "verify_jacobi", lambda *a: ran.append(a))
+    with pytest.raises(ValueError, match="read --alpha as one rational"):
+        run_suite("all", opts)
+    assert ran == []
+
+
 def test_default_valued_options_are_accepted():
     opts = SuiteOptions(n=1, window=8, max_mu=4, subalgebra="w1")
     assert run_suite("weightlab-215", opts).to_json() == run_suite("weightlab-215").to_json()
@@ -35,7 +50,7 @@ def test_readme_lists_the_suite_names():
 
 
 @pytest.mark.parametrize("field,value", (
-    ("samples", 0), ("samples", -3), ("window", -1), ("max_mu", 0)))
+    ("samples", 0), ("samples", -3), ("window", -1), ("window", 0), ("max_mu", 0)))
 def test_options_reject_out_of_range_numbers(field, value):
     # before, samples 0 ran 200 samples, samples -3 reported
     # "zero_residuals": -3, and max_mu 0 hung the module samplers
@@ -44,8 +59,8 @@ def test_options_reject_out_of_range_numbers(field, value):
 
 
 def test_options_accept_the_least_numbers():
-    opts = SuiteOptions(samples=1, window=0, max_mu=1)
-    assert (opts.samples, opts.window, opts.max_mu) == (1, 0, 1)
+    opts = SuiteOptions(samples=1, window=1, max_mu=1)
+    assert (opts.samples, opts.window, opts.max_mu) == (1, 1, 1)
     assert run_suite("jacobi", SuiteOptions(samples=1, max_mu=1)).passed
 
 
