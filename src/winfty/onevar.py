@@ -44,10 +44,8 @@ class DfElement:
         return cls(degree, _d_poly(f))
 
     def to_weyl(self, weyl: Weyl) -> WeylElement:
-        out = weyl.zero()
-        for (e,), c in sorted(self.f.terms.items()):
-            out = out + weyl.monomial((self.degree,), (e + 1,), c)
-        return out
+        return WeylElement(weyl, {((self.degree,), (e + 1,)): c
+                                  for (e,), c in self.f.terms.items()})
 
 
 def df_bracket(i: int, f: Coeffs, j: int, g: Coeffs) -> DfElement:
@@ -198,8 +196,9 @@ class GeneratedSubalgebra:
     [g, x] with g a generator, which span the generated subalgebra.
 
     Preconditions, checked on entry: the algebra has n = 1 and no central
-    extension, and every generator is in the power basis with rational
-    coefficients.  Membership targets are converted to the power basis.
+    extension, and every generator is an element of it (same ring, lattice
+    and flavor) in the power basis with rational coefficients.  Membership
+    targets must be elements of it too; they are converted to the power basis.
 
     The closure runs on integer vectors {(k, m): c}: brackets come from the
     one-variable product formula and the fraction-free elimination of
@@ -216,8 +215,8 @@ class GeneratedSubalgebra:
             raise ValueError("the closure needs a one-variable algebra without "
                              "central extension")
         for name, g in generators:
-            if g.weyl.n != 1:
-                raise ValueError(f"generator {name} is not a one-variable element")
+            if g.weyl != weyl:
+                raise ValueError(f"generator {name} is not in the closure's algebra")
             if g.basis != POWER:
                 raise BasisMismatchError(f"generator {name} is not in the power basis")
         self.weyl = weyl
@@ -244,8 +243,8 @@ class GeneratedSubalgebra:
             return False
         if x is None:
             const = self.weyl.ring.const
-            x = WeylElement(self.weyl, {((Fraction(k),), (m,)): const(Fraction(c, s))
-                                        for (k, m), c in ivec.items()})
+            x = WeylElement._trusted(self.weyl, {
+                ((Fraction(k),), (m,)): const(Fraction(c, s)) for (k, m), c in ivec.items()})
         self._vecs.append((ivec, s))
         self.raw.append((x, word))
         return True
@@ -274,8 +273,8 @@ class GeneratedSubalgebra:
 
     def membership(self, target: WeylElement) -> Optional[List[Tuple[Fraction, int]]]:
         """A combination sum c_r * raw[r] equal to target, or None."""
-        if target.weyl.n != 1:
-            raise ValueError("target is not a one-variable element")
+        if target.weyl != self.weyl:
+            raise ValueError("target is not in the closure's algebra")
         vec = _to_vec(target.to_power())
         if not self._in_box(vec):
             raise ValueError("target lies outside the truncation caps")

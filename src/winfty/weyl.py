@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .lattice import Direction, Lattice, _as_vector, _integers, inner
 from .report import VerificationReport
-from .scalars import Exponent, Rat, Ring, Scalar, binom
+from .scalars import Exponent, Rat, Ring, Scalar, binom, falling
 
 Gamma = Tuple[Fraction, ...]
 Mu = Tuple[int, ...]
@@ -71,18 +71,14 @@ def _stirling2(m: int, j: int) -> int:
     return j * _stirling2(m - 1, j) + _stirling2(m - 1, j - 1)
 
 
+_X = Ring(("x",)).sym("x")
+
+
 @lru_cache(maxsize=None)
 def _falling_coeffs(m: int) -> Tuple[int, ...]:
     """Coefficients c with x(x-1)...(x-m+1) = sum_j c[j] x^j."""
-    coeffs = [1]
-    for i in range(m):
-        # multiply by (x - i)
-        nxt = [0] * (len(coeffs) + 1)
-        for j, c in enumerate(coeffs):
-            nxt[j + 1] += c
-            nxt[j] -= c * i
-        coeffs = nxt
-    return tuple(coeffs)
+    terms = falling(_X, m).terms
+    return tuple(int(terms.get((j,), 0)) for j in range(m + 1))
 
 
 class Weyl:
@@ -109,6 +105,16 @@ class Weyl:
     def __repr__(self):
         return f"Weyl(n={self.n}, subalgebra={self.subalgebra!r})"
 
+    def __eq__(self, other):
+        # the same algebra: elements of one may meet elements of the other
+        if not isinstance(other, Weyl):
+            return NotImplemented
+        return (self.n == other.n and self.ring == other.ring
+                and self.lattice == other.lattice and self.subalgebra == other.subalgebra)
+
+    def __hash__(self):
+        return hash((self.n, self.ring, self.lattice, self.subalgebra))
+
     # -- constructors -----------------------------------------------------
 
     def zero(self, basis: str = POWER) -> "WeylElement":
@@ -116,14 +122,7 @@ class Weyl:
 
     def monomial(self, gamma, mu: Sequence[int], coeff: Union[Scalar, Rat] = 1,
                  basis: str = POWER) -> "WeylElement":
-        gamma = _as_vector(gamma)
-        mu = _integers(mu)
-        if len(gamma) != self.n or len(mu) != self.n:
-            raise ValueError("monomial exponents have wrong dimension")
-        if any(m < 0 for m in mu):
-            raise ValueError("D-exponents must be nonnegative")
-        self.check_mu(mu)
-        return WeylElement(self, {(gamma, mu): self.ring.coerce(coeff)}, basis=basis)
+        return WeylElement(self, {(tuple(gamma), tuple(mu)): coeff}, basis=basis)
 
     def check_mu(self, mu: Sequence[int]) -> None:
         """Raise SubalgebraError if monomials t^gamma D^mu lie outside the flavor."""
@@ -140,34 +139,51 @@ class Weyl:
         return self.monomial(gamma, mu)
 
     def central(self, coeff: Union[Scalar, Rat] = 1) -> "WeylElement":
-        if self.subalgebra != HAT:
-            raise SubalgebraError("central element exists only in the hat algebra")
-        return WeylElement(self, {}, central=self.ring.coerce(coeff))
+        return WeylElement(self, {}, central=coeff)
 
     def from_direction(self, beta, d: Direction) -> "WeylElement":
         """The degree-one element t^beta d = sum_i d_i t^beta D_i."""
         if d.dim != self.n:
             raise ValueError("direction has wrong dimension")
-        out = self.zero()
-        for i, c in enumerate(d.coeffs):
-            if c != 0:
-                out = out + self.tD(beta, i) * self.ring.const(c)
-        return out
+        beta = tuple(beta)
+        return WeylElement(self, {(beta, tuple(int(j == i) for j in range(self.n))): c
+                                  for i, c in enumerate(d.coeffs)})
 
 
 class WeylElement:
-    """Canonical sparse element; immutable by convention."""
+    """Canonical sparse element; immutable by convention.
+
+    The constructor checks every term (gamma, mu) -> c: gamma rational and mu
+    nonnegative integers, each with n coordinates, mu allowed by the flavor,
+    and c coerced into the ring; zero coefficients are dropped.  A nonzero
+    central coordinate needs the hat algebra.
+    """
 
     __slots__ = ("weyl", "terms", "basis", "central")
 
-    def __init__(self, weyl: Weyl, terms: Dict[TermKey, Scalar], basis: str = POWER,
-                 central: Optional[Scalar] = None):
+    def __init__(self, weyl: Weyl, terms: Dict[TermKey, Union[Scalar, Rat]],
+                 basis: str = POWER, central: Union[Scalar, Rat, None] = None):
         if basis not in (POWER, FALLING):
             raise ValueError(f"unknown basis {basis!r}")
+        coerce = weyl.ring.coerce
+        checked: Dict[TermKey, Scalar] = {}
+        for (gamma, mu), c in terms.items():
+            gamma, mu = _as_vector(gamma), _integers(mu)
+            if len(gamma) != weyl.n or len(mu) != weyl.n:
+                raise ValueError("monomial exponents have wrong dimension")
+            if any(m < 0 for m in mu):
+                raise ValueError("D-exponents must be nonnegative")
+            weyl.check_mu(mu)
+            c = coerce(c)
+            if c:
+                checked[(gamma, mu)] = c
+        central = weyl.ring.zero if central is None else coerce(central)
+        if central and weyl.subalgebra != HAT:
+            raise SubalgebraError("central element exists only in the hat algebra")
         self.weyl = weyl
-        self.terms = {k: c for k, c in terms.items() if not c.is_zero()}
+        self.terms = checked
         self.basis = basis
-        self.central = central if central is not None else weyl.ring.zero
+        self.central = central
 
     @classmethod
     def _trusted(cls, weyl: Weyl, terms: Dict[TermKey, Scalar], basis: str = POWER,
@@ -184,11 +200,8 @@ class WeylElement:
     # -- linear structure -------------------------------------------------
 
     def _check_compat(self, other: "WeylElement"):
-        if self.weyl is not other.weyl:
-            if (self.weyl.n != other.weyl.n or self.weyl.ring != other.weyl.ring
-                    or self.weyl.lattice != other.weyl.lattice
-                    or self.weyl.subalgebra != other.weyl.subalgebra):
-                raise ValueError("elements of incompatible algebras")
+        if self.weyl is not other.weyl and self.weyl != other.weyl:
+            raise ValueError("elements of incompatible algebras")
         if self.basis != other.basis:
             raise BasisMismatchError(f"basis mismatch: {self.basis} vs {other.basis}")
 
@@ -216,8 +229,11 @@ class WeylElement:
 
     def scale(self, c: Union[Scalar, Rat]) -> "WeylElement":
         c = self.weyl.ring.coerce(c)
-        return WeylElement(self.weyl, {k: v * c for k, v in self.terms.items()},
-                           self.basis, self.central * c)
+        if not c:
+            return self.weyl.zero(self.basis)
+        # the ring has no zero divisors, so every product stays nonzero
+        return WeylElement._trusted(self.weyl, {k: v * c for k, v in self.terms.items()},
+                                    self.basis, self.central * c)
 
     def __mul__(self, other):
         if isinstance(other, WeylElement):
@@ -281,18 +297,11 @@ class WeylElement:
             for nu, f in partial.items():
                 key = (g, nu)
                 out[key] = out.get(key, self.weyl.ring.zero) + c * f
-        return WeylElement(self.weyl, out, basis, self.central)
+        return WeylElement._trusted(self.weyl, {k: c for k, c in out.items() if c},
+                                    basis, self.central)
 
 
 # -- products and brackets -------------------------------------------------
-
-
-def _check_product_inputs(x: WeylElement, y: WeylElement):
-    x._check_compat(y)
-    if x.basis != POWER:
-        raise BasisMismatchError("mul needs power-basis inputs")
-    if not x.central.is_zero() or not y.central.is_zero():
-        raise SubalgebraError("the associative product is not defined on the center")
 
 
 ClearedTerms = List[Tuple[Tuple[int, ...], Mu, List[Tuple[Exponent, int]]]]
@@ -373,8 +382,11 @@ def _element(weyl: Weyl, acc: RawTerms, grade_den: Sequence[int], d: int) -> Wey
 
 
 def _product(x: WeylElement, y: WeylElement, commutator: bool) -> WeylElement:
-    """x*y, or x*y - y*x without its lambda = 0 terms (see the module notes)."""
-    _check_product_inputs(x, y)
+    """x*y, or x*y - y*x without its lambda = 0 terms (see the module notes),
+    of the terms alone: central coordinates are not read."""
+    x._check_compat(y)
+    if x.basis != POWER:
+        raise BasisMismatchError("mul needs power-basis inputs")
     keys = list(x.terms) + list(y.terms)
     grade_den = [math.lcm(*[g[i].denominator for g, _mu in keys]) for i in range(x.weyl.n)]
     top = [max((mu[i] for _g, mu in keys), default=0) for i in range(x.weyl.n)]
@@ -390,27 +402,23 @@ def _product(x: WeylElement, y: WeylElement, commutator: bool) -> WeylElement:
 
 def mul(x: WeylElement, y: WeylElement) -> WeylElement:
     """Associative product (1.2), bilinear over the coefficient ring."""
+    if x.central or y.central:
+        raise SubalgebraError("the associative product is not defined on the center")
     return _product(x, y, False)
 
 
-def _commutator(x: WeylElement, y: WeylElement) -> WeylElement:
-    """mul(x,y) - mul(y,x) without the lambda = 0 terms.
-
-    Those terms are c_x c_y t^(a+b) D^(mu+nu) in both products, equal because
-    the coefficient ring is commutative, so they always cancel.
-    """
-    return _product(x, y, True)
-
-
 def bracket(x: WeylElement, y: WeylElement) -> WeylElement:
-    """Lie bracket mul(x,y) - mul(y,x); in the hat algebra adds the cocycle.
+    """Lie bracket mul(x,y) - mul(y,x); in the hat algebra plus psi(x,y) C.
 
     The commutator is accumulated directly, skipping the lambda = 0 terms of
-    both products, which cancel.
+    both products, which cancel.  The center brackets to zero, so central
+    coordinates are not read.  The hat algebra converts falling-basis inputs,
+    as ``cocycle`` does.
     """
-    if x.weyl.subalgebra == HAT or y.weyl.subalgebra == HAT:
-        return ext_bracket(x, y)
-    return _commutator(x, y)
+    if x.weyl.subalgebra != HAT:
+        return _product(x, y, True)
+    x, y = x.to_power(), y.to_power()
+    return WeylElement._trusted(x.weyl, _product(x, y, True).terms, POWER, cocycle(x, y))
 
 
 @lru_cache(maxsize=None)
@@ -451,17 +459,6 @@ def cocycle(x: WeylElement, y: WeylElement) -> Scalar:
             if f:
                 out = out + cx * cy * f
     return out
-
-
-def ext_bracket(x: WeylElement, y: WeylElement) -> WeylElement:
-    """Bracket in the centrally extended one-variable algebra."""
-    xp, yp = x.to_power(), y.to_power()
-    # the center contributes nothing: strip central coordinates first
-    xs = WeylElement._trusted(xp.weyl, xp.terms)
-    ys = WeylElement._trusted(yp.weyl, yp.terms)
-    plain = _commutator(xs, ys)
-    c = cocycle(xs, ys)
-    return WeylElement._trusted(plain.weyl, plain.terms, POWER, c)
 
 
 def operator_action(x: WeylElement, gamma) -> Dict[Gamma, Scalar]:
@@ -519,7 +516,6 @@ def verify_cocycle_condition(x: WeylElement, y: WeylElement,
                              z: WeylElement) -> VerificationReport:
     """Residual psi([x,y],z) + psi([y,z],x) + psi([z,x],y); pass iff zero."""
     xs, ys, zs = (e.to_power() for e in (x, y, z))
-
-    res = (cocycle(_commutator(xs, ys), zs) + cocycle(_commutator(ys, zs), xs)
-           + cocycle(_commutator(zs, xs), ys))
+    res = (cocycle(_product(xs, ys, True), zs) + cocycle(_product(ys, zs, True), xs)
+           + cocycle(_product(zs, xs, True), ys))
     return VerificationReport("cocycle-condition", None if res.is_zero() else str(res))

@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 
 from winfty.echelon import integral
+from winfty.lattice import Lattice
 from winfty.onevar import GeneratedSubalgebra, _bracket_vec, _to_vec, standard_generators
+from winfty.scalars import Ring
 from winfty.weyl import BasisMismatchError, Weyl, bracket
 
 W1 = Weyl(1, subalgebra="w1")
@@ -91,6 +93,25 @@ def test_rejects_two_variable_algebra():
     sub = GeneratedSubalgebra(W1, standard_generators(W1, 1, 2), deg_hi=12)
     with pytest.raises(ValueError):
         sub.membership(w2.tD((3, 5)))
+
+
+HALF_W1 = Weyl(1, lattice=Lattice([(Fraction(1, 2),)]), subalgebra="w1")
+
+
+@pytest.mark.parametrize("foreign", [
+    HALF_W1.tD((Fraction(1, 2),)),
+    Weyl(1, ring=Ring(("a",)), subalgebra="w1").tD((2,)),
+    Weyl(1).tD((2,)),
+], ids=("half-Z", "foreign-ring", "full-flavor"))
+def test_generators_and_targets_belong_to_the_algebra(foreign):
+    # the closure took each of these; with the half-Z one it recorded raw
+    # elements such as 1/2*t^(3/2)*D, which lie outside W(Z,1)^(1)
+    with pytest.raises(ValueError, match="closure's algebra"):
+        GeneratedSubalgebra(W1, standard_generators(W1, 1, 2) + [("g", foreign)],
+                            deg_hi=12)
+    sub = GeneratedSubalgebra(W1, standard_generators(W1, 1, 2), deg_hi=12)
+    with pytest.raises(ValueError, match="closure's algebra"):
+        sub.membership(foreign)
 
 
 def test_rejects_central_extension():

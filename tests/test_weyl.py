@@ -10,7 +10,7 @@ import pytest
 from winfty.lattice import Direction, Lattice
 from winfty.printer import format_element
 from winfty.scalars import Ring, falling
-from winfty.weyl import (BasisMismatchError, SubalgebraError, Weyl,
+from winfty.weyl import (BasisMismatchError, SubalgebraError, Weyl, WeylElement,
                          act_on_combination, bracket, cocycle, degree_one_bracket,
                          mul, operator_action, verify_jacobi)
 
@@ -368,6 +368,49 @@ def test_w1_guard():
     w1 = Weyl(1, subalgebra="w1")
     with pytest.raises(SubalgebraError):
         w1.monomial((1,), (0,))
+
+
+# -- the constructor checks every term --------------------------------------
+
+W1 = Weyl(1, subalgebra="w1")
+PARAM = Ring(("a",))
+
+
+@pytest.mark.parametrize("weyl,gamma,mu,coeff", [
+    (W1, (1,), (0,), W1.ring.one),
+    (W, (1,), (-1,), W.ring.one),
+    (W2, (1,), (1,), W2.ring.one),
+    (W, (1,), (1,), PARAM.sym("a")),
+    (W, (0.5,), (1,), W.ring.one),
+    (W, (1,), (Fraction(1),), W.ring.one),
+    (W, (1,), (1,), 0.5),
+], ids=("w1-t", "negative-mu", "short-key", "foreign-ring", "float-grade",
+        "fraction-mu", "float-coeff"))
+def test_constructor_rejects_what_monomial_rejects(weyl, gamma, mu, coeff):
+    # the constructor stored each term as given (t^(1) in W^(1), t^(1)*D^-1,
+    # a one-coordinate key in W(Z,2), an (a)*t^(1)*D from a foreign ring),
+    # except the float coefficient, which raised AttributeError
+    with pytest.raises(Exception) as expected:
+        weyl.monomial(gamma, mu, coeff)
+    with pytest.raises(expected.type):
+        WeylElement(weyl, {(gamma, mu): coeff})
+
+
+def test_constructor_rejects_a_center_outside_the_hat_algebra():
+    # Weyl(1) printed C for this element
+    with pytest.raises(SubalgebraError):
+        WeylElement(W, {}, central=W.ring.one)
+    with pytest.raises(SubalgebraError):
+        W.central(1)
+    hat = Weyl(1, subalgebra="hat")
+    assert format_element(WeylElement(hat, {}, central=Fraction(1, 2))) == "1/2*C"
+
+
+def test_constructor_coerces_rational_coefficients():
+    # a Fraction coefficient raised AttributeError
+    x = WeylElement(W, {((1,), (1,)): Fraction(1, 2), ((2,), (1,)): 0})
+    assert x == W.tD((1,)).scale(Fraction(1, 2))
+    assert list(x.terms) == [((Fraction(1),), (1,))]
 
 
 def test_symbolic_coefficients_flow_through_bracket():
