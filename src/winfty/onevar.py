@@ -10,9 +10,10 @@ of one-variable polynomials reach every t^k D^m in a truncation window.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .echelon import Echelon, integral
 from .printer import format_element
@@ -207,6 +208,16 @@ class GeneratedSubalgebra:
     (the ``raw`` entries), and ``eval_word`` re-evaluates a witness through
     the generic ``bracket``, which re-checks it against the independent Weyl
     kernel.
+
+    Most frontier x generator pairs are skipped before their bracket is
+    computed.  The terms of [g, x] sit at degrees a + b with a a degree of g
+    and b one of x.  Once d_cap accepted raw vectors each lie on the single
+    degree k, they span the whole slice {(k, m) : 1 <= m <= d_cap}, because
+    accepted raw vectors are independent; k is then settled.  A bracket whose
+    every degree a + b is outside [deg_lo, deg_hi] or settled has each term
+    out of the box or inside a spanned slice, so the echelon would reject it.
+    Skipping it leaves the rows, ``raw``, ``rounds`` and every answer as
+    they were, for any generators, homogeneous or not.
     """
 
     def __init__(self, weyl: Weyl, generators: Sequence[Tuple[str, WeylElement]],
@@ -214,6 +225,11 @@ class GeneratedSubalgebra:
         if weyl.n != 1 or weyl.subalgebra == HAT:
             raise ValueError("the closure needs a one-variable algebra without "
                              "central extension")
+        if not all(isinstance(v, int) for v in (deg_lo, deg_hi, d_cap)):
+            raise ValueError("deg_lo, deg_hi and d_cap must be ints")
+        if d_cap < 1 or deg_lo > deg_hi:
+            raise ValueError(f"empty truncation box: degrees [{deg_lo}, {deg_hi}], "
+                             f"D-exponents [1, {d_cap}]")
         for name, g in generators:
             if g.weyl != weyl:
                 raise ValueError(f"generator {name} is not in the closure's algebra")
@@ -224,6 +240,7 @@ class GeneratedSubalgebra:
         self.deg_lo, self.deg_hi, self.d_cap = deg_lo, deg_hi, d_cap
         self.raw: List[Tuple[WeylElement, Word]] = []
         self._vecs: List[Tuple[IntVec, int]] = []  # raw[r] == vec / scale
+        self._on_degree: Counter = Counter()  # raw vectors on that degree alone
         self._echelon = Echelon()
         self.rounds = 0
         self._grow()
@@ -245,12 +262,23 @@ class GeneratedSubalgebra:
             const = self.weyl.ring.const
             x = WeylElement._trusted(self.weyl, {
                 ((Fraction(k),), (m,)): const(Fraction(c, s)) for (k, m), c in ivec.items()})
+        degs = {k for k, _m in ivec}
+        if len(degs) == 1:
+            self._on_degree[degs.pop()] += 1
         self._vecs.append((ivec, s))
         self.raw.append((x, word))
         return True
 
+    def _futile(self, a: Set[Rat], b: Set[Rat]) -> bool:
+        """True when every degree a + b is outside the box or settled, so a
+        bracket of elements on degrees a and b cannot be accepted."""
+        lo, hi, d_cap, on_degree = self.deg_lo, self.deg_hi, self.d_cap, self._on_degree
+        return all(k < lo or k > hi or on_degree[k] == d_cap
+                   for k in {p + q for p in a for q in b})
+
     def _grow(self):
         gens = [integral(_to_vec(g)) for _name, g in self.generators]
+        gen_degs = [{k for k, _m in vec} for vec, _s in gens]
         frontier = []
         for (name, g), (vec, s) in zip(self.generators, gens):
             if self._try_add(vec, s, name, g):
@@ -260,7 +288,10 @@ class GeneratedSubalgebra:
             nxt = []
             for idx in frontier:
                 x, xs = self._vecs[idx]
+                x_degs = {k for k, _m in x}
                 for gi, (g, gs) in enumerate(gens):
+                    if self._futile(gen_degs[gi], x_degs):
+                        continue
                     if self._try_add(_bracket_vec(g, x), gs * xs, ("br", gi, idx)):
                         nxt.append(len(self.raw) - 1)
             frontier = nxt

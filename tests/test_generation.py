@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from winfty.echelon import integral
+from winfty import onevar
+from winfty.echelon import Echelon, integral
 from winfty.lattice import Lattice
 from winfty.onevar import GeneratedSubalgebra, _bracket_vec, _to_vec, standard_generators
 from winfty.scalars import Ring
@@ -114,6 +115,17 @@ def test_generators_and_targets_belong_to_the_algebra(foreign):
         sub.membership(foreign)
 
 
+@pytest.mark.parametrize("box", [
+    {"d_cap": 0}, {"d_cap": -1}, {"deg_lo": 5, "deg_hi": 2},
+    {"d_cap": 2.5}, {"deg_hi": 12.0}, {"deg_lo": Fraction(0)},
+], ids=("d_cap-0", "d_cap-negative", "lo-above-hi", "float-d_cap", "float-deg_hi",
+        "fraction-deg_lo"))
+def test_rejects_a_box_that_cannot_hold_anything(box):
+    # each of these built a silently empty (or float-capped) closure
+    with pytest.raises(ValueError):
+        GeneratedSubalgebra(W1, standard_generators(W1, 1, 2), **box)
+
+
 def test_rejects_central_extension():
     hat = Weyl(1, subalgebra="hat")
     with pytest.raises(ValueError):
@@ -186,3 +198,106 @@ def test_stretch_box_100_10():
             assert sub.membership(W1.monomial((k,), (m,))) is not None
     target = W1.monomial((100,), (10,))
     assert _reevaluate(sub, sub.membership(target)) == target
+
+
+# -- the skipped closure against an unskipped one ------------------------------
+
+
+def _naive_closure(gens, deg_lo, deg_hi, d_cap):
+    """The closure with every frontier x generator bracket computed: dimension,
+    rounds, raw words and raw vectors."""
+    echelon = Echelon()
+    vecs, words = [], []
+
+    def add(vec, scale, word):
+        if not vec or not all(deg_lo <= k <= deg_hi and 1 <= m <= d_cap for k, m in vec):
+            return False
+        ivec, s = integral(vec, scale)
+        if not echelon.insert(ivec, s, len(vecs)):
+            return False
+        vecs.append((ivec, s))
+        words.append(word)
+        return True
+
+    gvecs = [integral(_to_vec(g)) for _name, g in gens]
+    frontier = []
+    for (name, _g), (vec, s) in zip(gens, gvecs):
+        if add(vec, s, name):
+            frontier.append(len(vecs) - 1)
+    rounds = 0
+    while frontier:
+        rounds += 1
+        nxt = []
+        for idx in frontier:
+            x, xs = vecs[idx]
+            for gi, (g, gs) in enumerate(gvecs):
+                if add(_bracket_vec(g, x), gs * xs, ("br", gi, idx)):
+                    nxt.append(len(vecs) - 1)
+        frontier = nxt
+    return (len(echelon), rounds, words,
+            [{k: Fraction(c, s) for k, c in v.items()} for v, s in vecs])
+
+
+def _closure_summary(sub):
+    return (sub.dimension, sub.rounds, [w for _x, w in sub.raw],
+            [_to_vec(x) for x, _w in sub.raw])
+
+
+def _assert_matches_naive(weyl, gens, deg_lo, deg_hi, d_cap):
+    sub = GeneratedSubalgebra(weyl, gens, deg_lo=deg_lo, deg_hi=deg_hi, d_cap=d_cap)
+    assert _closure_summary(sub) == _naive_closure(gens, deg_lo, deg_hi, d_cap)
+    return sub
+
+
+@pytest.mark.parametrize("deg_hi,d_cap", [(28, 4), (32, 4), (14, 5), (16, 5)])
+@pytest.mark.parametrize("i0", [1, 2])
+def test_closure_matches_unskipped_closure_on_benchmark_boxes(deg_hi, d_cap, i0):
+    _assert_matches_naive(W1, standard_generators(W1, i0, 2, d_cap), 0, deg_hi, d_cap)
+
+
+def _counting_brackets(monkeypatch):
+    calls = [0]
+
+    def counted(x, y):
+        calls[0] += 1
+        return _bracket_vec(x, y)
+
+    monkeypatch.setattr(onevar, "_bracket_vec", counted)
+    return calls
+
+
+def test_closure_matches_unskipped_closure_on_inhomogeneous_generators(monkeypatch):
+    calls = _counting_brackets(monkeypatch)
+    rng = random.Random(7)
+    pairs = 0
+    for _ in range(40):
+        gens = []
+        for gi in range(rng.randint(2, 5)):
+            g = W1.zero()
+            for k in rng.sample(range(-1, 5), rng.randint(1, 2)):
+                g = g + W1.monomial((k,), (rng.randint(1, 3),), rng.randint(-3, 3) or 1)
+            gens.append((f"g{gi}", g))
+        sub = _assert_matches_naive(W1, gens, rng.randint(-2, 0), rng.randint(6, 14),
+                                    rng.randint(2, 4))
+        pairs += len(sub.raw) * len(gens)
+    # the naive closures computed every pair; the skipped ones must have
+    # computed fewer, or this test compares nothing
+    assert calls[0] < pairs
+
+
+def test_closure_matches_unskipped_closure_on_half_z():
+    half = Fraction(1, 2)
+    gens = [("t^(1/2)D", HALF_W1.tD((half,))), ("t^(3/2)D", HALF_W1.tD((3 * half,))),
+            ("t^(1/2)D2", HALF_W1.monomial((half,), (2,))),
+            ("D3+t^(1/2)D", HALF_W1.monomial((0,), (3,)) + HALF_W1.monomial((half,), (1,), 2))]
+    sub = _assert_matches_naive(HALF_W1, gens, 0, 8, 4)
+    assert any(isinstance(k, Fraction) for x, _w in sub.raw for k, _m in _to_vec(x))
+
+
+def test_settled_degrees_skip_most_brackets(monkeypatch):
+    # every accepted raw element is bracketed with every generator once, so
+    # an unskipped closure computes len(raw) * len(gens) brackets (570 here)
+    calls = _counting_brackets(monkeypatch)
+    gens = standard_generators(W1, 1, 2, 4)
+    sub = GeneratedSubalgebra(W1, gens, deg_lo=0, deg_hi=28, d_cap=4)
+    assert calls[0] < len(sub.raw) * len(gens) / 2
