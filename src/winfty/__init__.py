@@ -22,8 +22,8 @@ from .weightlab import (build_f_polynomials, build_p_series,
                         coefficient_claims, p_series_report,
                         verify_yk_relations, virasoro_consistency,
                         weightlab_ring)
-from .weyl import (BasisMismatchError, SubalgebraError, Weyl, WeylElement,
-                   act_on_combination, bracket, cocycle, degree_one_bracket, mul,
-                   operator_action, verify_cocycle_condition, verify_jacobi)
+from .weyl import (SubalgebraError, Weyl, WeylElement, act_on_combination, bracket,
+                   cocycle, degree_one_bracket, mul, operator_action,
+                   verify_cocycle_condition, verify_jacobi)
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ from .echelon import Echelon, integral
 from .printer import format_element
 from .report import VerificationReport
 from .scalars import Rat, Ring, Scalar, falling
-from .weyl import HAT, POWER, BasisMismatchError, Weyl, WeylElement, bracket
+from .weyl import HAT, Weyl, WeylElement, bracket
 
 _DRING = Ring(("D",))
 _D = _DRING.sym("D")
@@ -198,8 +198,8 @@ class GeneratedSubalgebra:
 
     Preconditions, checked on entry: the algebra has n = 1 and no central
     extension, and every generator is an element of it (same ring, lattice
-    and flavor) in the power basis with rational coefficients.  Membership
-    targets must be elements of it too; they are converted to the power basis.
+    and flavor) with rational coefficients.  Generators and membership
+    targets in the falling basis are converted to the power basis.
 
     The closure runs on integer vectors {(k, m): c}: brackets come from the
     one-variable product formula and the fraction-free elimination of
@@ -233,10 +233,8 @@ class GeneratedSubalgebra:
         for name, g in generators:
             if g.weyl != weyl:
                 raise ValueError(f"generator {name} is not in the closure's algebra")
-            if g.basis != POWER:
-                raise BasisMismatchError(f"generator {name} is not in the power basis")
         self.weyl = weyl
-        self.generators = list(generators)
+        self.generators = [(name, g.to_power()) for name, g in generators]
         self.deg_lo, self.deg_hi, self.d_cap = deg_lo, deg_hi, d_cap
         self.raw: List[Tuple[WeylElement, Word]] = []
         self._vecs: List[Tuple[IntVec, int]] = []  # raw[r] == vec / scale

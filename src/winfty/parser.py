@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
 from .scalars import Scalar
-from .weyl import FALLING, POWER, BasisMismatchError, Weyl, WeylElement, bracket, mul
+from .weyl import FALLING, POWER, Weyl, WeylElement, bracket, mul
 
 
 class ParseError(ValueError):
@@ -286,17 +286,15 @@ def _mul_values(a: Value, b: Value, weyl: Weyl, pos: int) -> Value:
         return other.scale(s)
     if isinstance(a, _Mono) and isinstance(b, _Mono):
         # Merge when the written order is already normal (t's left of D's
-        # factor-wise); otherwise fall back to the associative product.
+        # factor-wise) and the D-parts add: one basis, and falling factors on
+        # distinct coordinates.  Otherwise fall back to the associative product.
         a_d = a.has_d
         if not a_d or b.gamma is None or not any(b.gamma):
-            b_d = b.has_d
-            if a_d and b_d:
-                if a.basis != b.basis:
-                    raise ParseError("cannot mix D-power and falling factors", pos)
-                if a.basis == FALLING and any(x and y for x, y in zip(a.mu, b.mu)):
-                    raise ParseError("repeated falling factor in one monomial", pos)
-            return _Mono(_times(a.coeff, b.coeff), _plus(a.gamma, b.gamma),
-                         _plus(a.mu, b.mu), a.basis if a_d else b.basis)
+            clash = a_d and b.has_d and (a.basis != b.basis or a.basis == FALLING and any(
+                x and y for x, y in zip(a.mu, b.mu)))
+            if not clash:
+                return _Mono(_times(a.coeff, b.coeff), _plus(a.gamma, b.gamma),
+                             _plus(a.mu, b.mu), a.basis if a_d else b.basis)
     return mul(_finalize(a, weyl, pos), _finalize(b, weyl, pos))
 
 
@@ -335,8 +333,9 @@ class _Sum:
     monomial or scalar takes the second summand's basis, and a later D-free
     monomial or scalar summand takes the partial sum's; otherwise a side
     without D-terms (zero coefficients count as absent) takes the other
-    side's basis, and BasisMismatchError is raised only when both sides
-    carry D-terms in different bases.
+    side's basis.  When both sides carry D-terms in different bases, the
+    partial sum is converted in place to the power basis, and so is every
+    later falling summand with D-terms.
     """
 
     __slots__ = ("weyl", "terms", "basis", "d_terms", "yields", "central",
@@ -354,11 +353,18 @@ class _Sum:
         self.add(head, False)
         self.yields = isinstance(head, Scalar) or isinstance(head, _Mono) and not head.has_d
 
-    def _adopt(self, basis: str, has_d: bool):
+    def _adopt(self, basis: str, has_d: bool) -> bool:
+        """Settle the basis of the sum with a summand in ``basis``; True when
+        the summand must be converted to the power basis first."""
         if self.yields or not self.d_terms:
             self.basis = basis
         elif has_d and basis != self.basis:
-            raise BasisMismatchError(f"basis mismatch: {self.basis} vs {basis}")
+            if self.basis == FALLING:
+                self.terms = self.element().to_power().terms
+                self.d_terms = sum(any(mu) for _g, mu in self.terms)
+                self.basis = POWER
+            return basis == FALLING
+        return False
 
     def _put(self, key: tuple, c: Scalar, has_d: bool):
         terms = self.terms
@@ -384,12 +390,13 @@ class _Sum:
             c = self.weyl.ring.one if v.coeff is None else v.coeff
             if neg:
                 c = -c
-            if has_d or self.yields:
-                self._adopt(v.basis, has_d and bool(c))
-            if c:
+            if (has_d or self.yields) and self._adopt(v.basis, has_d and bool(c)):
+                v = v.finalize(self.weyl)  # taken as an element below
+            elif c:
                 self._put((v.gamma or self.zero_gamma, v.mu or self.zero_mu), c, has_d)
-        else:
-            self._adopt(v.basis, v.max_mu() > 0)
+        if isinstance(v, WeylElement):
+            if self._adopt(v.basis, v.max_mu() > 0):
+                v = v.to_power()
             for key, c in v.terms.items():
                 self._put(key, -c if neg else c, any(key[1]))
             if v.central:

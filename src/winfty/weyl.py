@@ -22,6 +22,13 @@ never formed.  The Lie bracket is the commutator, accumulated directly: the
 lambda = 0 terms of xy and yx are equal (the coefficient ring is
 commutative), so they are skipped rather than built and cancelled.
 
+The falling basis is notation for elements of the same algebra, so every
+operation takes either basis.  Products, brackets and the cocycle read the
+power form of their inputs, and products and brackets come out in the power
+basis.  A sum keeps the basis its summands with D-terms share: a side with
+no D-terms takes the other side's basis, and two sides with D-terms in
+different bases give a power-basis sum.
+
 An independent oracle realizes elements as concrete operators on the group
 algebra (D_i scales t^g by g_i), which the tests play against the product
 formula; it shares no code with the product kernel.
@@ -51,10 +58,6 @@ FALLING = "falling"
 FULL = "full"
 W1 = "w1"
 HAT = "hat"
-
-
-class BasisMismatchError(ValueError):
-    pass
 
 
 class SubalgebraError(ValueError):
@@ -117,8 +120,8 @@ class Weyl:
 
     # -- constructors -----------------------------------------------------
 
-    def zero(self, basis: str = POWER) -> "WeylElement":
-        return WeylElement(self, {}, basis=basis)
+    def zero(self) -> "WeylElement":
+        return WeylElement(self, {})
 
     def monomial(self, gamma, mu: Sequence[int], coeff: Union[Scalar, Rat] = 1,
                  basis: str = POWER) -> "WeylElement":
@@ -202,11 +205,15 @@ class WeylElement:
     def _check_compat(self, other: "WeylElement"):
         if self.weyl is not other.weyl and self.weyl != other.weyl:
             raise ValueError("elements of incompatible algebras")
-        if self.basis != other.basis:
-            raise BasisMismatchError(f"basis mismatch: {self.basis} vs {other.basis}")
 
     def __add__(self, other: "WeylElement") -> "WeylElement":
         self._check_compat(other)
+        basis = self.basis
+        if other.basis != basis:
+            if not self.max_mu():
+                basis = other.basis
+            elif other.max_mu():
+                return self.to_power() + other.to_power()
         out = dict(self.terms)
         for k, c in other.terms.items():
             size = len(out)
@@ -217,8 +224,7 @@ class WeylElement:
                     out[k] = total
                 else:
                     del out[k]
-        return WeylElement._trusted(self.weyl, out, self.basis,
-                                    self.central + other.central)
+        return WeylElement._trusted(self.weyl, out, basis, self.central + other.central)
 
     def __neg__(self) -> "WeylElement":
         return WeylElement._trusted(self.weyl, {k: -c for k, c in self.terms.items()},
@@ -230,18 +236,10 @@ class WeylElement:
     def scale(self, c: Union[Scalar, Rat]) -> "WeylElement":
         c = self.weyl.ring.coerce(c)
         if not c:
-            return self.weyl.zero(self.basis)
+            return WeylElement._trusted(self.weyl, {}, self.basis)
         # the ring has no zero divisors, so every product stays nonzero
         return WeylElement._trusted(self.weyl, {k: v * c for k, v in self.terms.items()},
                                     self.basis, self.central * c)
-
-    def __mul__(self, other):
-        if isinstance(other, WeylElement):
-            return mul(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def is_zero(self) -> bool:
         return not self.terms and self.central.is_zero()
@@ -383,10 +381,9 @@ def _element(weyl: Weyl, acc: RawTerms, grade_den: Sequence[int], d: int) -> Wey
 
 def _product(x: WeylElement, y: WeylElement, commutator: bool) -> WeylElement:
     """x*y, or x*y - y*x without its lambda = 0 terms (see the module notes),
-    of the terms alone: central coordinates are not read."""
+    of the terms alone, in the power basis: central coordinates are not read."""
     x._check_compat(y)
-    if x.basis != POWER:
-        raise BasisMismatchError("mul needs power-basis inputs")
+    x, y = x.to_power(), y.to_power()
     keys = list(x.terms) + list(y.terms)
     grade_den = [math.lcm(*[g[i].denominator for g, _mu in keys]) for i in range(x.weyl.n)]
     top = [max((mu[i] for _g, mu in keys), default=0) for i in range(x.weyl.n)]
@@ -412,12 +409,10 @@ def bracket(x: WeylElement, y: WeylElement) -> WeylElement:
 
     The commutator is accumulated directly, skipping the lambda = 0 terms of
     both products, which cancel.  The center brackets to zero, so central
-    coordinates are not read.  The hat algebra converts falling-basis inputs,
-    as ``cocycle`` does.
+    coordinates are not read.
     """
     if x.weyl.subalgebra != HAT:
         return _product(x, y, True)
-    x, y = x.to_power(), y.to_power()
     return WeylElement._trusted(x.weyl, _product(x, y, True).terms, POWER, cocycle(x, y))
 
 
@@ -515,7 +510,6 @@ def verify_jacobi(x: WeylElement, y: WeylElement, z: WeylElement,
 def verify_cocycle_condition(x: WeylElement, y: WeylElement,
                              z: WeylElement) -> VerificationReport:
     """Residual psi([x,y],z) + psi([y,z],x) + psi([z,x],y); pass iff zero."""
-    xs, ys, zs = (e.to_power() for e in (x, y, z))
-    res = (cocycle(_product(xs, ys, True), zs) + cocycle(_product(ys, zs, True), xs)
-           + cocycle(_product(zs, xs, True), ys))
+    res = (cocycle(_product(x, y, True), z) + cocycle(_product(y, z, True), x)
+           + cocycle(_product(z, x, True), y))
     return VerificationReport("cocycle-condition", None if res.is_zero() else str(res))

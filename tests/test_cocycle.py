@@ -151,7 +151,7 @@ HALF = Lattice([(Fraction(1, 2),)])
 
 
 def random_side(weyl, rng, grades, basis):
-    out = weyl.zero(basis)
+    out = weyl.zero()
     for g in grades:
         if weyl.ring.nvars:
             alpha = weyl.ring.sym("alpha")

@@ -10,8 +10,9 @@ from winfty import onevar
 from winfty.echelon import Echelon, integral
 from winfty.lattice import Lattice
 from winfty.onevar import GeneratedSubalgebra, _bracket_vec, _to_vec, standard_generators
+from winfty.printer import format_element
 from winfty.scalars import Ring
-from winfty.weyl import BasisMismatchError, Weyl, bracket
+from winfty.weyl import Weyl, bracket
 
 W1 = Weyl(1, subalgebra="w1")
 
@@ -132,14 +133,17 @@ def test_rejects_central_extension():
         GeneratedSubalgebra(hat, standard_generators(hat, 1, 2), deg_hi=12)
 
 
-def test_rejects_falling_basis_generators():
-    with pytest.raises(BasisMismatchError):
-        GeneratedSubalgebra(W1, [("t^1[D]_2", W1.monomial((1,), (2,), basis="falling"))]
-                            + standard_generators(W1, 1, 2), deg_hi=12)
-    # also when no generator lies in the box, so no bracket is ever taken
-    with pytest.raises(BasisMismatchError):
-        GeneratedSubalgebra(W1, [("t^50[D]_2", W1.monomial((50,), (2,), basis="falling"))],
-                            deg_hi=12)
+def test_falling_basis_generators_are_converted():
+    def closure(gens):
+        sub = GeneratedSubalgebra(W1, gens, deg_hi=12)
+        return (sub.dimension, sub.rounds,
+                [(format_element(x), sub.word_text(word)) for x, word in sub.raw])
+
+    # t^50 [D]_2 lies outside the box, so none of its brackets is taken
+    for gens in ([("t^1[D]_2", W1.monomial((1,), (2,), basis="falling"))]
+                 + standard_generators(W1, 1, 2),
+                 [("t^50[D]_2", W1.monomial((50,), (2,), basis="falling"))]):
+        assert closure(gens) == closure([(name, g.to_power()) for name, g in gens])
 
 
 # -- the integer closure against the generic kernel --------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from winfty.cli import main
 from winfty.parser import (ParseError, Session, UnknownSymbolError, as_element,
                            parse, parse_element)
 from winfty.printer import format_element
@@ -108,7 +109,7 @@ def test_long_element_round_trips():
 
 
 def rand_elt(weyl, rng, basis="power", allow_sym=False, central=False):
-    out = weyl.zero(basis)
+    out = weyl.zero()
     for _ in range(rng.randint(1, 5)):
         g = tuple(Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3]))
                   for _ in range(weyl.n))
@@ -147,6 +148,10 @@ def test_round_trip_500_random_elements():
         text = format_element(x)
         y = as_element(parse_element(text, Session(weyl)), weyl)
         assert y == x, text
+        # equality crosses bases, so the text and the basis are checked too
+        assert format_element(y) == text
+        if x.max_mu():
+            assert y.basis == x.basis, text
         done += 1
 
 
@@ -318,8 +323,10 @@ def test_flat_sum_matches_left_parenthesized_sum():
 
 
 # sha256 of the corpus transcript (values, bases and exception types, not
-# messages, which now carry positions), recorded before sums were folded.
-CORPUS_DIGEST = "358b9c62d4869cb69ae91667f6a69be9c8977577aee912f49f0276e14727695d"
+# messages, which now carry positions), recorded before sums were folded and
+# re-recorded when mixing D^m and [D]_j stopped raising: each of the 621
+# lines that changed had read as an error of mixing the two bases.
+CORPUS_DIGEST = "cafddcdfe9acaaa81a998a09f849c69939d4559e48fee33d244a8db8190d8bab"
 
 
 def test_corpus_transcript_digest():
@@ -338,7 +345,8 @@ def test_corpus_transcript_digest():
      "element falling 7*1 + 7*t^(1) + t^(2)"),
     ((1, "full", False), "[D^2, D^0] - 2*t^(4)*[D]_0", "element power -2*t^(4)"),
     ((1, "full", False), "[D]_0 + t^(1)", "element power 1 + t^(1)"),
-    ((1, "full", False), "t^(1)*[D]_2 - t^(1)*D", "error BasisMismatchError"),
+    # D-terms in two bases give a power-basis sum
+    ((1, "full", False), "t^(1)*[D]_2 - t^(1)*D", "element power -2*t^(1)*D + t^(1)*D^2"),
     ((1, "hat", False), "t^(1)*[D]_2 + 2*C - 2*C", "element falling t^(1)*[D]_2"),
     ((1, "w1", False), "t^(1)*[D]_2 + 1", "error SubalgebraError"),
     ((1, "w1", False), "1 + 2 - 3", "scalar 0"),
@@ -349,9 +357,27 @@ def test_sum_fold_cases(setting, text, expected):
     assert _transcript_line(_outcome(text, _session(setting))) == expected
 
 
+# Each of these once raised for mixing D^m and [D]_j.  [D]_j is notation for
+# an element of the same algebra, so every flavour evaluates it to the value
+# of the same text with each [D]_j written in powers.
+@pytest.mark.parametrize("sub", ("w1", "full", "hat"))
+@pytest.mark.parametrize("text,power_text,expected", (
+    ("[t^(1)*[D]_2, t^(-1)*D]", "[t^(1)*D^2 - t^(1)*D, t^(-1)*D]", "3*D - 3*D^2"),
+    ("t^(1)*[D]_2 + t^(1)*D", "t^(1)*D^2 - t^(1)*D + t^(1)*D", "t^(1)*D^2"),
+    ("[D]_1*[D]_1", "D*D", "D^2"),
+    ("t^(1)*D*[D]_2", "t^(1)*D*(D^2 - D)", "-t^(1)*D^2 + t^(1)*D^3"),
+    ("([D]_2)^2", "(D^2 - D)^2", "D^2 - 2*D^3 + D^4"),
+))
+def test_mixed_bases_evaluate_as_their_power_form(sub, text, power_text, expected, capsys):
+    assert main(["eval", text, "--subalgebra", sub]) == 0
+    assert capsys.readouterr().out.strip() == expected
+    session = _session((1, sub, False))
+    assert parse_element(text, session) == parse_element(power_text, session)
+
+
 @pytest.mark.parametrize("setting,text,position", (
-    ((1, "full", False), "t^(1)*D*[D]_2", 7),
-    ((1, "full", False), "[D]_1*[D]_1", 5),
+    ((1, "full", False), "t^(1)*D*[D]_2 - [2, D]", 16),
+    ((1, "full", False), "[D]_1*[D]_1*t[1,0]", 12),
     ((1, "full", False), "D + [2, D]", 4),
     ((1, "full", False), "D*t[1,0]", 2),
     ((2, "full", False), "D1 + t^(1)*D2", 5),
