@@ -5,11 +5,12 @@ Session (dimension, coefficient ring, subalgebra flavor) and yields a
 WeylElement or a Scalar.  The grammar round-trips with the printer:
 parse(format_element(x)) evaluates back to x for every canonical element.
 
-Sums and products are n-ary nodes.  A sum is folded left to right into one
-term map and builds one WeylElement, where adding the summands pairwise would
-build and copy a partial sum per summand; its value and its first error are
-those of ((a + b) + c) + ...  The factors of a written monomial merge into
-one _Mono without going through the associative product.
+Sums and products are n-ary nodes.  A sum is folded left to right by
+weyl._Sum, the fold behind WeylElement.__add__, so its value, its basis (the
+rule in FORMAT.md, "Semantics") and its first error are those of
+((a + b) + c) + ...; a written monomial joins it as one term, without an
+element of its own.  The factors of a written monomial merge into one _Mono
+without going through the associative product.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from .scalars import Scalar
-from .weyl import FALLING, POWER, Weyl, WeylElement, bracket, mul
+from .weyl import FALLING, POWER, Weyl, WeylElement, _Sum, bracket, mul
 
 
 class ParseError(ValueError):
@@ -324,93 +325,24 @@ def _neg_value(a: Value, weyl: Weyl) -> Value:
     return -a
 
 
-class _Sum:
-    """The running value of a sum: one term map, its basis and its center.
-
-    ``add(v, neg)`` has the effect of the pairwise ``partial + v`` (or
-    ``- v``) on finished values.  A D-free monomial or scalar summand must
-    pass the W^(1) guard.  For the basis: a first summand that is a D-free
-    monomial or scalar takes the second summand's basis, and a later D-free
-    monomial or scalar summand takes the partial sum's; otherwise a side
-    without D-terms (zero coefficients count as absent) takes the other
-    side's basis.  When both sides carry D-terms in different bases, the
-    partial sum is converted in place to the power basis, and so is every
-    later falling summand with D-terms.
-    """
-
-    __slots__ = ("weyl", "terms", "basis", "d_terms", "yields", "central",
-                 "zero_gamma", "zero_mu")
-
-    def __init__(self, weyl: Weyl, head: Value):
-        self.weyl = weyl
-        self.terms: Dict[tuple, Scalar] = {}
-        self.basis = POWER
-        self.d_terms = 0  # keys of ``terms`` with a nonzero mu
-        self.yields = True  # the partial sum takes the next summand's basis
-        self.central = weyl.ring.zero
-        self.zero_gamma = (Fraction(0),) * weyl.n
-        self.zero_mu = (0,) * weyl.n
-        self.add(head, False)
-        self.yields = isinstance(head, Scalar) or isinstance(head, _Mono) and not head.has_d
-
-    def _adopt(self, basis: str, has_d: bool) -> bool:
-        """Settle the basis of the sum with a summand in ``basis``; True when
-        the summand must be converted to the power basis first."""
-        if self.yields or not self.d_terms:
-            self.basis = basis
-        elif has_d and basis != self.basis:
-            if self.basis == FALLING:
-                self.terms = self.element().to_power().terms
-                self.d_terms = sum(any(mu) for _g, mu in self.terms)
-                self.basis = POWER
-            return basis == FALLING
-        return False
-
-    def _put(self, key: tuple, c: Scalar, has_d: bool):
-        terms = self.terms
-        size = len(terms)
-        old = terms.setdefault(key, c)  # one hash of the Fraction key when new
-        if len(terms) > size:
-            self.d_terms += has_d
-            return
-        total = old + c
-        if total:
-            terms[key] = total
-        else:
-            del terms[key]
-            self.d_terms -= has_d
-
-    def add(self, v: Value, neg: bool):
-        if isinstance(v, Scalar):
-            v = _Mono(v)  # a bare scalar summand stands for scalar * 1
-        if isinstance(v, _Mono):
-            has_d = v.has_d
-            if not has_d:
-                self.weyl.check_mu(self.zero_mu)
-            c = self.weyl.ring.one if v.coeff is None else v.coeff
-            if neg:
-                c = -c
-            if (has_d or self.yields) and self._adopt(v.basis, has_d and bool(c)):
-                v = v.finalize(self.weyl)  # taken as an element below
-            elif c:
-                self._put((v.gamma or self.zero_gamma, v.mu or self.zero_mu), c, has_d)
-        if isinstance(v, WeylElement):
-            if self._adopt(v.basis, v.max_mu() > 0):
-                v = v.to_power()
-            for key, c in v.terms.items():
-                self._put(key, -c if neg else c, any(key[1]))
-            if v.central:
-                self.central = self.central - v.central if neg else self.central + v.central
-        self.yields = False
-
-    def element(self) -> WeylElement:
-        # _put keeps the map zero-free, and the sum is dropped after this call
-        return WeylElement._trusted(self.weyl, self.terms, self.basis, self.central)
+def _add_value(acc: _Sum, v: Value, neg: bool, weyl: Weyl) -> None:
+    """Add a summand to ``acc``: a monomial as one term, after the W^(1)
+    guard, and a bare scalar as scalar * 1."""
+    if isinstance(v, WeylElement):
+        acc.add(v, neg)
+        return
+    if isinstance(v, Scalar):
+        v = _Mono(v)
+    mu = v.mu or (0,) * weyl.n
+    weyl.check_mu(mu)
+    c = weyl.ring.one if v.coeff is None else v.coeff
+    acc.add_term((v.gamma or (Fraction(0),) * weyl.n, mu), -c if neg else c, v.basis)
 
 
 def _eval_sum(summands, session: Session) -> Value:
     # The first summand joins the sum only once the second is evaluated, and
     # a run of scalar summands stays a scalar, as in pairwise addition.
+    weyl = session.weyl
     it = iter(summands)
     head = _eval(next(it)[1], session)
     scalar = head if isinstance(head, Scalar) else None
@@ -421,8 +353,10 @@ def _eval_sum(summands, session: Session) -> Value:
             if scalar is not None and isinstance(v, Scalar):
                 scalar = scalar - v if neg else scalar + v
                 continue
-            acc = _Sum(session.weyl, head if scalar is None else scalar)
-        acc.add(v, neg)
+            if scalar is not None:
+                head = as_element(scalar, weyl)
+            acc = _Sum(head.finalize(weyl) if isinstance(head, _Mono) else head)
+        _add_value(acc, v, neg, weyl)
     return scalar if acc is None else acc.element()
 
 

@@ -25,9 +25,9 @@ commutative), so they are skipped rather than built and cancelled.
 The falling basis is notation for elements of the same algebra, so every
 operation takes either basis.  Products, brackets and the cocycle read the
 power form of their inputs, and products and brackets come out in the power
-basis.  A sum keeps the basis its summands with D-terms share: a side with
-no D-terms takes the other side's basis, and two sides with D-terms in
-different bases give a power-basis sum.
+basis.  Every sum, + and - as well as the parser's, is a left-to-right fold
+through _Sum, which holds the one basis rule of a sum stated in FORMAT.md,
+"Semantics".
 
 An independent oracle realizes elements as concrete operators on the group
 algebra (D_i scales t^g by g_i), which the tests play against the product
@@ -202,36 +202,19 @@ class WeylElement:
 
     # -- linear structure -------------------------------------------------
 
-    def _check_compat(self, other: "WeylElement"):
-        if self.weyl is not other.weyl and self.weyl != other.weyl:
-            raise ValueError("elements of incompatible algebras")
-
     def __add__(self, other: "WeylElement") -> "WeylElement":
-        self._check_compat(other)
-        basis = self.basis
-        if other.basis != basis:
-            if not self.max_mu():
-                basis = other.basis
-            elif other.max_mu():
-                return self.to_power() + other.to_power()
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            size = len(out)
-            old = out.setdefault(k, c)  # one hash of the Fraction key when new
-            if len(out) == size:
-                total = old + c
-                if total:
-                    out[k] = total
-                else:
-                    del out[k]
-        return WeylElement._trusted(self.weyl, out, basis, self.central + other.central)
+        acc = _Sum(self)
+        acc.add(other)
+        return acc.element()
 
     def __neg__(self) -> "WeylElement":
         return WeylElement._trusted(self.weyl, {k: -c for k, c in self.terms.items()},
                                     self.basis, -self.central)
 
     def __sub__(self, other: "WeylElement") -> "WeylElement":
-        return self + (-other)
+        acc = _Sum(self)
+        acc.add(other, neg=True)
+        return acc.element()
 
     def scale(self, c: Union[Scalar, Rat]) -> "WeylElement":
         c = self.weyl.ring.coerce(c)
@@ -297,6 +280,82 @@ class WeylElement:
                 out[key] = out.get(key, self.weyl.ring.zero) + c * f
         return WeylElement._trusted(self.weyl, {k: c for k, c in out.items() if c},
                                     basis, self.central)
+
+
+def _check_compat(a: Weyl, b: Weyl) -> None:
+    if a is not b and a != b:
+        raise ValueError("elements of incompatible algebras")
+
+
+class _Sum:
+    """A sum folded left to right, starting from ``first``, into one term map,
+    its basis and its center.  This is the one place the basis rule of a sum
+    is written (FORMAT.md, "Semantics"): a partial sum with no D-terms takes
+    the summand's basis, D-terms on both sides in different bases give the
+    power basis, and otherwise the partial sum keeps its basis.  ``element()``
+    hands over the map, after which the sum is not used again.
+    """
+
+    __slots__ = ("weyl", "terms", "basis", "d_terms", "central")
+
+    def __init__(self, first: WeylElement):
+        self.weyl = first.weyl
+        self.terms: Dict[TermKey, Scalar] = dict(first.terms)
+        self.basis = first.basis
+        self.d_terms = _count_d(self.terms)  # keys of ``terms`` with a nonzero mu
+        self.central = first.central
+
+    def _adopt(self, basis: str, has_d: bool) -> bool:
+        """Settle the basis with a summand in ``basis``; True when the summand
+        must be converted to the power basis first."""
+        if not self.d_terms:
+            self.basis = basis
+        elif has_d and basis != self.basis:
+            if self.basis == POWER:
+                return True
+            self.terms = self.element().to_power().terms
+            self.d_terms = _count_d(self.terms)
+            self.basis = POWER
+        return False
+
+    def add(self, x: WeylElement, neg: bool = False) -> None:
+        """Add x, or -x when ``neg``."""
+        _check_compat(self.weyl, x.weyl)
+        if self._adopt(x.basis, x.max_mu() > 0):
+            x = x.to_power()
+        if x.central:
+            self.central = self.central - x.central if neg else self.central + x.central
+        for k, c in x.terms.items():
+            self._put(k, -c if neg else c)
+
+    def add_term(self, key: TermKey, c: Scalar, basis: str) -> None:
+        """Add c t^gamma D^mu, or c t^gamma [D]_mu when ``basis`` is falling,
+        for a ``key`` WeylElement accepts as is and c in the ring, maybe 0."""
+        if self._adopt(basis, bool(c) and any(key[1])):
+            self.add(WeylElement._trusted(self.weyl, {key: c}, basis).to_power())
+        elif c:
+            self._put(key, c)
+
+    def _put(self, key: TermKey, c: Scalar) -> None:
+        terms = self.terms
+        size = len(terms)
+        old = terms.setdefault(key, c)  # one hash of the Fraction key when new
+        if len(terms) > size:
+            self.d_terms += any(key[1])
+            return
+        total = old + c
+        if total:
+            terms[key] = total
+        else:
+            del terms[key]
+            self.d_terms -= any(key[1])
+
+    def element(self) -> WeylElement:
+        return WeylElement._trusted(self.weyl, self.terms, self.basis, self.central)
+
+
+def _count_d(terms: Dict[TermKey, Scalar]) -> int:
+    return sum(1 for _g, mu in terms if any(mu))
 
 
 # -- products and brackets -------------------------------------------------
@@ -382,7 +441,7 @@ def _element(weyl: Weyl, acc: RawTerms, grade_den: Sequence[int], d: int) -> Wey
 def _product(x: WeylElement, y: WeylElement, commutator: bool) -> WeylElement:
     """x*y, or x*y - y*x without its lambda = 0 terms (see the module notes),
     of the terms alone, in the power basis: central coordinates are not read."""
-    x._check_compat(y)
+    _check_compat(x.weyl, y.weyl)
     x, y = x.to_power(), y.to_power()
     keys = list(x.terms) + list(y.terms)
     grade_den = [math.lcm(*[g[i].denominator for g, _mu in keys]) for i in range(x.weyl.n)]
@@ -443,7 +502,7 @@ def cocycle(x: WeylElement, y: WeylElement) -> Scalar:
     if x.weyl.n != 1:
         raise SubalgebraError("the cocycle is defined only for n = 1")
     x, y = x.to_power(), y.to_power()
-    x._check_compat(y)
+    _check_compat(x.weyl, y.weyl)
     partners: Dict[Fraction, List[Tuple[int, Scalar]]] = {}
     for ((b,), (n,)), cy in y.terms.items():
         partners.setdefault(-b, []).append((n, cy))
@@ -467,6 +526,8 @@ def operator_action(x: WeylElement, gamma) -> Dict[Gamma, Scalar]:
 
 def act_on_combination(x: WeylElement, vec: Dict[Gamma, Scalar]) -> Dict[Gamma, Scalar]:
     """Apply x termwise to a formal combination of group-algebra basis vectors."""
+    if any(len(g) != x.weyl.n for g in vec):
+        raise ValueError("group-algebra vectors must have n coordinates")
     xp = x.to_power()
     ring = x.weyl.ring
     out: Dict[Gamma, Scalar] = {}
@@ -501,8 +562,10 @@ def degree_one_bracket(weyl: Weyl, beta, d: Direction, gamma, d2: Direction) -> 
 def verify_jacobi(x: WeylElement, y: WeylElement, z: WeylElement,
                   name: str = "jacobi") -> VerificationReport:
     """Residual [x,[y,z]] + [y,[z,x]] + [z,[x,y]]; pass iff exactly zero."""
-    res = (bracket(x, bracket(y, z)) + bracket(y, bracket(z, x))
-           + bracket(z, bracket(x, y)))
+    acc = _Sum(bracket(x, bracket(y, z)))
+    acc.add(bracket(y, bracket(z, x)))
+    acc.add(bracket(z, bracket(x, y)))
+    res = acc.element()
     from .printer import format_element
     return VerificationReport(name, None if res.is_zero() else format_element(res))
 

@@ -322,11 +322,48 @@ def test_flat_sum_matches_left_parenthesized_sum():
             assert getattr(a, "basis", None) == getattr(b, "basis", None), flat
 
 
+def _pairwise(values, ops, weyl):
+    """The left fold of WeylElement + and - over evaluated summands; a run of
+    scalar summands stays a scalar, and a scalar joins an element as c * 1."""
+    acc = values[0]
+    for op, v in zip(ops, values[1:]):
+        if isinstance(acc, Scalar) and isinstance(v, Scalar):
+            acc = acc + v if op == "+" else acc - v
+        else:
+            x, y = as_element(acc, weyl), as_element(v, weyl)
+            acc = x + y if op == "+" else x - y
+    return acc
+
+
+def test_flat_sum_matches_pairwise_add():
+    checked = 0
+    for setting, summands, ops in _corpus():
+        session = _session(setting)
+        values = [_outcome(s, session) for s in summands]
+        if any(isinstance(v, Exception) for v in values):
+            continue
+        flat = _joined(summands, ops, False)[0]
+        got = _outcome(flat, session)
+        try:
+            want = _pairwise(values, ops, session.weyl)
+        except ValueError as exc:
+            want = exc
+        checked += 1
+        assert type(got) is type(want), (flat, got, want)
+        if not isinstance(got, Exception):
+            assert got == want, flat
+            assert getattr(got, "basis", None) == getattr(want, "basis", None), flat
+    assert checked > 1000
+
+
 # sha256 of the corpus transcript (values, bases and exception types, not
 # messages, which now carry positions), recorded before sums were folded and
-# re-recorded when mixing D^m and [D]_j stopped raising: each of the 621
-# lines that changed had read as an error of mixing the two bases.
-CORPUS_DIGEST = "cafddcdfe9acaaa81a998a09f849c69939d4559e48fee33d244a8db8190d8bab"
+# re-recorded twice: when mixing D^m and [D]_j stopped raising (each of the
+# 621 lines that changed had read as an error of mixing the two bases), and
+# when parser sums took WeylElement.__add__'s basis rule (11 lines changed,
+# each an element with no D-terms whose text stayed and whose basis word
+# swapped between power and falling).
+CORPUS_DIGEST = "8666beea1947fba8e5db399b9738f1b9b34ab039b5ebdc115d61fba3ba786f9b"
 
 
 def test_corpus_transcript_digest():
@@ -339,11 +376,11 @@ def test_corpus_transcript_digest():
     # a zero-coefficient summand has no D-terms, so it takes the sum's basis
     ((1, "full", True), "t^(-2)*alpha*[D]_1 - D^2*t^(0)*t^(0)*0",
      "element falling (alpha)*t^(-2)*[D]_1"),
-    # a D-free monomial or scalar summand takes the partial sum's basis, and
-    # a D-free partial sum takes a later summand's
+    # a partial sum with no D-terms takes the summand's basis; one with
+    # D-terms keeps its own against a summand with none
     ((1, "full", False), "t^(2)*[D]_0 + 7*t^(1)*D^0 - 7*0*t^(-1/3)*[D]_2 + 7",
-     "element falling 7*1 + 7*t^(1) + t^(2)"),
-    ((1, "full", False), "[D^2, D^0] - 2*t^(4)*[D]_0", "element power -2*t^(4)"),
+     "element power 7*1 + 7*t^(1) + t^(2)"),
+    ((1, "full", False), "[D^2, D^0] - 2*t^(4)*[D]_0", "element falling -2*t^(4)"),
     ((1, "full", False), "[D]_0 + t^(1)", "element power 1 + t^(1)"),
     # D-terms in two bases give a power-basis sum
     ((1, "full", False), "t^(1)*[D]_2 - t^(1)*D", "element power -2*t^(1)*D + t^(1)*D^2"),
@@ -352,6 +389,8 @@ def test_corpus_transcript_digest():
     ((1, "w1", False), "1 + 2 - 3", "scalar 0"),
     # the first summand is checked only after the second is evaluated
     ((1, "w1", False), "t^(1) + zeta", "error UnknownSymbolError"),
+    # a partial sum cancelled to no D-terms takes the summand's basis
+    ((1, "full", False), "(t^(1)*[D]_2 - t^(1)*[D]_2) + 7*t^(2)", "element power 7*t^(2)"),
 ))
 def test_sum_fold_cases(setting, text, expected):
     assert _transcript_line(_outcome(text, _session(setting))) == expected

@@ -66,6 +66,33 @@ def test_add_doubles_and_cancels():
     assert (x - W.tD((Fraction(1, 2),))).terms == W.monomial((1,), (2,), Fraction(3, 2)).terms
 
 
+_F = W.monomial((1,), (2,), basis="falling")  # t^(1)*[D]_2
+
+
+@pytest.mark.parametrize("x,y,basis", (
+    # same basis
+    (_F, W.monomial((0,), (1,), basis="falling"), "falling"),
+    (W.tD((1,)), W.monomial((0,), (3,)), "power"),
+    # a side with no D-terms takes the other side's basis
+    (W.monomial((2,), (0,)), _F, "falling"),
+    (_F, W.monomial((2,), (0,)), "falling"),
+    # both sides D-free: the right side's basis
+    (W.monomial((2,), (0,), basis="falling"), W.monomial((1,), (0,)), "power"),
+    (W.monomial((2,), (0,)), W.monomial((1,), (0,), basis="falling"), "falling"),
+    # D-terms in two bases give power
+    (_F, W.tD((1,)), "power"),
+    (W.tD((1,)), _F, "power"),
+    # a partial sum cancelled to D-free takes the summand's basis
+    (_F - _F, W.monomial((2,), (0,), 7), "power"),
+))
+@pytest.mark.parametrize("op", ("+", "-"))
+def test_sum_basis_rule(x, y, basis, op):
+    got = x + y if op == "+" else x - y
+    assert got.basis == basis
+    assert got == (x.to_power() + y.to_power() if op == "+"
+                   else x.to_power() - y.to_power())
+
+
 def test_sum_rejects_elements_of_another_subalgebra():
     # the sum was an element of W^(1) holding t^(1), which has |mu| = 0
     with pytest.raises(ValueError, match="incompatible"):
@@ -288,6 +315,17 @@ def test_operator_action_examples():
     gam = Fraction(5)
     assert operator_action(x, (gam,)) == {
         (Fraction(8),): W.ring.const(gam * gam + 2 * gam)}
+
+
+@pytest.mark.parametrize("g", ((2,), (2, 5, 7)))
+def test_operator_action_rejects_vectors_of_the_wrong_length(g):
+    # these were cut to n coordinates: {(3,): 6} and {(3, 5): 30}
+    x = W2.monomial((1, 0), (1, 1), 3)
+    with pytest.raises(ValueError, match="n coordinates"):
+        operator_action(x, g)
+    with pytest.raises(ValueError, match="n coordinates"):
+        act_on_combination(x, {(Fraction(1), Fraction(1)): W2.ring.one,
+                               tuple(map(Fraction, g)): W2.ring.one})
 
 
 def test_mul_agrees_with_composed_action():
