@@ -9,8 +9,7 @@ All arithmetic is exact (rationals and sparse multivariate polynomials).
 from .lattice import Direction, Lattice, inner
 from .onevar import (DfElement, GeneratedSubalgebra, ddt_power, df_bracket,
                      standard_generators, t_ddt, verify_named_identity)
-from .intermediate import (IntermediateModule, PQData, act, assoc_module_check,
-                           box_window, highest_weight_scan, lie_module_check,
+from .intermediate import (IntermediateModule, PQData, act, highest_weight_scan,
                            make_module, normalize_ddt_basis, submodule_scan)
 from .parser import ParseError, Session, UnknownSymbolError, as_element, parse, \
     parse_element

@@ -11,14 +11,12 @@ with alpha either rational or a formal parameter vector.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .lattice import Lattice, _integers
-from .report import VerificationReport
 from .scalars import Scalar, falling, rising
-from .weyl import Gamma, Weyl, WeylElement, bracket, mul
+from .weyl import Gamma, Weyl, WeylElement
 
 Coords = Tuple[int, ...]
 ModuleVector = Dict[Coords, Scalar]
@@ -66,12 +64,6 @@ def make_module(kind: str, alpha, weyl: Weyl) -> IntermediateModule:
     return IntermediateModule(kind, avec, weyl)
 
 
-def box_window(lattice: Lattice, radius: int) -> frozenset:
-    """All coordinate vectors with every |c_i| <= radius."""
-    import itertools
-    return frozenset(itertools.product(range(-radius, radius + 1), repeat=lattice.rank))
-
-
 # -- the action ------------------------------------------------------------
 
 
@@ -114,89 +106,6 @@ def act(m: IntermediateModule, x: WeylElement, vec) -> ModuleVector:
             target = tuple(p + q for p, q in zip(coords, b_coords))
             out[target] = out.get(target, ring.zero) + coeff
     return {k: v for k, v in out.items() if not v.is_zero()}
-
-
-def _vec_sub(a: ModuleVector, b: ModuleVector) -> ModuleVector:
-    out = dict(a)
-    for k, v in b.items():
-        w = out.get(k)
-        out[k] = -v if w is None else w - v
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
-def _vec_text(v: ModuleVector) -> str:
-    if not v:
-        return "0"
-    return " + ".join(f"({v[k]})*y{list(k)}" for k in sorted(v))
-
-
-def _random_monomial(weyl: Weyl, rng: random.Random, radius: int, max_mu: int) -> WeylElement:
-    r = weyl.lattice.rank
-    coords = tuple(rng.randint(-radius, radius) for _ in range(r))
-    while True:
-        mu = tuple(rng.randint(0, max_mu) for _ in range(weyl.n))
-        if 1 <= sum(mu) <= max_mu:
-            break
-    return weyl.monomial(weyl.lattice.ambient(coords), mu)
-
-
-# -- module-axiom checks ---------------------------------------------------
-
-
-def lie_module_check(m: IntermediateModule, samples: int = 100, seed: int = 0,
-                     radius: int = 3, max_mu: int = 3) -> VerificationReport:
-    """Residual [x,y]v - (x(yv) - y(xv)) on random homogeneous x, y."""
-    rng = random.Random(seed)
-    failures = []
-    for s in range(samples):
-        x = _random_monomial(m.weyl, rng, radius, max_mu)
-        y = _random_monomial(m.weyl, rng, radius, max_mu)
-        gcoords = tuple(rng.randint(-radius, radius) for _ in range(m.lattice.rank))
-        v = m.basis_vector(gcoords)
-        lhs = act(m, bracket(x, y), v)
-        rhs = _vec_sub(act(m, x, act(m, y, v)), act(m, y, act(m, x, v)))
-        res = _vec_sub(lhs, rhs)
-        if res:
-            failures.append((s, _vec_text(res)))
-    name = f"lie-module[{m.kind}]"
-    return VerificationReport(name, str(failures[:3]) if failures else None,
-                              details={"samples": samples, "failures": len(failures)})
-
-
-def assoc_module_check(m: IntermediateModule, samples: int = 100, seed: int = 0,
-                       radius: int = 3, max_mu: int = 3) -> VerificationReport:
-    """Residual (x*y)v - x(yv): zero for kind A, witnessed nonzero for kind B.
-
-    When n = 1 the canonical pair x = y = tD acting on y_0 is always included,
-    which exhibits the failure for B.
-    """
-    rng = random.Random(seed)
-    cases = []
-    if m.weyl.n == 1:
-        td = m.weyl.tD((1,))
-        cases.append((td, td, (0,) * m.lattice.rank))
-    for _ in range(samples):
-        cases.append((_random_monomial(m.weyl, rng, radius, max_mu),
-                      _random_monomial(m.weyl, rng, radius, max_mu),
-                      tuple(rng.randint(-radius, radius) for _ in range(m.lattice.rank))))
-    witnesses = []
-    for x, y, gcoords in cases:
-        v = m.basis_vector(gcoords)
-        lhs = act(m, mul(x, y), v)
-        rhs = act(m, x, act(m, y, v))
-        res = _vec_sub(lhs, rhs)
-        if res:
-            witnesses.append({"x": repr(x), "y": repr(y), "v": f"y{list(gcoords)}",
-                              "product_action": _vec_text(lhs),
-                              "staged_action": _vec_text(rhs),
-                              "residual": _vec_text(res)})
-    if m.kind == KIND_A:
-        residual = witnesses[0]["residual"] if witnesses else None
-    else:
-        residual = None if witnesses else "no associativity failure found for kind B"
-    return VerificationReport(f"assoc-module[{m.kind}]", residual,
-                              details={"cases": len(cases),
-                                       "witnesses": witnesses[:3]})
 
 
 # -- graded submodule scanning --------------------------------------------

@@ -95,10 +95,7 @@ class Lattice:
         x = self._echelon.solve(*integral(_sparse(v)))
         if x is None or any(c.denominator != 1 for c in x.values()):
             return None
-        coords = tuple(int(x.get(r, 0)) for r in range(self.rank))
-        if self.ambient(coords) != v:
-            return None
-        return coords
+        return tuple(int(x.get(r, 0)) for r in range(self.rank))
 
 
 @dataclass(frozen=True)

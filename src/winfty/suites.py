@@ -12,9 +12,8 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .intermediate import (assoc_module_check, box_window, highest_weight_scan,
-                           lie_module_check, make_module, normalize_ddt_basis,
-                           submodule_scan)
+from .intermediate import (ModuleVector, act, highest_weight_scan, make_module,
+                           normalize_ddt_basis, submodule_scan)
 from .lattice import Direction, Lattice
 from .onevar import (DfElement, GeneratedSubalgebra, df_bracket,
                      standard_generators, verify_named_identity)
@@ -23,7 +22,7 @@ from .report import ReportDocument, VerificationReport
 from .scalars import Ring, rising
 from .weightlab import (coefficient_claims, p_series_report,
                         verify_yk_relations, virasoro_consistency)
-from .weyl import (Weyl, act_on_combination, bracket, degree_one_bracket,
+from .weyl import (Weyl, WeylElement, act_on_combination, bracket, degree_one_bracket,
                    cocycle, mul, operator_action, verify_cocycle_condition,
                    verify_jacobi)
 
@@ -76,12 +75,14 @@ class SuiteOptions:
 # -- random element helpers ------------------------------------------------
 
 
+def _random_coords(rng: random.Random, rank: int, bound: int = 3) -> Tuple[int, ...]:
+    return tuple(rng.randint(-bound, bound) for _ in range(rank))
+
+
 def _random_homogeneous(weyl: Weyl, rng: random.Random, coord_bound: int = 5,
-                        max_mu: int = 4) -> "WeylElement":
+                        max_mu: int = 4) -> WeylElement:
     """A random homogeneous element: one lattice grade, 1-3 monomials."""
-    coords = tuple(rng.randint(-coord_bound, coord_bound)
-                   for _ in range(weyl.lattice.rank))
-    gamma = weyl.lattice.ambient(coords)
+    gamma = weyl.lattice.ambient(_random_coords(rng, weyl.lattice.rank, coord_bound))
     out = weyl.zero()
     for _ in range(rng.randint(1, 3)):
         mu = [0] * weyl.n
@@ -91,6 +92,21 @@ def _random_homogeneous(weyl: Weyl, rng: random.Random, coord_bound: int = 5,
         c = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
         out = out + weyl.monomial(gamma, mu, c)
     return out
+
+
+def _random_monomial(weyl: Weyl, rng: random.Random, max_mu: int) -> WeylElement:
+    """t^g D^mu with 1 <= |mu| <= max_mu, g within coordinate bound 3."""
+    gamma = weyl.lattice.ambient(_random_coords(rng, weyl.lattice.rank))
+    while True:
+        mu = tuple(rng.randint(0, max_mu) for _ in range(weyl.n))
+        if 1 <= sum(mu) <= max_mu:
+            return weyl.monomial(gamma, mu)
+
+
+def _module_case(weyl: Weyl, rng: random.Random, max_mu: int):
+    """Random monomials x, y and the coordinates of a basis vector y_g."""
+    return (_random_monomial(weyl, rng, max_mu), _random_monomial(weyl, rng, max_mu),
+            _random_coords(rng, weyl.lattice.rank))
 
 
 def _random_poly(rng: random.Random, deg: int) -> Dict[int, Fraction]:
@@ -106,16 +122,35 @@ def _random_poly(rng: random.Random, deg: int) -> Dict[int, Fraction]:
 _Run = Tuple[Dict[str, Any], List[VerificationReport]]
 
 
-def _sample(count: int, case) -> Tuple[Optional[str], int]:
+def _failures(count: int, case) -> List:
     """Run ``case`` ``count`` times; each call draws its own sample and returns
-    its residual text, or None when it passes. Returns the first residual and
+    what it found wrong, or None when it passes. Returns the failures."""
+    return [r for r in (case() for _ in range(count)) if r is not None]
+
+
+def _sample(count: int, case) -> Tuple[Optional[str], int]:
+    """``_failures`` of a case returning residual text: the first residual and
     the number of failing cases."""
-    bad = [r for r in (case() for _ in range(count)) if r is not None]
+    bad = _failures(count, case)
     return (bad[0] if bad else None), len(bad)
 
 
 def _difference(got, want) -> Optional[str]:
     return None if got == want else format_element(got - want)
+
+
+def _vec_sub(a: ModuleVector, b: ModuleVector) -> ModuleVector:
+    out = dict(a)
+    for k, v in b.items():
+        w = out.get(k)
+        out[k] = -v if w is None else w - v
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def _vec_text(v: ModuleVector) -> str:
+    if not v:
+        return "0"
+    return " + ".join(f"({v[k]})*y{list(k)}" for k in sorted(v))
 
 
 def _check_jacobi_n(opts: SuiteOptions) -> None:
@@ -283,9 +318,19 @@ def _suite_modules(opts: SuiteOptions) -> _Run:
         weyl = Weyl(n, ring=ring, subalgebra="w1")
         for kind in opts.kinds():
             m = make_module(kind, "formal", weyl)
-            rep = lie_module_check(m, samples, opts.seed, max_mu=opts.max_mu)
-            rep.name = f"lie-module[{kind},n={n}]"
-            checks.append(rep)
+            rng = random.Random(opts.seed)
+
+            def lie_case():
+                """Residual [x,y]v - (x(yv) - y(xv))."""
+                x, y, v = _module_case(weyl, rng, opts.max_mu)
+                res = _vec_sub(act(m, bracket(x, y), v),
+                               _vec_sub(act(m, x, act(m, y, v)), act(m, y, act(m, x, v))))
+                return _vec_text(res) if res else None
+
+            first, failed = _sample(samples, lie_case)
+            checks.append(VerificationReport(
+                f"lie-module[{kind},n={n}]", first,
+                details={"samples": samples, "failures": failed}))
     return {"samples": samples, "alpha": "formal"}, checks
 
 
@@ -312,14 +357,35 @@ def _suite_assoc(opts: SuiteOptions) -> _Run:
     samples = opts.samples or 100
     checks = []
     for m in _rank_one_modules(opts, [alpha]):
-        rep = assoc_module_check(m, samples, opts.seed, max_mu=opts.max_mu)
-        rep.name = f"assoc-dichotomy[{m.kind}]"
-        checks.append(rep)
+        rng = random.Random(opts.seed)
+        td = m.weyl.tD((1,))
+        canonical = [(td, td, (0,))]  # x = y = tD on y_0, the first case
+
+        def witness():
+            """The residual (x*y)v - x(yv): zero for kind A, nonzero for B."""
+            x, y, v = canonical.pop() if canonical else _module_case(m.weyl, rng, opts.max_mu)
+            lhs = act(m, mul(x, y), v)
+            rhs = act(m, x, act(m, y, v))
+            res = _vec_sub(lhs, rhs)
+            if not res:
+                return None
+            return {"x": repr(x), "y": repr(y), "v": f"y{list(v)}",
+                    "product_action": _vec_text(lhs), "staged_action": _vec_text(rhs),
+                    "residual": _vec_text(res)}
+
+        witnesses = _failures(samples + 1, witness)
+        if m.kind == "A":
+            residual = witnesses[0]["residual"] if witnesses else None
+        else:
+            residual = None if witnesses else "no associativity failure found for kind B"
+        checks.append(VerificationReport(
+            f"assoc-dichotomy[{m.kind}]", residual,
+            details={"cases": samples + 1, "witnesses": witnesses[:3]}))
     return {"alpha": str(alpha), "samples": samples}, checks
 
 
 def _suite_submodules(opts: SuiteOptions) -> _Run:
-    window = sorted(box_window(Lattice.standard(1), opts.window))
+    window = [(k,) for k in range(-opts.window, opts.window + 1)]
     # (proper submodules, highest weight): only A_0 has a highest-weight
     # vector below the window's top, the trivial line y_0
     top = window[-1]

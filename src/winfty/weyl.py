@@ -243,11 +243,6 @@ class WeylElement:
         from .printer import format_element
         return f"<{format_element(self)}>"
 
-    # -- structure queries ------------------------------------------------
-
-    def max_mu(self) -> int:
-        return max((sum(mu) for (_g, mu) in self.terms), default=0)
-
     # -- basis conversion -------------------------------------------------
 
     def to_power(self) -> "WeylElement":
@@ -321,7 +316,8 @@ class _Sum:
     def add(self, x: WeylElement, neg: bool = False) -> None:
         """Add x, or -x when ``neg``."""
         _check_compat(self.weyl, x.weyl)
-        if self._adopt(x.basis, x.max_mu() > 0):
+        # a summand in the sum's own basis leaves the basis as it is
+        if x.basis != self.basis and self._adopt(x.basis, _count_d(x.terms) > 0):
             x = x.to_power()
         if x.central:
             self.central = self.central - x.central if neg else self.central + x.central

@@ -9,13 +9,12 @@ from fractions import Fraction
 
 import pytest
 
-from winfty.intermediate import (assoc_module_check, box_window,
-                                 lie_module_check, make_module,
-                                 normalize_ddt_basis, submodule_scan)
-from winfty.lattice import Direction, Lattice
+from winfty.intermediate import make_module, normalize_ddt_basis, submodule_scan
+from winfty.lattice import Direction
 from winfty.onevar import (DfElement, GeneratedSubalgebra, df_bracket,
                            standard_generators, verify_named_identity)
 from winfty.scalars import Ring, rising
+from winfty.suites import SuiteOptions, run_suite
 from winfty.weightlab import (build_f_polynomials, virasoro_consistency,
                               weightlab_ring)
 from winfty.weyl import (Weyl, act_on_combination, bracket, cocycle,
@@ -168,21 +167,14 @@ def test_criterion_7_virasoro_consistency():
 def test_criterion_8_modules():
     """Lie module axiom, the associativity dichotomy, submodule scans."""
     ok = True
-    for n in (1, 2):
-        ring = Ring(tuple(f"a{i + 1}" for i in range(n)))
-        weyl = Weyl(n, ring=ring, subalgebra="w1")
-        for kind in ("A", "B"):
-            m = make_module(kind, "formal", weyl)
-            if not lie_module_check(m, 100, 808, radius=2 if n == 2 else 3,
-                                    max_mu=2 if n == 2 else 3).passed:
-                ok = False
-    ring = Ring(("alpha",))
-    w1 = Weyl(1, ring=ring, subalgebra="w1")
-    ma = make_module("A", [Fraction(1, 2)], w1)
-    mb = make_module("B", [Fraction(1, 2)], w1)
-    if not assoc_module_check(ma, 100, 808).passed:
+    for n, max_mu in ((1, 3), (2, 2)):
+        lie = run_suite("modules", SuiteOptions(samples=100, seed=808, max_mu=max_mu))
+        if not all(c.passed for c in lie.checks if c.name.endswith(f"n={n}]")):
+            ok = False
+    assoc = run_suite("assoc-dichotomy", SuiteOptions(samples=100, seed=808, max_mu=3))
+    rep_a, rep_b = sorted(assoc.checks, key=lambda c: c.name)
+    if not rep_a.passed:
         ok = False
-    rep_b = assoc_module_check(mb, 100, 808)
     if not rep_b.passed:
         ok = False
     else:
@@ -190,7 +182,11 @@ def test_criterion_8_modules():
         if (w["product_action"], w["staged_action"]) != \
                 ("(-15/4)*y[2]", "(15/4)*y[2]"):
             ok = False
-    window = sorted(box_window(Lattice.standard(1), 8))
+    ring = Ring(("alpha",))
+    w1 = Weyl(1, ring=ring, subalgebra="w1")
+    ma = make_module("A", [Fraction(1, 2)], w1)
+    mb = make_module("B", [Fraction(1, 2)], w1)
+    window = [(k,) for k in range(-8, 9)]
     if submodule_scan(ma, window) != []:
         ok = False
     if submodule_scan(mb, window) != []:

@@ -128,6 +128,11 @@ def test_eval_reads_formal_alpha_gamma_and_defaults(capsys):
     assert capsys.readouterr().out.strip() == "(alpha)*t[1,1]*D1"
 
 
+def test_eval_empty_gamma_exits_2(capsys):
+    assert main(["eval", "D", "--gamma", ";"]) == 2
+    assert "error: empty --gamma" in capsys.readouterr().err
+
+
 def test_eval_zero_denominator_is_a_syntax_error(capsys):
     # before, the CLI printed "error: Fraction(1, 0)"
     assert main(["eval", "t^(1/0)*D"]) == 2

@@ -1,15 +1,16 @@
 """Modules of the intermediate series: actions, the associativity
 dichotomy, submodule scans, and the d/dt-normalized basis data."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from winfty.intermediate import (act, assoc_module_check, box_window,
-                                 highest_weight_scan, lie_module_check,
-                                 make_module, normalize_ddt_basis, submodule_scan)
+from winfty.intermediate import (act, highest_weight_scan, make_module,
+                                 normalize_ddt_basis, submodule_scan)
 from winfty.lattice import Lattice
 from winfty.scalars import Ring, rising
+from winfty.suites import SuiteOptions, run_suite
 from winfty.weyl import Weyl
 
 RING = Ring(("alpha",))
@@ -101,32 +102,54 @@ def test_alpha_needs_n_coordinates_on_low_rank_lattice():
     assert act(m, w.monomial((1, 1), (0, 2)), (0,)) == {(1,): Ring().const(Fraction(1, 9))}
 
 
-# -- module axioms ---------------------------------------------------------
+@pytest.mark.parametrize("call,message", (
+    (lambda: normalize_ddt_basis(make_module("A", "formal", Weyl(2, ring=RING2)),
+                                 range(-3, 4)), "rank-one"),
+    (lambda: submodule_scan(make_module("A", "formal", W1), [(0,), (1,)]),
+     "numeric alpha"),
+    (lambda: highest_weight_scan(make_module("B", "formal", W1), [(0,), (1,)]),
+     "numeric alpha"),
+    (lambda: act(make_module("A", [0], Weyl(1)), Weyl(1).monomial((1,), (0,)), (0,)),
+     "not in the acting subalgebra"),
+    (lambda: make_module("C", [frac("1/2")], W1), "kind must be A or B"),
+), ids=("normalize-n2", "submodule-scan-formal", "highest-weight-formal",
+        "act-mu-0", "kind-C"))
+def test_module_misuse_raises(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+# -- module axioms (the modules and assoc-dichotomy suites) ------------------
+
+
+def _check(suite, name, **options):
+    doc = run_suite(suite, SuiteOptions(**options))
+    return {c.name: c for c in doc.checks}[name]
 
 
 @pytest.mark.parametrize("kind", ("A", "B"))
 def test_lie_module_axiom_formal(kind):
-    m = make_module(kind, "formal", W1)
-    assert lie_module_check(m, 60, 1).passed
+    rep = _check("modules", f"lie-module[{kind},n=1]", samples=60, seed=1,
+                 max_mu=3, kind=kind)
+    assert rep.passed
 
 
 @pytest.mark.parametrize("kind", ("A", "B"))
 def test_lie_module_axiom_formal_n2(kind):
-    ring2 = Ring(("a1", "a2"))
-    w2 = Weyl(2, ring=ring2, subalgebra="w1")
-    m = make_module(kind, "formal", w2)
-    assert lie_module_check(m, 30, 3, radius=2, max_mu=2).passed
+    rep = _check("modules", f"lie-module[{kind},n=2]", samples=30, seed=3,
+                 max_mu=2, kind=kind)
+    assert rep.passed
 
 
 def test_assoc_passes_for_a():
-    m = make_module("A", [frac("1/2")], W1)
-    rep = assoc_module_check(m, 40, 2)
+    rep = _check("assoc-dichotomy", "assoc-dichotomy[A]", samples=40, seed=2,
+                 max_mu=3, kind="A")
     assert rep.passed and not rep.details["witnesses"]
 
 
 def test_assoc_fails_for_b_with_canonical_witness():
-    m = make_module("B", [frac("1/2")], W1)
-    rep = assoc_module_check(m, 40, 2)
+    rep = _check("assoc-dichotomy", "assoc-dichotomy[B]", samples=40, seed=2,
+                 max_mu=3, kind="B")
     assert rep.passed  # the dichotomy: B *must* produce witnesses
     w = rep.details["witnesses"][0]
     assert w["product_action"] == "(-15/4)*y[2]"
@@ -139,7 +162,7 @@ def test_assoc_fails_for_b_with_canonical_witness():
 
 @pytest.fixture(scope="module")
 def window():
-    return sorted(box_window(Lattice.standard(1), 8))
+    return [(k,) for k in range(-8, 9)]
 
 
 def test_no_submodules_off_lattice(window):
@@ -172,7 +195,7 @@ def test_highest_weight_scan(window):
 @pytest.mark.parametrize("alpha", ((0, 2), (0, frac("1/2")), (-1, 0)))
 def test_submodule_scan_rank2_matches_brute_force(kind, alpha):
     # reachability read off act on every t^b D^mu with |mu| <= 2
-    window = sorted(box_window(SKEW, 1))
+    window = list(itertools.product(range(-1, 2), repeat=2))
     m = make_module(kind, list(alpha), Weyl(2, lattice=SKEW, subalgebra="w1"))
     mus = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 

@@ -32,6 +32,16 @@ def test_dependent_generators_rejected():
         Lattice([(1, 1), (2, 2), (0, 3)])
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: Lattice([]), "at least one generator"),
+    (lambda: Lattice([(1,), (1, 2)]), "mixed dimensions"),
+    (lambda: Lattice.standard(2).ambient((1,)), "expected 2 coordinates"),
+], ids=["no-generators", "mixed-dimensions", "ambient-count"])
+def test_malformed_lattice_input_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 @pytest.mark.parametrize("build", [
     lambda: Lattice([(0.1,)]),
     lambda: Lattice([(1, 0), (0, "2")]),

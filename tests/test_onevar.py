@@ -127,3 +127,8 @@ def test_l231_trivial_at_i_1():
 def test_unknown_identity_rejected():
     with pytest.raises(ValueError):
         verify_named_identity(W, "L23-9", 1)
+
+
+def test_identity_index_below_one_rejected():
+    with pytest.raises(ValueError, match="must be >= 1"):
+        verify_named_identity(W, "L23-1", 0)

@@ -407,6 +407,19 @@ def test_w1_guard():
         w1.monomial((1,), (0,))
 
 
+@pytest.mark.parametrize("build,error", (
+    (lambda: mul(Weyl(1, subalgebra="hat").central(1), W.tD((1,))), SubalgebraError),
+    (lambda: Weyl(2, subalgebra="hat"), SubalgebraError),
+    (lambda: Weyl(1, subalgebra="x"), ValueError),
+    (lambda: Weyl(2, lattice=Lattice.standard(1)), ValueError),
+    (lambda: WeylElement(W, {}, basis="x"), ValueError),
+), ids=("mul-central", "hat-n2", "unknown-subalgebra", "lattice-dimension",
+        "unknown-basis"))
+def test_invalid_algebra_use_raises(build, error):
+    with pytest.raises(error):
+        build()
+
+
 # -- the constructor checks every term --------------------------------------
 
 W1 = Weyl(1, subalgebra="w1")
