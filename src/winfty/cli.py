@@ -73,7 +73,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common_flags(sp)
 
     ep = subs.add_parser("eval", help="evaluate an expression")
-    ep.add_argument("expression")
+    # optional here only so that main() can take a leading-minus expression
+    # that argparse set aside as an unknown flag; main() requires one
+    ep.add_argument("expression", nargs="?")
     _add_common_flags(ep)
 
     return ap
@@ -128,7 +130,16 @@ def _cmd_eval(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     ap = _build_parser()
     try:
-        args = ap.parse_args(argv)
+        args, unknown = ap.parse_known_args(argv)
+        if args.command == "eval" and args.expression is None:
+            # argparse takes a space-free argument that starts with "-", as
+            # in "-t^(3)*D", for a flag; one such argument is the expression
+            if len(unknown) == 1 and not unknown[0].startswith("--"):
+                args.expression = unknown.pop()
+            elif not unknown:
+                ap.error("the following arguments are required: expression")
+        if unknown:
+            ap.error(f"unrecognized arguments: {' '.join(unknown)}")
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

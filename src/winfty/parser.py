@@ -394,7 +394,9 @@ def _eval(node: AST, session: Session) -> Value:
         mu[idx] = 1
         return _Mono(mu=tuple(mu))
     if kind == "num":
-        return weyl.ring.const(node[1])
+        # the parser's own Fraction; a zero is the empty map
+        q, ring = node[1], weyl.ring
+        return Scalar._trusted(ring, {ring._zero_exp: q} if q else {})
     if kind == "pow":
         return _pow_value(_eval(node[1], session), node[2], weyl, node[3])
     if kind == "fall":

@@ -3,25 +3,30 @@
 The grammar is documented in FORMAT.md; parse(format_element(x)) == x for
 every canonical element.  Terms are emitted in sorted (gamma, mu) order so
 the output is deterministic.
+
+The printer works on integers.  It sorts by the key (gamma * L, mu), with L
+the lcm of every grade denominator in the element (1 on Z^n), whose grade
+part is a tuple of ints.  Multiplying every grade by the same L > 0 keeps
+their order, so this is the (gamma, mu) order exactly, without comparing
+Fractions.  Rationals are written from their numerators and denominators by
+scalars.rational_text.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from operator import itemgetter
 from typing import Tuple
 
-from .scalars import Scalar
+from .scalars import Scalar, rational_text
 
 
 def format_monomial(gamma: Tuple[Fraction, ...], mu: Tuple[int, ...],
                     basis: str, n: int) -> str:
     parts = []
-    if any(g != 0 for g in gamma):
-        if n == 1:
-            parts.append(f"t^({gamma[0]})")
-        else:
-            parts.append("t[" + ",".join(map(str, gamma)) + "]")
+    if any(g.numerator for g in gamma):
+        coords = [rational_text(g.numerator, g.denominator) for g in gamma]
+        parts.append(f"t^({coords[0]})" if n == 1 else "t[" + ",".join(coords) + "]")
     for i, m in enumerate(mu):
         if m == 0:
             continue
@@ -36,20 +41,28 @@ def format_monomial(gamma: Tuple[Fraction, ...], mu: Tuple[int, ...],
 
 
 def _format_coeff(c: Scalar) -> Tuple[str, str]:
-    """Return (sign, magnitude-text); magnitude "" means coefficient 1."""
-    if c.is_rational():
-        q = c.as_fraction()
-        sign = "-" if q < 0 else "+"
-        mag = abs(q)
-        return sign, ("" if mag == 1 else str(mag))
+    """Return (sign, magnitude-text) of a nonzero c; magnitude "" means 1."""
+    t = c.terms
+    q = t.get(c.ring._zero_exp)
+    if q is not None and len(t) == 1:
+        p, d = q.numerator, q.denominator
+        mag = abs(p)
+        return ("-" if p < 0 else "+"), ("" if mag == 1 and d == 1 else rational_text(mag, d))
     return "+", f"({c})"
 
 
 def format_element(x) -> str:
     if x.is_zero():
         return "0"
+    # a list, not a generator (see scalars._cleared)
+    lcm = math.lcm(*[g.denominator for gamma, _mu in x.terms for g in gamma])
+
+    def key(item):
+        gamma, mu = item[0]
+        return tuple([g.numerator * (lcm // g.denominator) for g in gamma]), mu
+
     parts = []
-    for (gamma, mu), c in sorted(x.terms.items(), key=itemgetter(0)):
+    for (gamma, mu), c in sorted(x.terms.items(), key=key):
         sign, coeff = _format_coeff(c)
         mono = format_monomial(gamma, mu, x.basis, x.weyl.n)
         if coeff:

@@ -23,6 +23,12 @@ exponent sum.
 call and collects all terms into one map.  Results the kernel already knows
 to be zero-free go through :meth:`Scalar._trusted`, which skips the zero
 filter of the public constructor.
+
+Text: :func:`rational_text` writes a rational from its integer numerator
+and denominator, the text ``Fraction.__str__`` gives, and every printed
+rational (here and in the printer) goes through it, so printing compares
+and writes ``int``s only.  A scalar is immutable, so :meth:`Ring.sym` hands
+out the one scalar per symbol built with the ring.
 """
 
 from __future__ import annotations
@@ -48,6 +54,9 @@ class Ring:
         self.symbols = symbols
         self._index = {s: i for i, s in enumerate(symbols)}
         self._zero_exp = (0,) * len(symbols)
+        # scalars are immutable, so sym() hands out these
+        units = [tuple(int(j == i) for j in range(self.nvars)) for i in range(self.nvars)]
+        self._syms = {s: Scalar._trusted(self, {e: Fraction(1)}) for s, e in zip(symbols, units)}
 
     def __repr__(self):
         return f"Ring{self.symbols!r}"
@@ -81,11 +90,10 @@ class Ring:
         return self.const(1)
 
     def sym(self, name: str) -> "Scalar":
-        if name not in self._index:
+        s = self._syms.get(name)
+        if s is None:
             raise KeyError(f"unknown symbol {name!r} (ring has {self.symbols})")
-        exp = [0] * self.nvars
-        exp[self._index[name]] = 1
-        return Scalar._trusted(self, {tuple(exp): Fraction(1)})
+        return s
 
     def coerce(self, value: Union["Scalar", Rat]) -> "Scalar":
         if isinstance(value, Scalar):
@@ -93,6 +101,12 @@ class Ring:
                 raise ValueError("scalar belongs to a different ring")
             return value
         return self.const(value)
+
+
+def rational_text(p: int, q: int) -> str:
+    """The rational p/q in lowest terms with q > 0 as text: "p" when q is 1,
+    else "p/q" (what str() of the Fraction gives)."""
+    return str(p) if q == 1 else f"{p}/{q}"
 
 
 def _cleared(terms: Dict[Exponent, Fraction]) -> Tuple[int, List[Tuple[Exponent, int]]]:
@@ -344,20 +358,21 @@ class Scalar:
         parts = []
         for e in sorted(self.terms, reverse=True):
             c = self.terms[e]
+            p, q = c.numerator, c.denominator
             factors = []
-            for s, p in zip(self.ring.symbols, e):
-                if p == 1:
+            for s, k in zip(self.ring.symbols, e):
+                if k == 1:
                     factors.append(s)
-                elif p > 1:
-                    factors.append(f"{s}^{p}")
+                elif k > 1:
+                    factors.append(f"{s}^{k}")
             if not factors:
-                parts.append(str(c))
-            elif c == 1:
+                parts.append(rational_text(p, q))
+            elif q == 1 and p == 1:
                 parts.append("*".join(factors))
-            elif c == -1:
+            elif q == 1 and p == -1:
                 parts.append("-" + "*".join(factors))
             else:
-                parts.append(f"{c}*" + "*".join(factors))
+                parts.append(rational_text(p, q) + "*" + "*".join(factors))
         text = " + ".join(parts)
         return text.replace("+ -", "- ")
 

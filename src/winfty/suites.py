@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .intermediate import (ModuleVector, act, highest_weight_scan, make_module,
                            normalize_ddt_basis, submodule_scan)
@@ -122,17 +122,32 @@ def _random_poly(rng: random.Random, deg: int) -> Dict[int, Fraction]:
 _Run = Tuple[Dict[str, Any], List[VerificationReport]]
 
 
-def _failures(count: int, case) -> List:
+def _failures(count: int, case) -> List[Tuple[int, Any]]:
     """Run ``case`` ``count`` times; each call draws its own sample and returns
-    what it found wrong, or None when it passes. Returns the failures."""
-    return [r for r in (case() for _ in range(count)) if r is not None]
+    what it found wrong, or None when it passes. Returns (i, failure) for
+    every failing call, i the 0-based index of its sample."""
+    return [(i, r) for i, r in enumerate(case() for _ in range(count)) if r is not None]
 
 
-def _sample(count: int, case) -> Tuple[Optional[str], int]:
-    """``_failures`` of a case returning residual text: the first residual and
-    the number of failing cases."""
+class _Sampled(NamedTuple):
+    residual: Optional[str]  # the first failing sample's residual text
+    failed: int
+    first_index: Optional[int]  # the first failing sample's 0-based index
+
+    def details(self, **details: Any) -> Dict[str, Any]:
+        """``details``, plus ``first_failing_sample`` when a sample failed, so a
+        passing report is unchanged."""
+        if self.first_index is not None:
+            details["first_failing_sample"] = self.first_index
+        return details
+
+
+def _sample(count: int, case) -> _Sampled:
+    """``_failures`` of a case returning residual text."""
     bad = _failures(count, case)
-    return (bad[0] if bad else None), len(bad)
+    if not bad:
+        return _Sampled(None, 0, None)
+    return _Sampled(bad[0][1], len(bad), bad[0][0])
 
 
 def _difference(got, want) -> Optional[str]:
@@ -174,12 +189,12 @@ def _suite_jacobi(opts: SuiteOptions) -> _Run:
         rng = random.Random(opts.seed + n)
         weyl = Weyl(n, lattice=opts.lattice(n) if n == opts.n else None,
                     subalgebra="w1")
-        first, failed = _sample(samples, lambda: verify_jacobi(
+        run = _sample(samples, lambda: verify_jacobi(
             *(_random_homogeneous(weyl, rng, max_mu=opts.max_mu)
               for _ in range(3))).residual)
         checks.append(VerificationReport(
-            f"jacobi[n={n}]", first,
-            details={"zero_residuals": samples - failed, "samples": samples}))
+            f"jacobi[n={n}]", run.residual,
+            details=run.details(zero_residuals=samples - run.failed, samples=samples)))
     return params, checks
 
 
@@ -201,9 +216,10 @@ def _suite_oracle(opts: SuiteOptions) -> _Run:
                          if operator_action(xy, g)
                          != act_on_combination(x, operator_action(y, g))), None)
 
+        run = _sample(samples, pair)
         checks.append(VerificationReport(
-            f"mul-vs-operator[n={n}]", _sample(samples, pair)[0],
-            details={"pairs": samples, "vectors_per_pair": 5}))
+            f"mul-vs-operator[n={n}]", run.residual,
+            details=run.details(pairs=samples, vectors_per_pair=5)))
     # closed form for brackets of degree-one elements
     rng = random.Random(opts.seed + 77)
     weyl2 = Weyl(2)
@@ -218,9 +234,9 @@ def _suite_oracle(opts: SuiteOptions) -> _Run:
                                    weyl2.from_direction(gam, d2)))
 
     cases = opts.samples or 100
-    checks.append(VerificationReport("degree-one-closed-form",
-                                     _sample(cases, degree_one)[0],
-                                     details={"cases": cases}))
+    run = _sample(cases, degree_one)
+    checks.append(VerificationReport("degree-one-closed-form", run.residual,
+                                     details=run.details(cases=cases)))
     return {"samples": samples}, checks
 
 
@@ -238,17 +254,16 @@ def _suite_cocycle(opts: SuiteOptions) -> _Run:
         s = cocycle(x, y) + cocycle(y, x)
         return None if s.is_zero() else str(s)
 
+    condition = _sample(samples, lambda: verify_cocycle_condition(*draw(3)).residual)
+    ext_jacobi = _sample(half, lambda: verify_jacobi(*draw(3)).residual)
+    antisym = _sample(half, antisymmetry)
     return {"samples": samples}, [
-        VerificationReport(
-            "cocycle-condition",
-            _sample(samples, lambda: verify_cocycle_condition(*draw(3)).residual)[0],
-            details={"triples": samples}),
-        VerificationReport(
-            "ext-bracket-jacobi",
-            _sample(half, lambda: verify_jacobi(*draw(3)).residual)[0],
-            details={"triples": half}),
-        VerificationReport("cocycle-antisymmetry", _sample(half, antisymmetry)[0],
-                           details={"pairs": half}),
+        VerificationReport("cocycle-condition", condition.residual,
+                           details=condition.details(triples=samples)),
+        VerificationReport("ext-bracket-jacobi", ext_jacobi.residual,
+                           details=ext_jacobi.details(triples=half)),
+        VerificationReport("cocycle-antisymmetry", antisym.residual,
+                           details=antisym.details(pairs=half)),
     ]
 
 
@@ -280,8 +295,9 @@ def _suite_onevar(opts: SuiteOptions) -> _Run:
                                    DfElement.of(j, g).to_weyl(weyl)))
 
     cases = opts.samples or 100
-    checks.append(VerificationReport("df-closed-form", _sample(cases, df_case)[0],
-                                     details={"cases": cases}))
+    run = _sample(cases, df_case)
+    checks.append(VerificationReport("df-closed-form", run.residual,
+                                     details=run.details(cases=cases)))
     return {}, checks
 
 
@@ -327,10 +343,10 @@ def _suite_modules(opts: SuiteOptions) -> _Run:
                                _vec_sub(act(m, x, act(m, y, v)), act(m, y, act(m, x, v))))
                 return _vec_text(res) if res else None
 
-            first, failed = _sample(samples, lie_case)
+            run = _sample(samples, lie_case)
             checks.append(VerificationReport(
-                f"lie-module[{kind},n={n}]", first,
-                details={"samples": samples, "failures": failed}))
+                f"lie-module[{kind},n={n}]", run.residual,
+                details=run.details(samples=samples, failures=run.failed)))
     return {"samples": samples, "alpha": "formal"}, checks
 
 
@@ -373,14 +389,17 @@ def _suite_assoc(opts: SuiteOptions) -> _Run:
                     "product_action": _vec_text(lhs), "staged_action": _vec_text(rhs),
                     "residual": _vec_text(res)}
 
-        witnesses = _failures(samples + 1, witness)
+        found = _failures(samples + 1, witness)
+        witnesses = [w for _i, w in found]
+        details = {"cases": samples + 1, "witnesses": witnesses[:3]}
         if m.kind == "A":
             residual = witnesses[0]["residual"] if witnesses else None
+            if found:
+                details["first_failing_sample"] = found[0][0]
         else:
             residual = None if witnesses else "no associativity failure found for kind B"
-        checks.append(VerificationReport(
-            f"assoc-dichotomy[{m.kind}]", residual,
-            details={"cases": samples + 1, "witnesses": witnesses[:3]}))
+        checks.append(VerificationReport(f"assoc-dichotomy[{m.kind}]", residual,
+                                         details=details))
     return {"alpha": str(alpha), "samples": samples}, checks
 
 

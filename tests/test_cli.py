@@ -201,3 +201,38 @@ def test_submodules_window_0_exits_2(capsys):
     # no proper submodule, so the suite has nothing to check
     assert main(["suite", "submodules", "--window", "0"]) == 2
     assert "--window must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, out", (
+    (["-t^(1)*D"], "-t^(1)*D"),
+    (["-1/2*D"], "-1/2*D"),
+    (["-t^(3)*D", "--subalgebra", "w1"], "-t^(3)*D"),
+    (["--n", "2", "-t[1,0]*D1", "--subalgebra", "full"], "-t[1,0]*D1"),
+    (["-alpha*D", "--alpha", "formal"], "(-alpha)*D"),
+))
+def test_leading_minus_expression_evaluates(argv, out, capsys):
+    # argparse reads a space-free argument that starts with "-" as a flag
+    assert main(["eval", *argv]) == 0
+    assert capsys.readouterr().out.strip() == out
+
+
+def test_printed_negative_result_feeds_back(capsys):
+    assert main(["eval", "[t^(2)*D, t^(1)*D]"]) == 0
+    text = capsys.readouterr().out.strip()
+    assert text == "-t^(3)*D"
+    assert main(["eval", text]) == 0
+    assert capsys.readouterr().out.strip() == text
+
+
+@pytest.mark.parametrize("argv", (
+    ["eval", "D", "--bogus"],
+    ["eval", "--bogus"],
+    ["eval", "-D", "--bogus"],
+    ["eval", "-D", "-t^(1)*D"],
+    ["eval", "D", "-t^(1)*D"],
+    ["eval"],
+    ["suite", "jacobi", "-t^(1)*D"],
+))
+def test_unknown_flags_and_missing_expression_exit_2(argv, capsys):
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err

@@ -435,3 +435,41 @@ def test_evaluation_errors_carry_their_position(setting, text, position):
     with pytest.raises(ParseError) as err:
         parse_element(text, _session(setting))
     assert err.value.position == position
+
+
+def _stored_coefficients(value):
+    """Every stored Fraction of a Scalar, or of an element's coefficients."""
+    if isinstance(value, Scalar):
+        return list(value.terms.values())
+    return [q for c in [*value.terms.values(), value.central] for q in c.terms.values()]
+
+
+@pytest.mark.parametrize("text, expected", (
+    ("0", lambda ring, w: ring.zero),
+    ("0*alpha", lambda ring, w: ring.zero),
+    ("alpha - alpha", lambda ring, w: ring.zero),
+    ("0*t^(1)*D + D", lambda ring, w: w.monomial((0,), (1,))),
+    ("3/6*D", lambda ring, w: w.monomial((0,), (1,), Fraction(1, 2))),
+    ("-0*D + 0", lambda ring, w: w.zero()),
+    ("2/4", lambda ring, w: ring.const(Fraction(1, 2))),
+), ids=lambda v: v if isinstance(v, str) else "")
+def test_numeric_leaves_evaluate_to_canonical_values(text, expected):
+    ring = Ring(("alpha",))
+    w = Weyl(1, ring=ring)
+    got = parse_element(text, Session(w))
+    want = expected(ring, w)
+    assert type(got) is type(want) and got == want
+    assert got.terms == want.terms
+    assert all(q != 0 for q in _stored_coefficients(got))
+    assert all(isinstance(q, Fraction) for q in _stored_coefficients(got))
+
+
+def test_parsing_leaves_the_ring_symbols_unchanged():
+    ring = Ring(("alpha", "beta"))
+    session = Session(Weyl(1, ring=ring))
+    for text in ("alpha + 1", "2*alpha", "alpha*D + alpha*D", "-alpha", "alpha^3",
+                 "(alpha - alpha)*t^(1)*D", "alpha*t^(1)*D + 2*alpha*t^(1)*D"):
+        parse_element(text, session)
+    assert ring.sym("alpha") == Scalar(ring, {(1, 0): 1})
+    assert ring.sym("beta") == Scalar(ring, {(0, 1): 1})
+    assert parse_element("alpha + 1", session) == Scalar(ring, {(1, 0): 1, (0, 0): 1})

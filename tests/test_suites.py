@@ -10,6 +10,7 @@ import pytest
 
 from winfty import suites
 from winfty.report import GRAMMAR_VERSION
+from winfty.scalars import Ring
 from winfty.suites import (_SUITES, SUITE_NAMES, SuiteOptions,
                            UnknownSuiteError, UnsupportedOptionError, run_suite)
 
@@ -168,3 +169,55 @@ GOLDEN_DIGESTS = {
 def test_default_report_digest(name):
     doc = run_suite(name, SuiteOptions(seed=0)).to_json()
     assert hashlib.sha256(doc.encode()).hexdigest() == GOLDEN_DIGESTS[name]
+
+
+def test_failures_keep_the_index_of_each_failing_sample():
+    outcomes = iter([None, "r1", None, "r3", None])
+    assert suites._failures(5, lambda: next(outcomes)) == [(1, "r1"), (3, "r3")]
+    outcomes = iter([None, "r1", None, "r3", None])
+    run = suites._sample(5, lambda: next(outcomes))
+    assert (run.residual, run.failed) == ("r1", 2)
+    assert run.details(cases=5) == {"cases": 5, "first_failing_sample": 1}
+    assert suites._sample(3, lambda: None).details(cases=3) == {"cases": 3}
+
+
+def test_failing_sampled_check_records_its_first_failing_sample(monkeypatch):
+    opts = SuiteOptions(samples=6)
+    clean = {c.name: c for c in run_suite("jacobi", opts).checks}
+    real = suites.verify_jacobi
+    calls = []
+
+    def forced(*triple):
+        # draws as before; the third and fifth n = 1 samples fail
+        rep = real(*triple)
+        calls.append(len(calls))
+        if calls[-1] in (2, 4):
+            rep.residual = f"forced {calls[-1]}"
+        return rep
+
+    monkeypatch.setattr(suites, "verify_jacobi", forced)
+    got = {c.name: c for c in run_suite("jacobi", opts).checks}
+    assert got["jacobi[n=1]"].residual == "forced 2"
+    assert got["jacobi[n=1]"].details == {"zero_residuals": 4, "samples": 6,
+                                          "first_failing_sample": 2}
+    # the passing check's report is unchanged
+    assert got["jacobi[n=2]"].to_dict() == clean["jacobi[n=2]"].to_dict()
+
+
+def test_failing_assoc_witness_records_its_sample(monkeypatch):
+    opts = SuiteOptions(samples=5)
+    real = suites._vec_sub
+    calls = []
+
+    def forced(a, b):
+        calls.append(len(calls))
+        out = real(a, b)
+        if calls[-1] == 3:  # the fourth case of kind A, which has no witness
+            out = {(0,): Ring(("alpha",)).one}
+        return out
+
+    monkeypatch.setattr(suites, "_vec_sub", forced)
+    got = {c.name: c for c in run_suite("assoc-dichotomy", opts).checks}
+    assert not got["assoc-dichotomy[A]"].passed
+    assert got["assoc-dichotomy[A]"].details["first_failing_sample"] == 3
+    assert "first_failing_sample" not in got["assoc-dichotomy[B]"].details
