@@ -13,12 +13,21 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
+from .lattice import Lattice
 from .parser import Session, parse_element
 from .printer import format_element
 from .report import GRAMMAR_VERSION
 from .scalars import Ring, Scalar
-from .suites import SUITE_NAMES, SuiteOptions, check_options, run_suite
+from .suites import SUITE_NAMES, SuiteOptions, run_suite
 from .weyl import Weyl
+
+
+def _rational(text: str, flag: str) -> Fraction:
+    text = text.strip()
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{flag}: zero denominator in {text!r}") from None
 
 
 def _parse_gamma(text: str) -> List[List[Fraction]]:
@@ -27,38 +36,15 @@ def _parse_gamma(text: str) -> List[List[Fraction]]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        vectors.append([Fraction(c.strip()) for c in chunk.split(",")])
+        vectors.append([_rational(c, "--gamma") for c in chunk.split(",")])
     if not vectors:
         raise ValueError("empty --gamma")
     return vectors
 
 
 def _parse_alpha(text: str):
-    if text == "formal":
-        return "formal"
-    return [Fraction(c.strip()) for c in text.split(",")]
-
-
-def _add_common_flags(sub: argparse.ArgumentParser):
-    # defaults are SuiteOptions', so check_options reads an omitted flag as unset
-    d = SuiteOptions()
-    sub.add_argument("--n", type=int, default=d.n, help="number of variables")
-    sub.add_argument("--gamma", type=str, default=None,
-                     help='lattice generators, e.g. "1,0;0,1"')
-    sub.add_argument("--alpha", type=str, default=None,
-                     help='module parameter: rational vector or "formal"')
-    sub.add_argument("--window", type=int, default=d.window, help="window radius")
-    sub.add_argument("--samples", type=int, default=d.samples,
-                     help="sample count for randomized checks")
-    sub.add_argument("--seed", type=int, default=d.seed, help="RNG seed")
-    sub.add_argument("--max-mu", type=int, default=d.max_mu, dest="max_mu",
-                     help="maximum total D-order of random monomials")
-    sub.add_argument("--json", type=str, default=None, dest="json_path",
-                     help="write the JSON report to this path")
-    sub.add_argument("--kind", choices=("A", "B"), default=d.kind,
-                     help="restrict module suites to one kind")
-    sub.add_argument("--subalgebra", choices=("w1", "full", "hat"),
-                     default=d.subalgebra, help="algebra flavor")
+    # SuiteOptions refuses a vector or "formal" with a message naming the readers
+    return text if text == "formal" or "," in text else _rational(text, "--alpha")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,31 +54,42 @@ def _build_parser() -> argparse.ArgumentParser:
                     "and their intermediate-series modules.")
     subs = ap.add_subparsers(dest="command", required=True)
 
+    # each command takes only the flags it reads, so argparse refuses the rest
     sp = subs.add_parser("suite", help="run a named verification suite")
     sp.add_argument("name", help=f"one of: {', '.join(SUITE_NAMES)}")
-    _add_common_flags(sp)
-
+    sp.add_argument("--alpha", help="module parameter: one rational")
     ep = subs.add_parser("eval", help="evaluate an expression")
     # optional here only so that main() can take a leading-minus expression
     # that argparse set aside as an unknown flag; main() requires one
     ep.add_argument("expression", nargs="?")
-    _add_common_flags(ep)
+    ep.add_argument("--n", type=int, default=1, help="number of variables")
+    ep.add_argument("--alpha", choices=("formal",), help="add alpha to the ring")
+    ep.add_argument("--subalgebra", choices=("w1", "full", "hat"), default="w1",
+                    help="algebra flavor")
+    for sub in (sp, ep):
+        sub.add_argument("--gamma", help='lattice generators, e.g. "1,0;0,1"')
+        sub.add_argument("--json", dest="json_path",
+                         help="write the JSON report to this path")
 
+    # defaults are SuiteOptions', so run_suite reads an omitted flag as unset
+    d = SuiteOptions()
+    sp.add_argument("--window", type=int, default=d.window, help="window radius")
+    sp.add_argument("--samples", type=int, default=d.samples,
+                    help="sample count for randomized checks")
+    sp.add_argument("--seed", type=int, default=d.seed, help="RNG seed")
+    sp.add_argument("--max-mu", type=int, default=d.max_mu, dest="max_mu",
+                    help="maximum total D-order of random monomials")
+    sp.add_argument("--kind", choices=("A", "B"), default=d.kind,
+                    help="restrict module suites to one kind")
     return ap
 
 
 def _options(args) -> SuiteOptions:
     return SuiteOptions(
-        n=args.n,
         gamma=_parse_gamma(args.gamma) if args.gamma else None,
         alpha=_parse_alpha(args.alpha) if args.alpha else None,
-        window=args.window,
-        samples=args.samples,
-        seed=args.seed,
-        max_mu=args.max_mu,
-        kind=args.kind,
-        subalgebra=args.subalgebra,
-    )
+        window=args.window, samples=args.samples, seed=args.seed,
+        max_mu=args.max_mu, kind=args.kind)
 
 
 def _cmd_suite(args) -> int:
@@ -105,12 +102,9 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    # Only a formal alpha has a meaning here: it adds alpha to the ring.
-    reads = {"n", "gamma", "subalgebra"} | ({"alpha"} if args.alpha == "formal" else set())
-    opts = _options(args)
-    check_options("eval", opts, reads)
-    ring = Ring(("alpha",)) if args.alpha == "formal" else Ring()
-    weyl = Weyl(args.n, ring=ring, lattice=opts.lattice(args.n), subalgebra=args.subalgebra)
+    ring = Ring(("alpha",)) if args.alpha else Ring()
+    lattice = Lattice(_parse_gamma(args.gamma)) if args.gamma else None
+    weyl = Weyl(args.n, ring=ring, lattice=lattice, subalgebra=args.subalgebra)
     value = parse_element(args.expression, Session(weyl))
     if isinstance(value, Scalar):
         text = str(value)
@@ -127,10 +121,23 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _join_values(argv: List[str]) -> List[str]:
+    """Join --gamma and --alpha with a value that starts with "-", such as
+    "-1/2", which argparse would take for a flag."""
+    out: List[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--gamma", "--alpha") and arg[:1] == "-" and arg[:2] != "--":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     ap = _build_parser()
     try:
-        args, unknown = ap.parse_known_args(argv)
+        args, unknown = ap.parse_known_args(
+            _join_values(sys.argv[1:] if argv is None else argv))
         if args.command == "eval" and args.expression is None:
             # argparse takes a space-free argument that starts with "-", as
             # in "-t^(3)*D", for a flag; one such argument is the expression

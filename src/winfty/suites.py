@@ -37,22 +37,21 @@ class UnsupportedOptionError(ValueError):
 
 @dataclass
 class SuiteOptions:
-    """Knobs shared by all suites; None falls back to per-suite defaults.
+    """Knobs of the suites; None falls back to per-suite defaults.
 
-    Each suite reads only some of them (see ``_SUITES``); ``run_suite``
-    rejects a non-default value of any other, except ``seed``, which every
-    report records.
+    Each field is read by some suite (see ``_SUITES``); ``run_suite`` rejects
+    a non-default value of a field the suite does not read, except ``seed``,
+    which every report records. A value no suite can run with raises
+    ValueError here.
     """
 
-    n: int = 1
-    gamma: Optional[Sequence[Sequence[Fraction]]] = None  # lattice generators
-    alpha: object = None          # rational vector, "formal", or None
+    gamma: Optional[Sequence[Sequence[Fraction]]] = None  # jacobi's lattice, in Q^1 or Q^2
+    alpha: Optional[Fraction] = None  # the rank-one modules' parameter, 1/2 if None
     window: int = 8
     samples: Optional[int] = None
     seed: int = 0
     max_mu: int = 4
     kind: Optional[str] = None    # restrict module suites to "A" or "B"
-    subalgebra: str = "w1"
 
     def __post_init__(self):
         # only submodules reads window, and a window of y_0 alone holds no
@@ -62,11 +61,12 @@ class SuiteOptions:
             if value is not None and value < least:
                 raise ValueError(f"--{name.replace('_', '-')} must be at least "
                                  f"{least}, got {value}")
-
-    def lattice(self, n: int) -> Lattice:
-        if self.gamma is not None:
-            return Lattice(self.gamma)
-        return Lattice.standard(n)
+        if self.alpha is not None and not isinstance(self.alpha, (int, Fraction)):
+            raise ValueError("assoc-dichotomy and weightlab-yk read --alpha as one "
+                             "rational, not a vector or 'formal'")
+        if self.gamma is not None and Lattice(self.gamma).dim not in (1, 2):
+            raise ValueError("jacobi runs n = 1 and n = 2, so --gamma must lie "
+                             "in Q^1 or Q^2")
 
     def kinds(self) -> Tuple[str, ...]:
         return (self.kind,) if self.kind else ("A", "B")
@@ -168,26 +168,17 @@ def _vec_text(v: ModuleVector) -> str:
     return " + ".join(f"({v[k]})*y{list(k)}" for k in sorted(v))
 
 
-def _check_jacobi_n(opts: SuiteOptions) -> None:
-    if opts.gamma is None and opts.n != 1:
-        raise ValueError("jacobi always runs n = 1 and n = 2; --n picks the one "
-                         "that gets the --gamma lattice, so it needs --gamma")
-    if opts.n not in (1, 2):
-        raise ValueError(f"jacobi runs n = 1 and n = 2; --n {opts.n} selects "
-                         f"neither for the --gamma lattice")
-
-
 def _suite_jacobi(opts: SuiteOptions) -> _Run:
     samples = opts.samples or 200
     params = {"samples": samples, "max_mu": opts.max_mu}
-    if opts.gamma is not None:
+    lattice = None if opts.gamma is None else Lattice(opts.gamma)
+    if lattice is not None:
         # the default Z^n report keeps its form; a --gamma one names its lattice
-        params.update(n=opts.n, gamma=[[str(c) for c in g]
-                                       for g in opts.lattice(opts.n).generators])
+        params.update(n=lattice.dim, gamma=[[str(c) for c in g] for g in lattice.generators])
     checks = []
     for n in (1, 2):
         rng = random.Random(opts.seed + n)
-        weyl = Weyl(n, lattice=opts.lattice(n) if n == opts.n else None,
+        weyl = Weyl(n, lattice=lattice if lattice and lattice.dim == n else None,
                     subalgebra="w1")
         run = _sample(samples, lambda: verify_jacobi(
             *(_random_homogeneous(weyl, rng, max_mu=opts.max_mu)
@@ -351,16 +342,7 @@ def _suite_modules(opts: SuiteOptions) -> _Run:
 
 
 def _alpha1(opts: SuiteOptions) -> Fraction:
-    """The one rational --alpha of the rank-one module suites, 1/2 by default."""
-    alpha = opts.alpha
-    if isinstance(alpha, (list, tuple)) and len(alpha) == 1:
-        alpha = alpha[0]
-    if alpha is None:
-        return Fraction(1, 2)
-    if not isinstance(alpha, (int, Fraction)):
-        raise ValueError("assoc-dichotomy and weightlab-yk read --alpha as one "
-                         "rational, not a vector or 'formal'")
-    return Fraction(alpha)
+    return Fraction(1, 2) if opts.alpha is None else Fraction(opts.alpha)
 
 
 def _rank_one_modules(opts: SuiteOptions, alpha):
@@ -459,7 +441,7 @@ def _suite_weightlab_yk(opts: SuiteOptions) -> _Run:
 
 # Suite name -> (runner, the SuiteOptions fields it reads besides seed).
 _SUITES = {
-    "jacobi": (_suite_jacobi, {"n", "gamma", "samples", "max_mu"}),
+    "jacobi": (_suite_jacobi, {"gamma", "samples", "max_mu"}),
     "oracle": (_suite_oracle, {"samples", "max_mu"}),
     "cocycle": (_suite_cocycle, {"samples", "max_mu"}),
     "onevar-identities": (_suite_onevar, {"samples"}),
@@ -475,31 +457,13 @@ _SUITES = {
 }
 SUITE_NAMES = (*_SUITES, "all")
 
-# Suite name -> a check that raises ValueError on option values its runner
-# cannot run with; run_suite makes every check before any suite starts.
-_OPTION_CHECKS = {
-    "jacobi": _check_jacobi_n,
-    "assoc-dichotomy": _alpha1,
-    "weightlab-yk": _alpha1,
-}
-
-
-def check_options(command: str, opts: SuiteOptions, reads) -> None:
-    """Raise UnsupportedOptionError if ``opts`` sets a field outside ``reads``
-    to a non-default value; ``command`` names the reader in the message."""
-    for f in fields(SuiteOptions):
-        if f.name not in reads and getattr(opts, f.name) != f.default:
-            raise UnsupportedOptionError(
-                f"{command} does not read --{f.name.replace('_', '-')}")
-
-
 def run_suite(name: str, options: Optional[SuiteOptions] = None) -> ReportDocument:
     """Run a named suite; "all" concatenates every suite's checks.
 
-    Raises UnsupportedOptionError when ``options`` sets an option the suite
-    does not read ("all" reads the options of any of its suites), and
-    ValueError when a suite cannot run with an option's value; either is
-    raised before any suite runs.
+    Raises UnsupportedOptionError, before any suite runs, when ``options``
+    sets an option the suite does not read ("all" reads the options of any
+    of its suites). ``SuiteOptions`` itself refuses values no suite can run
+    with.
     """
     opts = options or SuiteOptions()
     if name == "all":
@@ -509,11 +473,11 @@ def run_suite(name: str, options: Optional[SuiteOptions] = None) -> ReportDocume
     else:
         raise UnknownSuiteError(
             f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    reads = set().union(*(_SUITES[sub][1] for sub in names))
-    check_options(f"suite {name!r}", opts, reads | {"seed"})
-    for sub in names:
-        if sub in _OPTION_CHECKS:
-            _OPTION_CHECKS[sub](opts)
+    reads = set().union(*(_SUITES[sub][1] for sub in names), {"seed"})
+    for f in fields(SuiteOptions):
+        if f.name not in reads and getattr(opts, f.name) != f.default:
+            raise UnsupportedOptionError(
+                f"suite {name!r} does not read --{f.name.replace('_', '-')}")
     if name == "all":
         params, checks = {}, [
             VerificationReport(f"{sub}:{c.name}", c.residual, c.details)

@@ -291,25 +291,24 @@ class _Sum:
     hands over the map, after which the sum is not used again.
     """
 
-    __slots__ = ("weyl", "terms", "basis", "d_terms", "central")
+    __slots__ = ("weyl", "terms", "basis", "central")
 
     def __init__(self, first: WeylElement):
         self.weyl = first.weyl
         self.terms: Dict[TermKey, Scalar] = dict(first.terms)
         self.basis = first.basis
-        self.d_terms = _count_d(self.terms)  # keys of ``terms`` with a nonzero mu
         self.central = first.central
 
     def _adopt(self, basis: str, has_d: bool) -> bool:
-        """Settle the basis with a summand in ``basis``; True when the summand
-        must be converted to the power basis first."""
-        if not self.d_terms:
+        """Settle the basis with a summand in ``basis``, which is not the
+        sum's; True when the summand must be converted to the power basis
+        first."""
+        if not _has_d(self.terms):
             self.basis = basis
-        elif has_d and basis != self.basis:
+        elif has_d:
             if self.basis == POWER:
                 return True
             self.terms = self.element().to_power().terms
-            self.d_terms = _count_d(self.terms)
             self.basis = POWER
         return False
 
@@ -317,7 +316,7 @@ class _Sum:
         """Add x, or -x when ``neg``."""
         _check_compat(self.weyl, x.weyl)
         # a summand in the sum's own basis leaves the basis as it is
-        if x.basis != self.basis and self._adopt(x.basis, _count_d(x.terms) > 0):
+        if x.basis != self.basis and self._adopt(x.basis, _has_d(x.terms)):
             x = x.to_power()
         if x.central:
             self.central = self.central - x.central if neg else self.central + x.central
@@ -327,7 +326,7 @@ class _Sum:
     def add_term(self, key: TermKey, c: Scalar, basis: str) -> None:
         """Add c t^gamma D^mu, or c t^gamma [D]_mu when ``basis`` is falling,
         for a ``key`` WeylElement accepts as is and c in the ring, maybe 0."""
-        if self._adopt(basis, bool(c) and any(key[1])):
+        if basis != self.basis and self._adopt(basis, bool(c) and any(key[1])):
             self.add(WeylElement._trusted(self.weyl, {key: c}, basis).to_power())
         elif c:
             self._put(key, c)
@@ -337,21 +336,19 @@ class _Sum:
         size = len(terms)
         old = terms.setdefault(key, c)  # one hash of the Fraction key when new
         if len(terms) > size:
-            self.d_terms += any(key[1])
             return
         total = old + c
         if total:
             terms[key] = total
         else:
             del terms[key]
-            self.d_terms -= any(key[1])
 
     def element(self) -> WeylElement:
         return WeylElement._trusted(self.weyl, self.terms, self.basis, self.central)
 
 
-def _count_d(terms: Dict[TermKey, Scalar]) -> int:
-    return sum(1 for _g, mu in terms if any(mu))
+def _has_d(terms: Dict[TermKey, Scalar]) -> bool:
+    return any(any(mu) for _g, mu in terms)
 
 
 # -- products and brackets -------------------------------------------------

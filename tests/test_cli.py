@@ -113,18 +113,20 @@ def test_suite_rejects_flags_it_does_not_read(suite, flags, capsys):
     ["--max-mu", "2"],
     ["--kind", "A"],
     ["--alpha", "1/2"],
+    ["--seed", "0"],
 ))
 def test_eval_rejects_flags_it_does_not_read(flags, capsys):
-    # before, `eval "t^(1)*D" --window 3` printed t^(1)*D and exited 0
+    # before, `eval "t^(1)*D" --window 3` printed t^(1)*D and exited 0; eval
+    # takes no suite flag, so argparse refuses even a default value
     assert main(["eval", "t^(1)*D", *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"error: eval does not read {flags[0]}" in captured.err
+    assert "error: " in captured.err and flags[0] in captured.err
 
 
 def test_eval_reads_formal_alpha_gamma_and_defaults(capsys):
     assert main(["eval", "alpha*t[1,1]*D1", "--alpha", "formal", "--n", "2",
-                 "--gamma", "1,1;0,1", "--seed", "0", "--window", "8"]) == 0
+                 "--gamma", "1,1;0,1"]) == 0
     assert capsys.readouterr().out.strip() == "(alpha)*t[1,1]*D1"
 
 
@@ -139,7 +141,7 @@ def test_eval_zero_denominator_is_a_syntax_error(capsys):
     assert "error: zero denominator in '1/0' (at position 3)" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", (["suite", "all"], ["eval", "D"]))
+@pytest.mark.parametrize("command", (["suite", "all"],))
 def test_omitted_flags_give_the_default_options(command):
     assert _options(_build_parser().parse_args(command)) == SuiteOptions()
 
@@ -151,10 +153,9 @@ def test_omitted_flags_give_the_default_options(command):
     ["suite", "modules", "--max-mu", "0"],
     ["suite", "assoc-dichotomy", "--max-mu", "0"],
     ["suite", "oracle", "--max-mu", "0"],
-    ["eval", "D", "--max-mu", "0"],
     ["suite", "all", "--window", "0"],
 ), ids=("samples-0", "samples-negative", "window-negative", "modules-max-mu-0",
-        "assoc-max-mu-0", "oracle-max-mu-0", "eval-max-mu-0", "all-window-0"))
+        "assoc-max-mu-0", "oracle-max-mu-0", "all-window-0"))
 def test_out_of_range_numbers_exit_2_before_any_suite_runs(argv, monkeypatch, capsys):
     # before, `--samples 0` ran 200 samples, `--window -1` reported FAIL and
     # `--max-mu 0` looped forever in the module samplers
@@ -163,15 +164,18 @@ def test_out_of_range_numbers_exit_2_before_any_suite_runs(argv, monkeypatch, ca
     assert "must be at least" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", (
-    ["suite", "jacobi", "--n", "2", "--samples", "2"],
-    ["suite", "all", "--n", "2", "--samples", "2", "--window", "2"],
-), ids=("jacobi", "all"))
-def test_jacobi_n_without_gamma_exits_2(argv, capsys):
-    # before, both exited 0 with the default report: jacobi always runs
-    # n = 1 and n = 2, and --n only picks the one that gets the --gamma lattice
+@pytest.mark.parametrize("argv, message", (
+    (["suite", "jacobi", "--n", "2", "--samples", "2"], "unrecognized arguments: --n 2"),
+    (["suite", "all", "--n", "2", "--samples", "2", "--window", "2"],
+     "unrecognized arguments: --n 2"),
+    (["suite", "jacobi", "--gamma", "1,0,0;0,1,0;0,0,1", "--samples", "2"],
+     "--gamma must lie in Q^1 or Q^2"),
+), ids=("jacobi", "all", "q3"))
+def test_jacobi_refuses_n_and_a_q3_lattice(argv, message, capsys):
+    # jacobi always runs n = 1 and n = 2, and the --gamma lattice's own
+    # dimension picks the one that gets it, so --n is no flag of suite
     assert main(argv) == 2
-    assert "needs --gamma" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", (
@@ -196,6 +200,33 @@ def test_one_rational_alpha_is_recorded(suite, tmp_path, capsys):
     assert json.loads(out.read_text())["params"]["alpha"] == "1/3"
 
 
+@pytest.mark.parametrize("argv, param, value", (
+    (["assoc-dichotomy", "--alpha", "-1/2", "--samples", "2"], "alpha", "-1/2"),
+    (["weightlab-yk", "--alpha", "-1/3"], "alpha", "-1/3"),
+    (["jacobi", "--gamma", "-1/2", "--samples", "2"], "gamma", [["-1/2"]]),
+))
+def test_flag_value_with_a_leading_minus_is_read_as_the_value(
+        argv, param, value, tmp_path, capsys):
+    # before, argparse took "-1/2" for a flag and exited 2 with
+    # "expected one argument"; only --alpha=-1/2 worked
+    out = tmp_path / "report.json"
+    assert main(["suite", *argv, "--json", str(out)]) == 0
+    capsys.readouterr()
+    assert json.loads(out.read_text())["params"][param] == value
+
+
+@pytest.mark.parametrize("argv, message", (
+    (["suite", "jacobi", "--gamma", "1/0"], "--gamma: zero denominator in '1/0'"),
+    (["suite", "jacobi", "--gamma", "1, 2/0"], "--gamma: zero denominator in '2/0'"),
+    (["eval", "D", "--gamma", "1/0"], "--gamma: zero denominator in '1/0'"),
+    (["suite", "weightlab-yk", "--alpha", "1/0"], "--alpha: zero denominator in '1/0'"),
+))
+def test_zero_denominator_in_a_flag_names_the_flag(argv, message, capsys):
+    # before, the CLI printed "error: Fraction(1, 0)"
+    assert main(argv) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_submodules_window_0_exits_2(capsys):
     # before, it reported FAIL and exited 1: a window of y_0 alone holds
     # no proper submodule, so the suite has nothing to check
@@ -209,6 +240,9 @@ def test_submodules_window_0_exits_2(capsys):
     (["-t^(3)*D", "--subalgebra", "w1"], "-t^(3)*D"),
     (["--n", "2", "-t[1,0]*D1", "--subalgebra", "full"], "-t[1,0]*D1"),
     (["-alpha*D", "--alpha", "formal"], "(-alpha)*D"),
+    (["t[-1,0]*D1", "--n", "2", "--gamma", "-1,0;0,1"], "t[-1,0]*D1"),
+    (["-t[-1,0]*D1", "--n", "2", "--gamma", "-1,0;0,1"], "-t[-1,0]*D1"),
+    (["t^(-1/2)*D", "--gamma", "-1/2"], "t^(-1/2)*D"),
 ))
 def test_leading_minus_expression_evaluates(argv, out, capsys):
     # argparse reads a space-free argument that starts with "-" as a flag

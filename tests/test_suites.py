@@ -8,11 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from winfty import suites
+from winfty import cli, suites
 from winfty.report import GRAMMAR_VERSION
 from winfty.scalars import Ring
 from winfty.suites import (_SUITES, SUITE_NAMES, SuiteOptions,
-                           UnknownSuiteError, UnsupportedOptionError, run_suite)
+                           UnknownSuiteError, run_suite)
 
 
 def test_unknown_suite_raises():
@@ -20,27 +20,20 @@ def test_unknown_suite_raises():
         run_suite("no-such-suite")
 
 
-def test_all_rejects_an_option_no_suite_reads():
-    with pytest.raises(UnsupportedOptionError, match="--subalgebra"):
-        run_suite("all", SuiteOptions(subalgebra="hat"))
-
-
-@pytest.mark.parametrize("opts", (
-    SuiteOptions(alpha="formal"),
-    SuiteOptions(alpha=[Fraction(1, 2), Fraction(1, 3)]),
-), ids=("alpha-formal", "alpha-vector"))
-def test_all_checks_every_option_before_any_suite_runs(opts, monkeypatch):
+@pytest.mark.parametrize("alpha", ("formal", [Fraction(1, 2), Fraction(1, 3)]),
+                         ids=("alpha-formal", "alpha-vector"))
+def test_all_checks_every_option_before_any_suite_runs(alpha, monkeypatch):
     # before, "all" ran jacobi, oracle, cocycle, ... and raised only when
     # assoc-dichotomy's turn came
     ran = []
     monkeypatch.setattr(suites, "verify_jacobi", lambda *a: ran.append(a))
     with pytest.raises(ValueError, match="read --alpha as one rational"):
-        run_suite("all", opts)
+        run_suite("all", SuiteOptions(alpha=alpha))
     assert ran == []
 
 
 def test_default_valued_options_are_accepted():
-    opts = SuiteOptions(n=1, window=8, max_mu=4, subalgebra="w1")
+    opts = SuiteOptions(window=8, max_mu=4)
     assert run_suite("weightlab-215", opts).to_json() == run_suite("weightlab-215").to_json()
 
 
@@ -82,7 +75,7 @@ def test_jacobi_report_records_its_lattice():
     default = run_suite("jacobi", SuiteOptions(samples=5))
     half = run_suite("jacobi", SuiteOptions(samples=5, gamma=[[Fraction(1, 2)]]))
     rank2 = run_suite("jacobi", SuiteOptions(
-        samples=5, n=2, gamma=[[Fraction(1, 2), Fraction(1, 3)], [0, Fraction(2, 5)]]))
+        samples=5, gamma=[[Fraction(1, 2), Fraction(1, 3)], [0, Fraction(2, 5)]]))
     assert default.passed and half.passed and rank2.passed
     assert len({default.to_json(), half.to_json(), rank2.to_json()}) == 3
     assert "gamma" not in default.params
@@ -131,6 +124,34 @@ def test_registry_lists_the_options_each_suite_reads(name):
     opts = _RecordingOptions(samples=2, window=2)
     suite(opts)
     assert opts.read | {"seed"} == reads | {"seed"}
+
+
+def test_every_option_is_read_by_some_suite():
+    # a field no suite reads is a flag every suite refuses, as --subalgebra was
+    assert set().union(*(reads for _suite, reads in _SUITES.values())) | {"seed"} == _FIELDS
+
+
+class _ReadArgs:
+    """Parsed command-line arguments that record which of them are read."""
+
+    def __init__(self, args):
+        self.args, self.read = args, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self.args, name)
+
+
+@pytest.mark.parametrize("argv", (["suite", "weightlab-215"], ["eval", "D"]))
+def test_each_command_takes_only_the_flags_it_reads(argv, capsys):
+    # a flag its command never reads would be accepted and silently ignored
+    args = cli._build_parser().parse_args(argv)
+    recorded = _ReadArgs(args)
+    assert {"suite": cli._cmd_suite, "eval": cli._cmd_eval}[argv[0]](recorded) == 0
+    capsys.readouterr()
+    assert recorded.read == set(vars(args)) - {"command"}
+    if argv[0] == "suite":
+        assert set(vars(args)) - {"command", "name", "json_path"} == _FIELDS
 
 
 def test_all_is_every_suite_under_its_name():
