@@ -59,9 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("name", help=f"one of: {', '.join(SUITE_NAMES)}")
     sp.add_argument("--alpha", help="module parameter: one rational")
     ep = subs.add_parser("eval", help="evaluate an expression")
-    # optional here only so that main() can take a leading-minus expression
-    # that argparse set aside as an unknown flag; main() requires one
-    ep.add_argument("expression", nargs="?")
+    ep.add_argument("expression")
     ep.add_argument("--n", type=int, default=1, help="number of variables")
     ep.add_argument("--alpha", choices=("formal",), help="add alpha to the ring")
     ep.add_argument("--subalgebra", choices=("w1", "full", "hat"), default="w1",
@@ -121,32 +119,29 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _join_values(argv: List[str]) -> List[str]:
-    """Join --gamma and --alpha with a value that starts with "-", such as
-    "-1/2", which argparse would take for a flag."""
-    out: List[str] = []
-    for arg in argv:
-        if out and out[-1] in ("--gamma", "--alpha") and arg[:1] == "-" and arg[:2] != "--":
-            out[-1] += "=" + arg
+def _argv(argv: List[str]) -> List[str]:
+    """Let argparse read an argument that starts with one "-" ("-1/2",
+    "-t^(3)*D") as a value: right after a bare long flag, full or abbreviated,
+    it becomes that flag's value ("--gam=-1/2"); any other moves behind one
+    "--" (the user's own, if given), which ends the flags. "-h" stays help."""
+    head: List[str] = []
+    tail: List[str] = []
+    for i, arg in enumerate(argv):
+        if arg == "--":
+            tail += argv[i + 1:]
+            break
+        if arg[:1] != "-" or arg[:2] == "--" or arg == "-h":
+            head.append(arg)
+        elif head and head[-1][:2] == "--" and "=" not in head[-1]:
+            head[-1] += "=" + arg
         else:
-            out.append(arg)
-    return out
+            tail.append(arg)
+    return head + ["--", *tail] if tail else head
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    ap = _build_parser()
     try:
-        args, unknown = ap.parse_known_args(
-            _join_values(sys.argv[1:] if argv is None else argv))
-        if args.command == "eval" and args.expression is None:
-            # argparse takes a space-free argument that starts with "-", as
-            # in "-t^(3)*D", for a flag; one such argument is the expression
-            if len(unknown) == 1 and not unknown[0].startswith("--"):
-                args.expression = unknown.pop()
-            elif not unknown:
-                ap.error("the following arguments are required: expression")
-        if unknown:
-            ap.error(f"unrecognized arguments: {' '.join(unknown)}")
+        args = _build_parser().parse_args(_argv(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

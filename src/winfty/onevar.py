@@ -79,10 +79,6 @@ def _ddt_or_zero(weyl: Weyl, j: int) -> WeylElement:
 
 NAMED_IDENTITIES = ("L23-1", "L23-2", "L23-3", "CUBE")
 
-# L23-3 is printed with unbalanced brackets; each reading inserts the missing
-# closing bracket at a different place.
-L233_READINGS = ("close-inner", "close-after-t5-term", "close-at-end")
-
 
 def verify_named_identity(weyl: Weyl, name: str, i: int = 1) -> VerificationReport:
     """Check one of the displayed operator identities exactly.

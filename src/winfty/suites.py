@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .intermediate import (ModuleVector, act, highest_weight_scan, make_module,
                            normalize_ddt_basis, submodule_scan)
@@ -79,10 +79,10 @@ def _random_coords(rng: random.Random, rank: int, bound: int = 3) -> Tuple[int, 
     return tuple(rng.randint(-bound, bound) for _ in range(rank))
 
 
-def _random_homogeneous(weyl: Weyl, rng: random.Random, coord_bound: int = 5,
-                        max_mu: int = 4) -> WeylElement:
-    """A random homogeneous element: one lattice grade, 1-3 monomials."""
-    gamma = weyl.lattice.ambient(_random_coords(rng, weyl.lattice.rank, coord_bound))
+def _random_homogeneous(weyl: Weyl, rng: random.Random, max_mu: int = 4) -> WeylElement:
+    """A random homogeneous element: one lattice grade within coordinate bound 5,
+    1-3 monomials."""
+    gamma = weyl.lattice.ambient(_random_coords(rng, weyl.lattice.rank, 5))
     out = weyl.zero()
     for _ in range(rng.randint(1, 3)):
         mu = [0] * weyl.n
@@ -122,32 +122,17 @@ def _random_poly(rng: random.Random, deg: int) -> Dict[int, Fraction]:
 _Run = Tuple[Dict[str, Any], List[VerificationReport]]
 
 
-def _failures(count: int, case) -> List[Tuple[int, Any]]:
+def _sampled(name: str, count: int, case,
+             **details: Any) -> Tuple[VerificationReport, int]:
     """Run ``case`` ``count`` times; each call draws its own sample and returns
-    what it found wrong, or None when it passes. Returns (i, failure) for
-    every failing call, i the 0-based index of its sample."""
-    return [(i, r) for i, r in enumerate(case() for _ in range(count)) if r is not None]
-
-
-class _Sampled(NamedTuple):
-    residual: Optional[str]  # the first failing sample's residual text
-    failed: int
-    first_index: Optional[int]  # the first failing sample's 0-based index
-
-    def details(self, **details: Any) -> Dict[str, Any]:
-        """``details``, plus ``first_failing_sample`` when a sample failed, so a
-        passing report is unchanged."""
-        if self.first_index is not None:
-            details["first_failing_sample"] = self.first_index
-        return details
-
-
-def _sample(count: int, case) -> _Sampled:
-    """``_failures`` of a case returning residual text."""
-    bad = _failures(count, case)
-    if not bad:
-        return _Sampled(None, 0, None)
-    return _Sampled(bad[0][1], len(bad), bad[0][0])
+    residual text, or None when it passes. Returns the report ``name``, whose
+    residual is the first failing sample's and whose details are ``details``
+    plus, when a sample fails, that sample's 0-based index as
+    ``first_failing_sample``; and the number of failing samples."""
+    bad = [(i, r) for i, r in enumerate(case() for _ in range(count)) if r is not None]
+    if bad:
+        details["first_failing_sample"] = bad[0][0]
+    return VerificationReport(name, bad[0][1] if bad else None, details=details), len(bad)
 
 
 def _difference(got, want) -> Optional[str]:
@@ -180,12 +165,11 @@ def _suite_jacobi(opts: SuiteOptions) -> _Run:
         rng = random.Random(opts.seed + n)
         weyl = Weyl(n, lattice=lattice if lattice and lattice.dim == n else None,
                     subalgebra="w1")
-        run = _sample(samples, lambda: verify_jacobi(
+        report, failed = _sampled(f"jacobi[n={n}]", samples, lambda: verify_jacobi(
             *(_random_homogeneous(weyl, rng, max_mu=opts.max_mu)
-              for _ in range(3))).residual)
-        checks.append(VerificationReport(
-            f"jacobi[n={n}]", run.residual,
-            details=run.details(zero_residuals=samples - run.failed, samples=samples)))
+              for _ in range(3))).residual, samples=samples)
+        report.details["zero_residuals"] = samples - failed
+        checks.append(report)
     return params, checks
 
 
@@ -207,10 +191,8 @@ def _suite_oracle(opts: SuiteOptions) -> _Run:
                          if operator_action(xy, g)
                          != act_on_combination(x, operator_action(y, g))), None)
 
-        run = _sample(samples, pair)
-        checks.append(VerificationReport(
-            f"mul-vs-operator[n={n}]", run.residual,
-            details=run.details(pairs=samples, vectors_per_pair=5)))
+        checks.append(_sampled(f"mul-vs-operator[n={n}]", samples, pair,
+                               pairs=samples, vectors_per_pair=5)[0])
     # closed form for brackets of degree-one elements
     rng = random.Random(opts.seed + 77)
     weyl2 = Weyl(2)
@@ -225,9 +207,7 @@ def _suite_oracle(opts: SuiteOptions) -> _Run:
                                    weyl2.from_direction(gam, d2)))
 
     cases = opts.samples or 100
-    run = _sample(cases, degree_one)
-    checks.append(VerificationReport("degree-one-closed-form", run.residual,
-                                     details=run.details(cases=cases)))
+    checks.append(_sampled("degree-one-closed-form", cases, degree_one, cases=cases)[0])
     return {"samples": samples}, checks
 
 
@@ -245,16 +225,12 @@ def _suite_cocycle(opts: SuiteOptions) -> _Run:
         s = cocycle(x, y) + cocycle(y, x)
         return None if s.is_zero() else str(s)
 
-    condition = _sample(samples, lambda: verify_cocycle_condition(*draw(3)).residual)
-    ext_jacobi = _sample(half, lambda: verify_jacobi(*draw(3)).residual)
-    antisym = _sample(half, antisymmetry)
     return {"samples": samples}, [
-        VerificationReport("cocycle-condition", condition.residual,
-                           details=condition.details(triples=samples)),
-        VerificationReport("ext-bracket-jacobi", ext_jacobi.residual,
-                           details=ext_jacobi.details(triples=half)),
-        VerificationReport("cocycle-antisymmetry", antisym.residual,
-                           details=antisym.details(pairs=half)),
+        _sampled("cocycle-condition", samples,
+                 lambda: verify_cocycle_condition(*draw(3)).residual, triples=samples)[0],
+        _sampled("ext-bracket-jacobi", half,
+                 lambda: verify_jacobi(*draw(3)).residual, triples=half)[0],
+        _sampled("cocycle-antisymmetry", half, antisymmetry, pairs=half)[0],
     ]
 
 
@@ -286,9 +262,7 @@ def _suite_onevar(opts: SuiteOptions) -> _Run:
                                    DfElement.of(j, g).to_weyl(weyl)))
 
     cases = opts.samples or 100
-    run = _sample(cases, df_case)
-    checks.append(VerificationReport("df-closed-form", run.residual,
-                                     details=run.details(cases=cases)))
+    checks.append(_sampled("df-closed-form", cases, df_case, cases=cases)[0])
     return {}, checks
 
 
@@ -334,10 +308,10 @@ def _suite_modules(opts: SuiteOptions) -> _Run:
                                _vec_sub(act(m, x, act(m, y, v)), act(m, y, act(m, x, v))))
                 return _vec_text(res) if res else None
 
-            run = _sample(samples, lie_case)
-            checks.append(VerificationReport(
-                f"lie-module[{kind},n={n}]", run.residual,
-                details=run.details(samples=samples, failures=run.failed)))
+            report, failed = _sampled(f"lie-module[{kind},n={n}]", samples, lie_case,
+                                      samples=samples)
+            report.details["failures"] = failed
+            checks.append(report)
     return {"samples": samples, "alpha": "formal"}, checks
 
 
@@ -371,7 +345,7 @@ def _suite_assoc(opts: SuiteOptions) -> _Run:
                     "product_action": _vec_text(lhs), "staged_action": _vec_text(rhs),
                     "residual": _vec_text(res)}
 
-        found = _failures(samples + 1, witness)
+        found = [(i, w) for i, w in enumerate(witness() for _ in range(samples + 1)) if w]
         witnesses = [w for _i, w in found]
         details = {"cases": samples + 1, "witnesses": witnesses[:3]}
         if m.kind == "A":

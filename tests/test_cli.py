@@ -154,8 +154,9 @@ def test_omitted_flags_give_the_default_options(command):
     ["suite", "assoc-dichotomy", "--max-mu", "0"],
     ["suite", "oracle", "--max-mu", "0"],
     ["suite", "all", "--window", "0"],
+    ["suite", "jacobi", "--sam", "-3"],
 ), ids=("samples-0", "samples-negative", "window-negative", "modules-max-mu-0",
-        "assoc-max-mu-0", "oracle-max-mu-0", "all-window-0"))
+        "assoc-max-mu-0", "oracle-max-mu-0", "all-window-0", "abbreviated-samples-negative"))
 def test_out_of_range_numbers_exit_2_before_any_suite_runs(argv, monkeypatch, capsys):
     # before, `--samples 0` ran 200 samples, `--window -1` reported FAIL and
     # `--max-mu 0` looped forever in the module samplers
@@ -204,11 +205,14 @@ def test_one_rational_alpha_is_recorded(suite, tmp_path, capsys):
     (["assoc-dichotomy", "--alpha", "-1/2", "--samples", "2"], "alpha", "-1/2"),
     (["weightlab-yk", "--alpha", "-1/3"], "alpha", "-1/3"),
     (["jacobi", "--gamma", "-1/2", "--samples", "2"], "gamma", [["-1/2"]]),
+    (["jacobi", "--gam", "-1/2", "--samples", "2"], "gamma", [["-1/2"]]),
+    (["assoc-dichotomy", "--al", "-1/3"], "alpha", "-1/3"),
 ))
 def test_flag_value_with_a_leading_minus_is_read_as_the_value(
         argv, param, value, tmp_path, capsys):
     # before, argparse took "-1/2" for a flag and exited 2 with
-    # "expected one argument"; only --alpha=-1/2 worked
+    # "expected one argument"; only --alpha=-1/2 worked, and an abbreviated
+    # flag such as --gam took no value that starts with a minus
     out = tmp_path / "report.json"
     assert main(["suite", *argv, "--json", str(out)]) == 0
     capsys.readouterr()
@@ -243,11 +247,19 @@ def test_submodules_window_0_exits_2(capsys):
     (["t[-1,0]*D1", "--n", "2", "--gamma", "-1,0;0,1"], "t[-1,0]*D1"),
     (["-t[-1,0]*D1", "--n", "2", "--gamma", "-1,0;0,1"], "-t[-1,0]*D1"),
     (["t^(-1/2)*D", "--gamma", "-1/2"], "t^(-1/2)*D"),
+    (["--", "-D"], "-D"),
+    (["--gamma=1", "-D"], "-D"),
 ))
 def test_leading_minus_expression_evaluates(argv, out, capsys):
     # argparse reads a space-free argument that starts with "-" as a flag
     assert main(["eval", *argv]) == 0
     assert capsys.readouterr().out.strip() == out
+
+
+@pytest.mark.parametrize("argv", (["-h"], ["eval", "-h"], ["suite", "-h"]))
+def test_help_exits_0(argv, capsys):
+    assert main(argv) == 0
+    assert "usage: winfty" in capsys.readouterr().out
 
 
 def test_printed_negative_result_feeds_back(capsys):

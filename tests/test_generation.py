@@ -41,6 +41,12 @@ def test_t5d_member_via_nested_brackets(sub_i1):
     assert _reevaluate(sub_i1, combo) == W1.tD((5,))
 
 
+def test_eval_word_reads_generator_names(sub_i1):
+    assert sub_i1.eval_word("t^1D") == W1.tD((1,))
+    with pytest.raises(KeyError):
+        sub_i1.eval_word("nope")
+
+
 def test_degree_two_reduction_identity():
     # [t^(k-1)D, tD^2] = (3-2k) t^k D^2 + (degree-one terms), k = 12
     k = 12

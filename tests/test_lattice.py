@@ -36,7 +36,8 @@ def test_dependent_generators_rejected():
     (lambda: Lattice([]), "at least one generator"),
     (lambda: Lattice([(1,), (1, 2)]), "mixed dimensions"),
     (lambda: Lattice.standard(2).ambient((1,)), "expected 2 coordinates"),
-], ids=["no-generators", "mixed-dimensions", "ambient-count"])
+    (lambda: inner((1, 2), Direction.of((1,))), "dimension mismatch"),
+], ids=["no-generators", "mixed-dimensions", "ambient-count", "inner-dimension"])
 def test_malformed_lattice_input_rejected(build, message):
     with pytest.raises(ValueError, match=message):
         build()

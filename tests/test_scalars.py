@@ -68,6 +68,32 @@ def test_rising_is_shifted_falling(j):
     assert rising(A, j) == falling(A + j - 1, j)
 
 
+OTHER = Ring(("x",)).sym("x")
+
+
+@pytest.mark.parametrize("build, error, message", (
+    (lambda: Ring(("a", "a")), ValueError, "duplicate symbols"),
+    (lambda: A.as_fraction(), ValueError, "not a rational constant"),
+    (lambda: A + OTHER, ValueError, "scalars from different rings"),
+    (lambda: RING.coerce(OTHER), ValueError, "belongs to a different ring"),
+    (lambda: A / 0, ZeroDivisionError, "division of scalar by zero"),
+    (lambda: A ** -1, ValueError, "negative powers unsupported"),
+    (lambda: falling(A, -1), ValueError, "needs j >= 0"),
+    (lambda: rising(A, -1), ValueError, "needs j >= 0"),
+    (lambda: binom(A, -1), ValueError, "needs j >= 0"),
+), ids=("duplicate-symbols", "non-constant-fraction", "two-rings", "coerce-two-rings",
+        "divide-by-zero", "negative-power", "falling-negative-j", "rising-negative-j",
+        "binom-negative-j"))
+def test_invalid_scalar_input_raises(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
+def test_reflected_subtraction_and_division_by_a_constant_scalar():
+    assert 1 - A == -(A - 1)
+    assert A / RING.const(2) == A * Fraction(1, 2)
+
+
 def test_exact_div():
     p = (A + 1) * (A - B)
     assert p.exact_div(A + 1) == A - B

@@ -194,12 +194,11 @@ def test_default_report_digest(name):
 
 def test_failures_keep_the_index_of_each_failing_sample():
     outcomes = iter([None, "r1", None, "r3", None])
-    assert suites._failures(5, lambda: next(outcomes)) == [(1, "r1"), (3, "r3")]
-    outcomes = iter([None, "r1", None, "r3", None])
-    run = suites._sample(5, lambda: next(outcomes))
-    assert (run.residual, run.failed) == ("r1", 2)
-    assert run.details(cases=5) == {"cases": 5, "first_failing_sample": 1}
-    assert suites._sample(3, lambda: None).details(cases=3) == {"cases": 3}
+    report, failed = suites._sampled("check", 5, lambda: next(outcomes), cases=5)
+    assert (report.name, report.residual, failed) == ("check", "r1", 2)
+    assert report.details == {"cases": 5, "first_failing_sample": 1}
+    report, failed = suites._sampled("check", 3, lambda: None, cases=3)
+    assert (report.residual, report.details, failed) == (None, {"cases": 3}, 0)
 
 
 def test_failing_sampled_check_records_its_first_failing_sample(monkeypatch):

@@ -413,8 +413,11 @@ def test_w1_guard():
     (lambda: Weyl(1, subalgebra="x"), ValueError),
     (lambda: Weyl(2, lattice=Lattice.standard(1)), ValueError),
     (lambda: WeylElement(W, {}, basis="x"), ValueError),
+    (lambda: W.from_direction((1,), Direction.of((1, 2))), ValueError),
+    (lambda: degree_one_bracket(W, (1,), Direction.of((1, 2)), (2,), Direction.of((1,))),
+     ValueError),
 ), ids=("mul-central", "hat-n2", "unknown-subalgebra", "lattice-dimension",
-        "unknown-basis"))
+        "unknown-basis", "direction-dimension", "degree-one-direction-dimension"))
 def test_invalid_algebra_use_raises(build, error):
     with pytest.raises(error):
         build()
