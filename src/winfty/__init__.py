@@ -6,8 +6,8 @@ the intermediate series, and a harness of exact identity verifications.
 All arithmetic is exact (rationals and sparse multivariate polynomials).
 """
 
-from .lattice import Direction, Lattice, inner
-from .onevar import (DfElement, GeneratedSubalgebra, ddt_power, df_bracket,
+from .lattice import Lattice, inner
+from .onevar import (GeneratedSubalgebra, ddt_power, df_bracket, df_element,
                      standard_generators, t_ddt, verify_named_identity)
 from .intermediate import (IntermediateModule, PQData, act, highest_weight_scan,
                            make_module, normalize_ddt_basis, submodule_scan)
@@ -19,8 +19,7 @@ from .scalars import Ring, Scalar, binom, falling, rising
 from .suites import SUITE_NAMES, SuiteOptions, run_suite
 from .weightlab import (build_f_polynomials, build_p_series,
                         coefficient_claims, p_series_report,
-                        verify_yk_relations, virasoro_consistency,
-                        weightlab_ring)
+                        verify_yk_relations, virasoro_consistency)
 from .weyl import (SubalgebraError, Weyl, WeylElement, act_on_combination, bracket,
                    cocycle, degree_one_bracket, mul, operator_action,
                    verify_cocycle_condition, verify_jacobi)

@@ -2,7 +2,7 @@
 
 Exit codes: 0 when everything passes (or an expression evaluates), 1 when a
 suite check fails, 2 for usage errors (bad flags, unknown suite, syntax
-errors in expressions).
+errors in expressions, a --json path that cannot be written).
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "suite":
             return _cmd_suite(args)
         return _cmd_eval(args)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

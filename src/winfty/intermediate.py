@@ -184,8 +184,6 @@ class PQData:
     """
 
     kind: str
-    alpha: Scalar
-    k_range: Tuple[int, ...]
     p: Dict[Tuple[int, int], Scalar]  # (i, k) -> P_{i,k}
     q: Dict[int, Scalar]              # i -> Q_i (k-independent, checked)
     p1_const: Scalar
@@ -253,4 +251,4 @@ def normalize_ddt_basis(m: IntermediateModule, k_range: Sequence[int]) -> PQData
     p2_vals = [p[(2, k)] - rising(a + k, 3) - 3 * (a + k) * p1_vals[0] for k in ks]
     if any(v != p1_vals[0] for v in p1_vals) or any(v != p2_vals[0] for v in p2_vals):
         raise AssertionError("P_1/P_2 constants depend on k")
-    return PQData(m.kind, a, tuple(ks), p, q, p1_vals[0], p2_vals[0])
+    return PQData(m.kind, p, q, p1_vals[0], p2_vals[0])

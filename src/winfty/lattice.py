@@ -13,7 +13,6 @@ needed).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -98,24 +97,9 @@ class Lattice:
         return tuple(int(x.get(r, 0)) for r in range(self.rank))
 
 
-@dataclass(frozen=True)
-class Direction:
-    """An element d = sum d_i D_i of the span of the degree operators."""
-
-    coeffs: Tuple[Fraction, ...]
-
-    @classmethod
-    def of(cls, coeffs: Sequence) -> "Direction":
-        return cls(_as_vector(coeffs))
-
-    @property
-    def dim(self) -> int:
-        return len(self.coeffs)
-
-
-def inner(beta: Sequence, d: Direction) -> Fraction:
-    """The pairing <beta, d> = sum_i beta_i d_i."""
-    bvec = _as_vector(beta)
-    if len(bvec) != d.dim:
-        raise ValueError(f"dimension mismatch: {len(bvec)} vs {d.dim}")
-    return sum((b * c for b, c in zip(bvec, d.coeffs)), Fraction(0))
+def inner(beta: Sequence, d: Sequence) -> Fraction:
+    """The pairing <beta, d> = sum_i beta_i d_i of two rational vectors."""
+    bvec, dvec = _as_vector(beta), _as_vector(d)
+    if len(bvec) != len(dvec):
+        raise ValueError(f"dimension mismatch: {len(bvec)} vs {len(dvec)}")
+    return sum((b * c for b, c in zip(bvec, dvec)), Fraction(0))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -33,23 +32,17 @@ def _d_poly(f: Coeffs) -> Scalar:
     return sum((_DRING.const(c) * _D ** e for e, c in items), _DRING.zero)
 
 
-@dataclass(frozen=True)
-class DfElement:
-    """t^degree * D * f(D) with f a rational polynomial on the ring ("D",)."""
-
-    degree: int
-    f: Scalar
-
-    @classmethod
-    def of(cls, degree: int, f: Coeffs) -> "DfElement":
-        return cls(degree, _d_poly(f))
-
-    def to_weyl(self, weyl: Weyl) -> WeylElement:
-        return WeylElement(weyl, {((self.degree,), (e + 1,)): c
-                                  for (e,), c in self.f.terms.items()})
+def _times_td(weyl: Weyl, degree: int, f: Scalar) -> WeylElement:
+    """t^degree D f(D) in ``weyl``, for f a polynomial on the ring ("D",)."""
+    return WeylElement(weyl, {((degree,), (e + 1,)): c for (e,), c in f.terms.items()})
 
 
-def df_bracket(i: int, f: Coeffs, j: int, g: Coeffs) -> DfElement:
+def df_element(weyl: Weyl, degree: int, f: Coeffs) -> WeylElement:
+    """t^degree D f(D), f given by its rational coefficients."""
+    return _times_td(weyl, degree, _d_poly(f))
+
+
+def df_bracket(weyl: Weyl, i: int, f: Coeffs, j: int, g: Coeffs) -> WeylElement:
     """[t^i D f(D), t^j D g(D)] in closed form (one bracket, no expansion):
 
     t^(i+j) D ( (D+j) f(D+j) g(D) - (D+i) g(D+i) f(D) ).
@@ -57,7 +50,7 @@ def df_bracket(i: int, f: Coeffs, j: int, g: Coeffs) -> DfElement:
     f, g = _d_poly(f), _d_poly(g)
     left = (_D + j) * f.shift("D", j) * g
     right = (_D + i) * g.shift("D", i) * f
-    return DfElement(i + j, left - right)
+    return _times_td(weyl, i + j, left - right)
 
 
 def ddt_power(weyl: Weyl, j: int) -> WeylElement:

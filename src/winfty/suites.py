@@ -14,8 +14,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .intermediate import (ModuleVector, act, highest_weight_scan, make_module,
                            normalize_ddt_basis, submodule_scan)
-from .lattice import Direction, Lattice
-from .onevar import (DfElement, GeneratedSubalgebra, df_bracket,
+from .lattice import Lattice
+from .onevar import (GeneratedSubalgebra, df_bracket, df_element,
                      standard_generators, verify_named_identity)
 from .printer import format_element
 from .report import ReportDocument, VerificationReport
@@ -200,8 +200,8 @@ def _suite_oracle(opts: SuiteOptions) -> _Run:
     def degree_one():
         beta = tuple(Fraction(rng.randint(-4, 4)) for _ in range(2))
         gam = tuple(Fraction(rng.randint(-4, 4)) for _ in range(2))
-        d, d2 = (Direction.of([Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-                               for _ in range(2)]) for _ in range(2))
+        d, d2 = ([Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(2)]
+                 for _ in range(2))
         return _difference(degree_one_bracket(weyl2, beta, d, gam, d2),
                            bracket(weyl2.from_direction(beta, d),
                                    weyl2.from_direction(gam, d2)))
@@ -257,9 +257,8 @@ def _suite_onevar(opts: SuiteOptions) -> _Run:
         j = rng.randint(-6, 6)
         f = _random_poly(rng, 6)
         g = _random_poly(rng, 6)
-        return _difference(df_bracket(i, f, j, g).to_weyl(weyl),
-                           bracket(DfElement.of(i, f).to_weyl(weyl),
-                                   DfElement.of(j, g).to_weyl(weyl)))
+        return _difference(df_bracket(weyl, i, f, j, g),
+                           bracket(df_element(weyl, i, f), df_element(weyl, j, g)))
 
     cases = opts.samples or 100
     checks.append(_sampled("df-closed-form", cases, df_case, cases=cases)[0])
@@ -278,7 +277,7 @@ def _suite_lemma21(opts: SuiteOptions) -> _Run:
             f"generation-coverage[i0={i0}]", ", ".join(missing[:10]) if missing else None,
             details={"targets": 4 * (41 - 3 * i0), "dimension": sub.dimension}))
         # one witness, re-evaluated from the generators alone
-        elt = DfElement.of(3 * i0, {1: Fraction(1)}).to_weyl(weyl)
+        elt = weyl.monomial((3 * i0,), (2,))
         combo = sub.membership(elt)
         acc = weyl.zero()
         for c, r in combo:

@@ -23,19 +23,13 @@ from .scalars import Ring, Scalar, falling, rising
 WEIGHTLAB_SYMBOLS = ("kbar", "p1", "p2", "pp1", "pp2", "i")
 
 
-def weightlab_ring() -> Ring:
-    return Ring(WEIGHTLAB_SYMBOLS)
-
-
 @dataclass
 class PSeries:
     """p_{j,k} as polynomials in kbar, p1, p2 for -1 <= j <= 5."""
 
     ring: Ring
     transcribed: Dict[int, Scalar]
-    constants: Dict[int, Scalar]      # j -> the constant term p_j, j = 3, 4, 5
-    derived: Dict[int, Scalar]        # recurrence-derived p_{j,k}, j = 3, 4, 5
-    discrepancies: Dict[int, Scalar]  # derived - transcribed (zero when they agree)
+    discrepancies: Dict[int, Scalar]  # recurrence-derived - transcribed, j = 3, 4, 5
 
     def pjk(self, j: int, shift: Union[Scalar, int, Fraction] = 0,
             primed: bool = False) -> Scalar:
@@ -52,7 +46,7 @@ class PSeries:
 def build_p_series() -> PSeries:
     """The scalar P-series: anchors, displayed closed forms, and the
     recurrence re-derivation of p_{j,k} for j = 3, 4, 5."""
-    ring = weightlab_ring()
+    ring = Ring(WEIGHTLAB_SYMBOLS)
     kb = ring.sym("kbar")
     p1 = ring.sym("p1")
     p2 = ring.sym("p2")
@@ -76,15 +70,12 @@ def build_p_series() -> PSeries:
 
     # re-derive j = 3, 4, 5 from [tD, t^(j-1)D] = (j-2) t^j D applied to Y_k:
     #   (j-2) p_{j,k} = p_{1,k+j-1} p_{j-1,k} - p_{j-1,k+1} p_{1,k}
-    derived: Dict[int, Scalar] = {}
     prev = {j: transcribed[j] for j in (1, 2)}
     for j in (3, 4, 5):
-        pj = (prev[1].shift("kbar", j - 1) * prev[j - 1]
-              - prev[j - 1].shift("kbar", 1) * prev[1]) / (j - 2)
-        derived[j] = pj
-        prev[j] = pj
-    discrepancies = {j: derived[j] - transcribed[j] for j in (3, 4, 5)}
-    return PSeries(ring, transcribed, {3: p3, 4: p4, 5: p5}, derived, discrepancies)
+        prev[j] = (prev[1].shift("kbar", j - 1) * prev[j - 1]
+                   - prev[j - 1].shift("kbar", 1) * prev[1]) / (j - 2)
+    discrepancies = {j: prev[j] - transcribed[j] for j in (3, 4, 5)}
+    return PSeries(ring, transcribed, discrepancies)
 
 
 def consistency_polynomial(ring: Ring) -> Scalar:

@@ -42,7 +42,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .lattice import Direction, Lattice, _as_vector, _integers, inner
+from .lattice import Lattice, _as_vector, _integers, inner
+from .printer import format_element
 from .report import VerificationReport
 from .scalars import Exponent, Rat, Ring, Scalar, binom, falling
 
@@ -144,13 +145,15 @@ class Weyl:
     def central(self, coeff: Union[Scalar, Rat] = 1) -> "WeylElement":
         return WeylElement(self, {}, central=coeff)
 
-    def from_direction(self, beta, d: Direction) -> "WeylElement":
-        """The degree-one element t^beta d = sum_i d_i t^beta D_i."""
-        if d.dim != self.n:
+    def from_direction(self, beta, d: Sequence) -> "WeylElement":
+        """The degree-one element t^beta d = sum_i d_i t^beta D_i; the
+        direction d is a rational vector."""
+        d = _as_vector(d)
+        if len(d) != self.n:
             raise ValueError("direction has wrong dimension")
         beta = tuple(beta)
         return WeylElement(self, {(beta, tuple(int(j == i) for j in range(self.n))): c
-                                  for i, c in enumerate(d.coeffs)})
+                                  for i, c in enumerate(d)})
 
 
 class WeylElement:
@@ -240,7 +243,6 @@ class WeylElement:
         return hash((frozenset(x.terms.items()), x.central))
 
     def __repr__(self):
-        from .printer import format_element
         return f"<{format_element(self)}>"
 
     # -- basis conversion -------------------------------------------------
@@ -536,16 +538,17 @@ def act_on_combination(x: WeylElement, vec: Dict[Gamma, Scalar]) -> Dict[Gamma, 
     return {g: c for g, c in out.items() if not c.is_zero()}
 
 
-def degree_one_bracket(weyl: Weyl, beta, d: Direction, gamma, d2: Direction) -> WeylElement:
-    """Closed form [t^beta d, t^gamma d'] = t^(beta+gamma)(<gamma,d>d' - <beta,d'>d)."""
-    beta_g = _as_vector(beta)
-    gamma_g = _as_vector(gamma)
-    if len(beta_g) != weyl.n or d.dim != weyl.n or d2.dim != weyl.n:
+def degree_one_bracket(weyl: Weyl, beta, d: Sequence, gamma, d2: Sequence) -> WeylElement:
+    """Closed form [t^beta d, t^gamma d'] = t^(beta+gamma)(<gamma,d>d' - <beta,d'>d),
+    the directions d, d' rational vectors."""
+    beta_g, gamma_g = _as_vector(beta), _as_vector(gamma)
+    d, d2 = _as_vector(d), _as_vector(d2)
+    if len(beta_g) != weyl.n or len(d) != weyl.n or len(d2) != weyl.n:
         raise ValueError("dimension mismatch")
     s = tuple(p + q for p, q in zip(beta_g, gamma_g))
     c1 = inner(gamma_g, d)
     c2 = inner(beta_g, d2)
-    combined = Direction(tuple(c1 * b - c2 * a for a, b in zip(d.coeffs, d2.coeffs)))
+    combined = [c1 * b - c2 * a for a, b in zip(d, d2)]
     return weyl.from_direction(s, combined)
 
 
@@ -559,7 +562,6 @@ def verify_jacobi(x: WeylElement, y: WeylElement, z: WeylElement,
     acc.add(bracket(y, bracket(z, x)))
     acc.add(bracket(z, bracket(x, y)))
     res = acc.element()
-    from .printer import format_element
     return VerificationReport(name, None if res.is_zero() else format_element(res))
 
 

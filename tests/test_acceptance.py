@@ -10,13 +10,12 @@ from fractions import Fraction
 import pytest
 
 from winfty.intermediate import make_module, normalize_ddt_basis, submodule_scan
-from winfty.lattice import Direction
-from winfty.onevar import (DfElement, GeneratedSubalgebra, df_bracket,
+from winfty.onevar import (GeneratedSubalgebra, df_bracket, df_element,
                            standard_generators, verify_named_identity)
 from winfty.scalars import Ring, rising
 from winfty.suites import SuiteOptions, run_suite
-from winfty.weightlab import (build_f_polynomials, virasoro_consistency,
-                              weightlab_ring)
+from winfty.weightlab import (WEIGHTLAB_SYMBOLS, build_f_polynomials,
+                              virasoro_consistency)
 from winfty.weyl import (Weyl, act_on_combination, bracket, cocycle,
                          degree_one_bracket, mul, operator_action,
                          verify_cocycle_condition, verify_jacobi)
@@ -81,19 +80,16 @@ def test_criterion_3_closed_forms():
         i, j = rng.randint(-6, 6), rng.randint(-6, 6)
         f = {e: Fraction(rng.randint(-5, 5)) for e in range(rng.randint(1, 7))}
         g = {e: Fraction(rng.randint(-5, 5)) for e in range(rng.randint(1, 7))}
-        closed = df_bracket(i, f, j, g).to_weyl(weyl)
-        generic = bracket(DfElement.of(i, f).to_weyl(weyl),
-                          DfElement.of(j, g).to_weyl(weyl))
+        closed = df_bracket(weyl, i, f, j, g)
+        generic = bracket(df_element(weyl, i, f), df_element(weyl, j, g))
         if closed != generic:
             ok = False
     w2 = Weyl(2)
     for _ in range(100):
         beta = tuple(Fraction(rng.randint(-4, 4)) for _ in range(2))
         gam = tuple(Fraction(rng.randint(-4, 4)) for _ in range(2))
-        d = Direction.of([Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-                          for _ in range(2)])
-        d2 = Direction.of([Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-                           for _ in range(2)])
+        d = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(2)]
+        d2 = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(2)]
         if degree_one_bracket(w2, beta, d, gam, d2) != bracket(
                 w2.from_direction(beta, d), w2.from_direction(gam, d2)):
             ok = False
@@ -144,7 +140,7 @@ def test_criterion_5_named_identities():
 
 def test_criterion_6_coefficient_claims():
     """Coefficient of i^4 in f2 and of i^12 in g after p'1 = p1."""
-    ring = weightlab_ring()
+    ring = Ring(WEIGHTLAB_SYMBOLS)
     fp = build_f_polynomials()
     p1, pp1 = ring.sym("p1"), ring.sym("pp1")
     ok = fp.f2.coeff_of("i", 4) == p1 - pp1

@@ -282,3 +282,18 @@ def test_printed_negative_result_feeds_back(capsys):
 def test_unknown_flags_and_missing_expression_exit_2(argv, capsys):
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, out", (
+    (["suite", "lemma21"], "suite lemma21: PASS"),
+    (["eval", "[t^(1)*D, t^(2)*D]"], "t^(3)*D"),
+))
+def test_unwritable_json_path_exits_2(argv, out, tmp_path, capsys):
+    # before, the write raised FileNotFoundError and the CLI exited 1, the
+    # code of a failed check
+    path = tmp_path / "missing" / "r.json"
+    assert main([*argv, "--json", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith(out)
+    assert captured.err.startswith("error: ") and str(path) in captured.err
+    assert not path.exists()

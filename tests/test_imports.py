@@ -1,7 +1,8 @@
-"""Every name a library module imports is used in that module, and every
-name it defines at module level is read somewhere in the package.
+"""Every name a library module imports is used in that module, every name
+it defines at module level is read somewhere in the package, and it imports
+only modules below it in the layer order ``LAYERS``.
 
-``__init__.py`` is left out of both: its imports are the package's
+``__init__.py`` is left out of all three: its imports are the package's
 re-exports, and it defines nothing else.
 """
 
@@ -74,3 +75,36 @@ def test_an_unread_definition_is_found():
              "b.py": ast.parse("from .a import C\n"),
              "__init__.py": ast.parse("Z = 3\n")}
     assert _unread_definitions(trees) == [("a.py", 1, "X"), ("a.py", 2, "f")]
+
+
+LAYERS = ("scalars", "echelon", "report", "lattice", "printer", "weyl", "parser",
+          "onevar", "intermediate", "weightlab", "suites", "cli")
+
+
+def _upward_imports(trees):
+    """(module, line, imported) of each relative import, at any depth, that
+    names a module not earlier than the importer in ``LAYERS``."""
+    found = []
+    for name, tree in trees.items():
+        if name == "__init__.py":
+            continue
+        rank = LAYERS.index(name[:-3])
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                targets = [node.module] if node.module else [a.name for a in node.names]
+                found += [(name, node.lineno, t) for t in targets
+                          if t.split(".")[0] not in LAYERS[:rank]]
+    return sorted(found)
+
+
+def test_imports_only_name_earlier_layers():
+    assert _upward_imports(TREES) == []
+
+
+def test_an_upward_import_is_found():
+    trees = {"printer.py": ast.parse("from .scalars import Scalar\n"
+                                     "def f():\n    from .weyl import mul\n"),
+             "weyl.py": ast.parse("from .printer import format_element\n"),
+             "report.py": ast.parse("from . import report\n"),
+             "__init__.py": ast.parse("from .cli import main\n")}
+    assert _upward_imports(trees) == [("printer.py", 3, "weyl"), ("report.py", 1, "report")]

@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from winfty.lattice import Direction, Lattice, inner
+from winfty.lattice import Lattice, inner
 
 
 def test_standard_membership():
@@ -36,7 +36,7 @@ def test_dependent_generators_rejected():
     (lambda: Lattice([]), "at least one generator"),
     (lambda: Lattice([(1,), (1, 2)]), "mixed dimensions"),
     (lambda: Lattice.standard(2).ambient((1,)), "expected 2 coordinates"),
-    (lambda: inner((1, 2), Direction.of((1,))), "dimension mismatch"),
+    (lambda: inner((1, 2), (1,)), "dimension mismatch"),
 ], ids=["no-generators", "mixed-dimensions", "ambient-count", "inner-dimension"])
 def test_malformed_lattice_input_rejected(build, message):
     with pytest.raises(ValueError, match=message):
@@ -47,8 +47,8 @@ def test_malformed_lattice_input_rejected(build, message):
     lambda: Lattice([(0.1,)]),
     lambda: Lattice([(1, 0), (0, "2")]),
     lambda: Lattice.standard(1).membership(("3",)),
-    lambda: Direction.of((0.1,)),
-    lambda: inner((0.5,), Direction.of((1,))),
+    lambda: inner((1,), (0.1,)),
+    lambda: inner((0.5,), (1,)),
     lambda: Lattice([(1, 0), (1, 2)]).ambient((0.5, 1)),
     lambda: Lattice([(1, 0), (1, 2)]).ambient((Fraction(1, 2), 1)),
 ], ids=["float-generator", "str-generator", "str-member", "float-direction",
@@ -61,10 +61,10 @@ def test_non_rational_coordinates_rejected(build):
 
 
 def test_inner_examples():
-    d = Direction.of((1, 3))
+    d = (1, 3)
     assert inner((1, 2), d) == 7
     assert inner((0, 0), d) == 0
-    assert inner((1, -1), Direction.of((1, 1))) == 0
+    assert inner((1, -1), (1, 1)) == 0
 
 
 @given(st.lists(st.integers(-20, 20), min_size=2, max_size=2))

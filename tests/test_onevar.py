@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from winfty.onevar import (DfElement, ddt_power, df_bracket, t_ddt,
+from winfty.onevar import (ddt_power, df_bracket, df_element, t_ddt,
                            verify_named_identity)
 from winfty.weyl import Weyl, bracket, mul
 
@@ -14,19 +14,18 @@ W = Weyl(1)
 
 
 def test_df_bracket_td_t2d():
-    got = df_bracket(1, {0: 1}, 2, {0: 1})
-    assert got.to_weyl(W) == W.tD((3,))
+    assert df_bracket(W, 1, {0: 1}, 2, {0: 1}) == W.tD((3,))
 
 
 def test_df_bracket_antisymmetry():
     f = {0: Fraction(2), 3: Fraction(1, 3)}
-    assert df_bracket(4, f, 4, f).f.is_zero()
+    assert df_bracket(W, 4, f, 4, f).is_zero()
 
 
 def test_df_bracket_d2_td():
     # [D*D, tD] written as t^0 D f with f = D against t^1 D
-    got = df_bracket(0, {1: 1}, 1, {0: 1})
-    assert got.to_weyl(W) == W.monomial((1,), (2,), 2) + W.tD((1,))
+    got = df_bracket(W, 0, {1: 1}, 1, {0: 1})
+    assert got == W.monomial((1,), (2,), 2) + W.tD((1,))
 
 
 def test_df_bracket_matches_generic():
@@ -35,18 +34,17 @@ def test_df_bracket_matches_generic():
         i, j = rng.randint(-6, 6), rng.randint(-6, 6)
         f = {e: Fraction(rng.randint(-5, 5)) for e in range(rng.randint(1, 6))}
         g = {e: Fraction(rng.randint(-5, 5)) for e in range(rng.randint(1, 6))}
-        closed = df_bracket(i, f, j, g).to_weyl(W)
-        generic = bracket(DfElement.of(i, f).to_weyl(W),
-                          DfElement.of(j, g).to_weyl(W))
+        closed = df_bracket(W, i, f, j, g)
+        generic = bracket(df_element(W, i, f), df_element(W, j, g))
         assert closed == generic
 
 
 @pytest.mark.parametrize("f", [[0.1], {2: "3"}])
 def test_non_rational_d_coefficients_rejected(f):
     with pytest.raises(TypeError):
-        DfElement.of(0, f)
+        df_element(W, 0, f)
     with pytest.raises(TypeError):
-        df_bracket(0, f, 1, [1])
+        df_bracket(W, 0, f, 1, [1])
 
 
 def test_ddt_is_tinv_d():

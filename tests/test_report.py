@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from winfty.report import VerificationReport
+from winfty.report import ReportDocument, VerificationReport
 
 
 def test_passed_exactly_when_residual_is_none():
@@ -25,3 +25,9 @@ def test_verdict_is_not_a_field():
         "name", "residual", "details"]
     with pytest.raises(AttributeError):
         VerificationReport("x").passed = False
+
+
+def test_summary_prints_the_residual_of_each_failing_check():
+    doc = ReportDocument("s", [VerificationReport("b", "t^(1)*D"), VerificationReport("a")])
+    assert doc.summary().splitlines() == [
+        "suite s: FAIL", "  [ok] a", "  [FAIL] b", "         residual: t^(1)*D"]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from winfty.intermediate import make_module
 from winfty.scalars import Ring, Scalar, binom, falling, rising
-from winfty.weightlab import weightlab_ring
+from winfty.weightlab import WEIGHTLAB_SYMBOLS
 from winfty.weyl import Weyl
 
 RING = Ring(("a", "b"))
@@ -199,7 +199,7 @@ def assert_matches(got, expr, ring):
     assert got.terms == {e: Fraction(int(c.p), int(c.q)) for e, c in want.items()}
 
 
-RINGS = {"ab": Ring(("a", "b")), "weightlab": weightlab_ring()}
+RINGS = {"ab": Ring(("a", "b")), "weightlab": Ring(WEIGHTLAB_SYMBOLS)}
 
 
 @pytest.mark.parametrize("ring_name", sorted(RINGS))

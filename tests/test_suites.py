@@ -224,6 +224,14 @@ def test_failing_sampled_check_records_its_first_failing_sample(monkeypatch):
     assert got["jacobi[n=2]"].to_dict() == clean["jacobi[n=2]"].to_dict()
 
 
+def test_unexpected_submodules_are_named_in_the_residual(monkeypatch):
+    monkeypatch.setattr(suites, "submodule_scan", lambda m, window: [[(1,)]])
+    got = {c.name: c for c in run_suite("submodules", SuiteOptions(window=2)).checks}
+    assert got["submodules[A,alpha=1/2]"].residual == "found [[(1,)]], highest weight (2,)"
+    assert got["submodules[A,alpha=1/2]"].details == {"proper_submodules": [1]}
+    assert got["submodules[A,alpha=0]"].residual == "found [[(1,)]], highest weight (0,)"
+
+
 def test_failing_assoc_witness_records_its_sample(monkeypatch):
     opts = SuiteOptions(samples=5)
     real = suites._vec_sub

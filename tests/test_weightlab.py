@@ -6,16 +6,17 @@ from fractions import Fraction
 
 import pytest
 
+from winfty import weightlab
 from winfty.scalars import falling, rising
-from winfty.weightlab import (build_f_polynomials, build_p_series,
+from winfty.weightlab import (WEIGHTLAB_SYMBOLS, build_f_polynomials, build_p_series,
                               coefficient_claims, consistency_polynomial,
                               p_series_report, verify_yk_relations,
-                              virasoro_consistency, weightlab_ring)
+                              virasoro_consistency)
 from winfty.intermediate import make_module, normalize_ddt_basis
 from winfty.scalars import Ring
 from winfty.weyl import Weyl
 
-RING = weightlab_ring()
+RING = Ring(WEIGHTLAB_SYMBOLS)
 KBAR = RING.sym("kbar")
 P1 = RING.sym("p1")
 P2 = RING.sym("p2")
@@ -26,7 +27,7 @@ def test_p_anchors():
     assert ps.pjk(0) == KBAR
     assert ps.pjk(1) == rising(KBAR, 2) + P1
     assert ps.pjk(3) == (rising(KBAR, 4) + 6 * rising(KBAR, 2) * P1
-                         + 4 * KBAR * P2 + ps.constants[3])
+                         + 4 * KBAR * P2 - 3 * (2 * P1 + P1 * P1 - 2 * P2))
 
 
 def test_p_collapse_at_zero_constants():
@@ -50,6 +51,15 @@ def test_virasoro_consistency_report():
     assert rep.details["constraint"] == "4*p1^3 + 8*p1^2 - 6*p1*p2 + p2^2"
     assert rep.details["spot(0,0)"] == "0"
     assert rep.details["spot(-2,0)"] == "0"
+
+
+def test_virasoro_consistency_reports_a_kbar_dependent_residual():
+    ps = build_p_series()
+    tampered = dataclasses.replace(
+        ps, transcribed={**ps.transcribed, 5: ps.transcribed[5] + KBAR})
+    rep = virasoro_consistency(tampered)
+    assert rep.residual == str(-8 * consistency_polynomial(RING) - KBAR)
+    assert rep.details == {"reason": "residual depends on kbar"}
 
 
 def test_consistency_polynomial_spot_roots():
@@ -79,6 +89,15 @@ def test_coefficient_claims():
 
 def test_p_series_report_passes():
     assert p_series_report().passed
+
+
+def test_p_series_report_names_a_nonzero_discrepancy(monkeypatch):
+    ps = build_p_series()
+    tampered = dataclasses.replace(ps, discrepancies={**ps.discrepancies, 4: KBAR + P1})
+    monkeypatch.setattr(weightlab, "build_p_series", lambda: tampered)
+    rep = p_series_report()
+    assert rep.residual == str({4: str(KBAR + P1)})
+    assert (rep.details["p3_discrepancy"], rep.details["p4_discrepancy"]) == ("0", "kbar + p1")
 
 
 def test_yk_relations_on_module_data():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from winfty.lattice import Direction, Lattice
+from winfty.lattice import Lattice
 from winfty.printer import format_element
 from winfty.scalars import Ring, falling
 from winfty.weyl import (SubalgebraError, Weyl, WeylElement,
@@ -346,12 +346,12 @@ def test_mul_agrees_with_composed_action():
 
 
 def test_degree_one_bracket_vanishes_on_equal_pair():
-    d = Direction.of((1, 2))
+    d = (1, 2)
     assert degree_one_bracket(W2, (1, 1), d, (1, 1), d).is_zero()
 
 
 def test_degree_one_bracket_n1():
-    d = Direction.of((1,))
+    d = (1,)
     i, j = 2, 5
     got = degree_one_bracket(W, (i,), d, (j,), d)
     assert got == W.tD((i + j,)).scale(j - i)
@@ -360,13 +360,11 @@ def test_degree_one_bracket_n1():
 def test_degree_one_bracket_n2():
     # Both pairings <gamma,d> and <beta,d'> vanish here, so the commutator
     # is zero: D1 passes freely over t^(0,1) and D2 over t^(1,0).
-    got = degree_one_bracket(W2, (1, 0), Direction.of((1, 0)),
-                             (0, 1), Direction.of((0, 1)))
+    got = degree_one_bracket(W2, (1, 0), (1, 0), (0, 1), (0, 1))
     assert got.is_zero()
     assert got == bracket(W2.tD((1, 0), 0), W2.tD((0, 1), 1))
     # A pair with a nonzero pairing does produce the t^(beta+gamma) term.
-    got2 = degree_one_bracket(W2, (1, 0), Direction.of((0, 1)),
-                              (0, 1), Direction.of((1, 0)))
+    got2 = degree_one_bracket(W2, (1, 0), (0, 1), (0, 1), (1, 0))
     assert got2 == bracket(W2.tD((1, 0), 1), W2.tD((0, 1), 0))
     assert not got2.is_zero()
 
@@ -376,8 +374,8 @@ def test_degree_one_matches_generic_bracket():
     for _ in range(40):
         beta = tuple(Fraction(rng.randint(-4, 4)) for _ in range(2))
         gam = tuple(Fraction(rng.randint(-4, 4)) for _ in range(2))
-        d = Direction.of([Fraction(rng.randint(-3, 3)) for _ in range(2)])
-        d2 = Direction.of([Fraction(rng.randint(-3, 3)) for _ in range(2)])
+        d = [Fraction(rng.randint(-3, 3)) for _ in range(2)]
+        d2 = [Fraction(rng.randint(-3, 3)) for _ in range(2)]
         assert degree_one_bracket(W2, beta, d, gam, d2) == bracket(
             W2.from_direction(beta, d), W2.from_direction(gam, d2))
 
@@ -413,11 +411,14 @@ def test_w1_guard():
     (lambda: Weyl(1, subalgebra="x"), ValueError),
     (lambda: Weyl(2, lattice=Lattice.standard(1)), ValueError),
     (lambda: WeylElement(W, {}, basis="x"), ValueError),
-    (lambda: W.from_direction((1,), Direction.of((1, 2))), ValueError),
-    (lambda: degree_one_bracket(W, (1,), Direction.of((1, 2)), (2,), Direction.of((1,))),
+    (lambda: W.from_direction((1,), (1, 2)), ValueError),
+    (lambda: degree_one_bracket(W, (1,), (1, 2), (2,), (1,)),
      ValueError),
+    (lambda: W.from_direction((1,), (0.5,)), TypeError),
+    (lambda: degree_one_bracket(W, (1,), (1,), (2,), (0.5,)), TypeError),
 ), ids=("mul-central", "hat-n2", "unknown-subalgebra", "lattice-dimension",
-        "unknown-basis", "direction-dimension", "degree-one-direction-dimension"))
+        "unknown-basis", "direction-dimension", "degree-one-direction-dimension",
+        "float-direction", "degree-one-float-direction"))
 def test_invalid_algebra_use_raises(build, error):
     with pytest.raises(error):
         build()
