@@ -14,12 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .lattice import Lattice, _integers
+from .lattice import _integers
 from .scalars import Scalar, falling, rising
 from .weyl import Gamma, Weyl, WeylElement
 
 Coords = Tuple[int, ...]
-ModuleVector = Dict[Coords, Scalar]
+# quoted: typing caches each subscription, so a class named here stays alive
+ModuleVector = Dict[Coords, "Scalar"]
 
 KIND_A = "A"
 KIND_B = "B"
@@ -37,10 +38,6 @@ class IntermediateModule:
         if len(self.alpha) != self.weyl.n:
             raise ValueError(f"alpha must have {self.weyl.n} coordinates "
                              f"(alpha lies in F^n), got {len(self.alpha)}")
-
-    @property
-    def lattice(self) -> Lattice:
-        return self.weyl.lattice
 
     def basis_vector(self, coords: Sequence[int]) -> ModuleVector:
         return {_integers(coords): self.weyl.ring.one}
@@ -82,20 +79,16 @@ def act(m: IntermediateModule, x: WeylElement, vec) -> ModuleVector:
         vec = m.basis_vector(vec)
     xp = x.to_power()  # central coordinate acts trivially and is dropped
     ring = m.weyl.ring
-    lattice = m.lattice
+    lattice = m.weyl.lattice
     out: ModuleVector = {}
-    solved: Dict[Gamma, Tuple[int, ...]] = {}  # lattice coordinates of each b_amb
     for coords, vc in vec.items():
         g_amb = lattice.ambient(coords)
         for (b_amb, mu), c in xp.terms.items():
             if sum(mu) == 0:
                 raise ValueError("|mu| = 0 monomials are not in the acting subalgebra")
-            b_coords = solved.get(b_amb)
+            b_coords = lattice.membership(b_amb)
             if b_coords is None:
-                b_coords = lattice.membership(b_amb)
-                if b_coords is None:
-                    raise ValueError(f"monomial exponent {b_amb} is not in the lattice")
-                solved[b_amb] = b_coords
+                raise ValueError(f"monomial exponent {b_amb} is not in the lattice")
             s, xs = _argument(m, b_amb, g_amb)
             coeff = c * vc * s
             for xi, mi in zip(xs, mu):
@@ -113,7 +106,7 @@ def act(m: IntermediateModule, x: WeylElement, vec) -> ModuleVector:
 
 def _reaches(m: IntermediateModule, src: Coords, dst: Coords) -> bool:
     """Can some monomial action carry y_src onto y_dst with nonzero coefficient?"""
-    lattice = m.lattice
+    lattice = m.weyl.lattice
     b = lattice.ambient(tuple(d - s for d, s in zip(dst, src)))
     _s, x = _argument(m, b, lattice.ambient(src))
     # x^mu is nonzero for some |mu| >= 1 iff a component of x is nonzero
@@ -206,9 +199,11 @@ def normalize_ddt_basis(m: IntermediateModule, k_range: Sequence[int]) -> PQData
     r(k) the coefficient of t^-1 D on y_k, so every ratio c_k / c_(k+i)
     telescopes to a product of r(j) and no scale is ever formed.
     """
-    if m.weyl.n != 1 or m.lattice.rank != 1:
+    if m.weyl.n != 1 or m.weyl.lattice.rank != 1:
         raise ValueError("normalize_ddt_basis needs the rank-one case")
-    ks = sorted(_integers(k_range))
+    ks = sorted(set(_integers(k_range)))
+    if len(ks) < 2:
+        raise ValueError(f"k_range needs two distinct k to compare Q_i across, got {ks}")
     ring = m.weyl.ring
     one = ring.one
     # the normalized basis spans k in [ks[0] - 6, ks[-1] + 6]; it exists only

@@ -7,7 +7,8 @@ The constructor eliminates the generators once into a fraction-free echelon
 (:mod:`winfty.echelon`) whose rows remember their generator combinations;
 membership reduces one vector against those rows and checks that the
 coordinates it reads off are integers (no Hermite normal form machinery is
-needed).
+needed).  The lattice never changes, so it stores each vector's answer, member
+or not, and a repeated vector is not eliminated again.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ class Lattice:
         self.dim = dim
         self.rank = len(gens)
         self.generators = tuple(gens)
+        self._coords: Dict[Vector, Optional[Tuple[int, ...]]] = {}
 
     @classmethod
     def standard(cls, n: int) -> "Lattice":
@@ -91,10 +93,13 @@ class Lattice:
         v = _as_vector(v)
         if len(v) != self.dim:
             raise ValueError(f"vector has dimension {len(v)}, lattice is in Q^{self.dim}")
-        x = self._echelon.solve(*integral(_sparse(v)))
-        if x is None or any(c.denominator != 1 for c in x.values()):
-            return None
-        return tuple(int(x.get(r, 0)) for r in range(self.rank))
+        coords = self._coords.get(v)
+        if coords is None and v not in self._coords:
+            x = self._echelon.solve(*integral(_sparse(v)))
+            if x is not None and all(c.denominator == 1 for c in x.values()):
+                coords = tuple(int(x.get(r, 0)) for r in range(self.rank))
+            self._coords[v] = coords
+        return coords
 
 
 def inner(beta: Sequence, d: Sequence) -> Fraction:

@@ -254,7 +254,8 @@ class _Mono:
                              1 if self.coeff is None else self.coeff, basis=self.basis)
 
 
-Value = Union[Scalar, WeylElement, _Mono]
+# quoted: typing caches each subscription, so a class named here stays alive
+Value = Union["Scalar", "WeylElement", "_Mono"]
 
 
 def _finalize(v: Value, weyl: Weyl, pos: int) -> WeylElement:

@@ -27,8 +27,9 @@ filter of the public constructor.
 Text: :func:`rational_text` writes a rational from its integer numerator
 and denominator, the text ``Fraction.__str__`` gives, and every printed
 rational (here and in the printer) goes through it, so printing compares
-and writes ``int``s only.  A scalar is immutable, so :meth:`Ring.sym` hands
-out the one scalar per symbol built with the ring.
+and writes ``int``s only.  A scalar is immutable, so a ring builds its
+``zero``, its ``one`` and one scalar per symbol (:meth:`Ring.sym`) once and
+hands those out.
 """
 
 from __future__ import annotations
@@ -54,9 +55,11 @@ class Ring:
         self.symbols = symbols
         self._index = {s: i for i, s in enumerate(symbols)}
         self._zero_exp = (0,) * len(symbols)
-        # scalars are immutable, so sym() hands out these
+        # scalars are immutable, so sym(), zero and one hand out these
         units = [tuple(int(j == i) for j in range(self.nvars)) for i in range(self.nvars)]
         self._syms = {s: Scalar._trusted(self, {e: Fraction(1)}) for s, e in zip(symbols, units)}
+        self.zero = Scalar._trusted(self, {})
+        self.one = Scalar._trusted(self, {self._zero_exp: Fraction(1)})
 
     def __repr__(self):
         return f"Ring{self.symbols!r}"
@@ -78,16 +81,8 @@ class Ring:
             raise TypeError(f"scalar constants must be int or Fraction, "
                             f"got {type(value).__name__} {value!r}")
         if value == 0:
-            return Scalar._trusted(self, {})
+            return self.zero
         return Scalar._trusted(self, {self._zero_exp: Fraction(value)})
-
-    @property
-    def zero(self) -> "Scalar":
-        return Scalar._trusted(self, {})
-
-    @property
-    def one(self) -> "Scalar":
-        return self.const(1)
 
     def sym(self, name: str) -> "Scalar":
         s = self._syms.get(name)
@@ -96,9 +91,10 @@ class Ring:
         return s
 
     def coerce(self, value: Union["Scalar", Rat]) -> "Scalar":
+        """The one rule that admits a value into the ring."""
         if isinstance(value, Scalar):
-            if value.ring != self:
-                raise ValueError("scalar belongs to a different ring")
+            if value.ring is not self and value.ring != self:
+                raise ValueError("scalars from different rings")
             return value
         return self.const(value)
 
@@ -155,20 +151,11 @@ class Scalar:
 
     # -- arithmetic -------------------------------------------------------
 
-    def _coerce(self, other) -> "Scalar":
-        if isinstance(other, Scalar):
-            if other.ring is not self.ring and other.ring != self.ring:
-                raise ValueError("scalars from different rings")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.ring.const(other)
-        return NotImplemented
-
     def _combine(self, other, sign: int) -> "Scalar":
         """self + sign * other."""
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, (Scalar, int, Fraction)):
             return NotImplemented
+        other = self.ring.coerce(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
             s = out.get(e)
@@ -208,9 +195,9 @@ class Scalar:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self._scale(other)
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, Scalar):
             return NotImplemented
+        other = self.ring.coerce(other)
         t1, t2 = self.terms, other.terms
         if not t1 or not t2:
             return self.ring.zero

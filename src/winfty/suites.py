@@ -119,7 +119,8 @@ def _random_poly(rng: random.Random, deg: int) -> Dict[int, Fraction]:
 
 # -- individual suites ------------------------------------------------------
 # Each runner returns (params, checks); run_suite wraps them in the report.
-_Run = Tuple[Dict[str, Any], List[VerificationReport]]
+# quoted: typing caches each subscription, so a class named here stays alive
+_Run = Tuple[Dict[str, Any], List["VerificationReport"]]
 
 
 def _sampled(name: str, count: int, case,

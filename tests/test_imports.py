@@ -4,10 +4,17 @@ only modules below it in the layer order ``LAYERS``.
 
 ``__init__.py`` is left out of all three: its imports are the package's
 re-exports, and it defines nothing else.
+
+No module-level alias names a package class bare inside a typing subscript,
+and no package class outlives its dropped modules.
 """
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -108,3 +115,59 @@ def test_an_upward_import_is_found():
              "report.py": ast.parse("from . import report\n"),
              "__init__.py": ast.parse("from .cli import main\n")}
     assert _upward_imports(trees) == [("printer.py", 3, "weyl"), ("report.py", 1, "report")]
+
+
+def _pinned_classes(trees):
+    """(module, line, name) of each package class named bare inside a
+    subscript on the right of a module-level assignment.  typing caches each
+    subscription, ``Dict[str, Scalar]`` included, and its cache would keep the
+    class alive after the module is dropped; a quoted name is not a class."""
+    classes = {node.name for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    found = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                found.update((module, n.lineno, n.id) for sub in ast.walk(node.value)
+                             if isinstance(sub, ast.Subscript) for n in ast.walk(sub.slice)
+                             if isinstance(n, ast.Name) and n.id in classes)
+    return sorted(found)
+
+
+def test_no_alias_pins_a_package_class():
+    assert _pinned_classes(TREES) == []
+
+
+def test_a_pinning_alias_is_found():
+    trees = {"a.py": ast.parse("class Scalar:\n    pass\n"
+                               "Vec = Dict[int, Scalar]\n"
+                               "Ok = Dict[int, 'Scalar']\n"
+                               "KINDS = (Scalar, int)\n"
+                               "Deep = Optional[List[Tuple[Scalar, int]]]\n"),
+             "b.py": ast.parse("from .a import Scalar\nX: Any = Union[int, Scalar]\n")}
+    assert _pinned_classes(trees) == [("a.py", 3, "Scalar"), ("a.py", 6, "Scalar"),
+                                      ("b.py", 2, "Scalar")]
+
+
+_REIMPORT = """
+import gc, importlib, inspect, json, pkgutil, sys, weakref
+import winfty
+for info in pkgutil.iter_modules(winfty.__path__):
+    importlib.import_module("winfty." + info.name)
+ours = [name for name in sys.modules if name.split(".")[0] == "winfty"]
+refs = [weakref.ref(obj) for name in ours for obj in vars(sys.modules[name]).values()
+        if inspect.isclass(obj) and obj.__module__ == name]
+for name in ours:
+    del sys.modules[name]
+del winfty, info
+gc.collect()
+print(json.dumps([len(refs), sorted(r().__qualname__ for r in refs if r() is not None)]))
+"""
+
+
+def test_no_package_class_outlives_its_dropped_modules():
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", _REIMPORT], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    count, alive = json.loads(out)
+    assert count > 20 and alive == []

@@ -69,20 +69,31 @@ def test_act_rejects_non_integer_coordinates(coords):
 
 
 def test_act_solves_each_exponent_once(monkeypatch):
-    weyl = Weyl(1, ring=RING, lattice=Lattice([[1]]), subalgebra="w1")
-    m = make_module("A", [frac("1/2")], weyl)
-    x = weyl.monomial((2,), (1,)) + weyl.monomial((2,), (2,)) + weyl.monomial((3,), (1,))
+    def module_and_element():
+        # a lattice of its own, so no coordinates are stored yet
+        weyl = Weyl(1, ring=RING, lattice=Lattice([[1]]), subalgebra="w1")
+        x = weyl.monomial((2,), (1,)) + weyl.monomial((2,), (2,)) + weyl.monomial((3,), (1,))
+        return make_module("A", [frac("1/2")], weyl), x
+
     vec = {(0,): RING.one, (1,): RING.sym("alpha"), (5,): RING.const(3)}
+    m, x = module_and_element()
     expected = {}
     for coords, vc in vec.items():
         for k, v in act(m, x, coords).items():
             expected[k] = expected.get(k, RING.zero) + v * vc
-    solve = m.lattice.membership
+    expected = {k: v for k, v in expected.items() if v}
+    m, x = module_and_element()
+    echelon = m.weyl.lattice._echelon
+    solve = echelon.solve
     calls = []
-    monkeypatch.setattr(m.lattice, "membership", lambda v: calls.append(v) or solve(v))
-    assert act(m, x, vec) == {k: v for k, v in expected.items() if v}
-    # before, one elimination per (vector term, element term) pair: 9 here
-    assert sorted(calls) == [(2,), (3,)]
+    monkeypatch.setattr(echelon, "solve",
+                        lambda v, s: calls.append(Fraction(v.get(0, 0), s)) or solve(v, s))
+    assert act(m, x, vec) == expected
+    # one elimination per exponent, not one per (vector term, element term) pair
+    assert sorted(calls) == [2, 3]
+    calls.clear()
+    assert act(m, x, vec) == expected
+    assert calls == []
 
 
 def test_act_rejects_off_lattice_exponent():
@@ -112,8 +123,11 @@ def test_alpha_needs_n_coordinates_on_low_rank_lattice():
     (lambda: act(make_module("A", [0], Weyl(1)), Weyl(1).monomial((1,), (0,)), (0,)),
      "not in the acting subalgebra"),
     (lambda: make_module("C", [frac("1/2")], W1), "kind must be A or B"),
+    (lambda: normalize_ddt_basis(make_module("A", "formal", W1), []), "k_range"),
+    # one k leaves nothing to compare Q_i across
+    (lambda: normalize_ddt_basis(make_module("A", "formal", W1), [0]), "k_range"),
 ), ids=("normalize-n2", "submodule-scan-formal", "highest-weight-formal",
-        "act-mu-0", "kind-C"))
+        "act-mu-0", "kind-C", "normalize-empty-k-range", "normalize-one-k"))
 def test_module_misuse_raises(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -27,6 +27,24 @@ def test_membership_dimension_mismatch():
         Lattice.standard(2).membership((1, 2, 3))
 
 
+def test_membership_answers_a_repeated_vector_without_eliminating(monkeypatch):
+    g = Lattice([(1, 0), (1, 2)])
+    solve = g._echelon.solve
+    calls = []
+    monkeypatch.setattr(g._echelon, "solve", lambda v, s: calls.append(v) or solve(v, s))
+    for _ in range(3):
+        assert g.membership((0, 2)) == (-1, 1)
+        assert g.membership([Fraction(0), 2]) == (-1, 1)
+        assert g.membership((1, 1)) is None
+    assert len(calls) == 2
+    for _ in range(2):
+        with pytest.raises(ValueError, match="dimension 3"):
+            g.membership((0, 2, 0))
+        with pytest.raises(TypeError):
+            g.membership((0.0, 2))
+    assert len(calls) == 2
+
+
 def test_dependent_generators_rejected():
     with pytest.raises(ValueError):
         Lattice([(1, 1), (2, 2), (0, 3)])

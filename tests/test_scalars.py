@@ -75,7 +75,7 @@ OTHER = Ring(("x",)).sym("x")
     (lambda: Ring(("a", "a")), ValueError, "duplicate symbols"),
     (lambda: A.as_fraction(), ValueError, "not a rational constant"),
     (lambda: A + OTHER, ValueError, "scalars from different rings"),
-    (lambda: RING.coerce(OTHER), ValueError, "belongs to a different ring"),
+    (lambda: RING.coerce(OTHER), ValueError, "scalars from different rings"),
     (lambda: A / 0, ZeroDivisionError, "division of scalar by zero"),
     (lambda: A ** -1, ValueError, "negative powers unsupported"),
     (lambda: falling(A, -1), ValueError, "needs j >= 0"),
@@ -87,6 +87,22 @@ OTHER = Ring(("x",)).sym("x")
 def test_invalid_scalar_input_raises(build, error, message):
     with pytest.raises(error, match=message):
         build()
+
+
+def test_a_ring_hands_out_one_zero_and_one_one():
+    r = Ring(("a", "b"))
+    a, b = r.sym("a"), r.sym("b")
+    assert r.zero is r.zero and r.const(0) is r.zero
+    assert r.one is r.one
+    results = [r.zero + a, a + r.zero, r.zero - a, r.one - a, r.one * a, a * r.one,
+               r.zero * a, -r.zero, -r.one, r.one + r.one, r.one * r.one, a ** 0,
+               r.zero.exact_div(a + 1), (a * b).exact_div(r.one), r.one.exact_div(r.one),
+               r.one.substitute({"a": r.zero}), a.substitute({"a": r.one, "b": r.zero}),
+               r.zero.substitute({"b": a})]
+    assert [str(x) for x in results] == ["a", "a", "-a", "-a + 1", "a", "a", "0", "0", "-1",
+                                         "2", "1", "1", "0", "a*b", "1", "1", "1", "0"]
+    assert r.zero.terms == {}
+    assert r.one == 1
 
 
 def test_reflected_subtraction_and_division_by_a_constant_scalar():

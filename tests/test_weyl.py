@@ -273,6 +273,22 @@ def test_equality_and_hash_cross_bases():
     assert h.to_falling() != h - hat.central(1)
 
 
+def test_contexts_built_separately_are_one_algebra():
+    parts = [(Ring(("a",)), Lattice([(1, 0), (1, 2)])) for _ in range(2)]
+    (r1, l1), (r2, l2) = parts
+    w1, w2 = (Weyl(2, ring=r, lattice=lat, subalgebra="w1") for r, lat in parts)
+    assert r1 is not r2 and l1 is not l2 and w1 is not w2
+    assert hash(r1) == hash(r2) and hash(l1) == hash(l2) and hash(w1) == hash(w2)
+    assert len({w1, w2}) == 1
+    x = w1.monomial((0, 2), (1, 0), r1.sym("a"))
+    y = w2.monomial((0, 2), (1, 0), 1)
+    assert x + y == w2.monomial((0, 2), (1, 0), r2.sym("a") + 1)
+    assert y - x == w1.monomial((0, 2), (1, 0), 1 - r1.sym("a"))
+    assert repr(r1) == "Ring('a',)"
+    assert repr(l1) == "Lattice([('1', '0'), ('1', '2')])"
+    assert repr(w1) == "Weyl(n=2, subalgebra='w1')"
+
+
 def test_to_power_matches_falling_action_n2():
     # [D_i]_m acts on t^g as falling(g_i, m), independently of the conversion
     ring = Ring(("alpha",))
