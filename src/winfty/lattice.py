@@ -8,7 +8,9 @@ The constructor eliminates the generators once into a fraction-free echelon
 membership reduces one vector against those rows and checks that the
 coordinates it reads off are integers (no Hermite normal form machinery is
 needed).  The lattice never changes, so it stores each vector's answer, member
-or not, and a repeated vector is not eliminated again.
+or not, and a repeated vector is neither converted nor eliminated again.  On
+Z^n itself (the unit generators) a vector's membership is read off its
+denominators.
 """
 
 from __future__ import annotations
@@ -20,6 +22,10 @@ from typing import Dict, Optional, Sequence, Tuple
 from .echelon import Echelon, integral
 
 Vector = Tuple[Fraction, ...]
+
+# the coordinate types a stored answer is read for without conversion
+_EXACT = frozenset((int, Fraction))
+_UNSEEN = object()
 
 
 def _rational(x) -> Fraction:
@@ -62,6 +68,8 @@ class Lattice:
         self.rank = len(gens)
         self.generators = tuple(gens)
         self._coords: Dict[Vector, Optional[Tuple[int, ...]]] = {}
+        self._standard = dim == self.rank and all(
+            g == tuple(int(i == j) for j in range(dim)) for i, g in enumerate(gens))
 
     @classmethod
     def standard(cls, n: int) -> "Lattice":
@@ -90,6 +98,12 @@ class Lattice:
 
     def membership(self, v: Sequence) -> Optional[Tuple[int, ...]]:
         """Integer coordinates x with G x = v, or None if v is not in Gamma."""
+        # a float equals and hashes like its Fraction twin, so a stored
+        # answer is read only for a tuple of ints and Fractions
+        if type(v) is tuple:
+            coords = self._coords.get(v, _UNSEEN)
+            if coords is not _UNSEEN and _EXACT.issuperset(map(type, v)):
+                return coords
         v = _as_vector(v)
         if len(v) != self.dim:
             raise ValueError(f"vector has dimension {len(v)}, lattice is in Q^{self.dim}")
@@ -100,6 +114,15 @@ class Lattice:
                 coords = tuple(int(x.get(r, 0)) for r in range(self.rank))
             self._coords[v] = coords
         return coords
+
+    def __contains__(self, v: Vector) -> bool:
+        """Whether v, a vector of dim ints and Fractions, lies in Gamma."""
+        if self._standard:
+            for x in v:
+                if x.denominator != 1:
+                    return False
+            return True
+        return self.membership(v) is not None
 
 
 def inner(beta: Sequence, d: Sequence) -> Fraction:

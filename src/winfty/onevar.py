@@ -29,7 +29,7 @@ Coeffs = Union[Dict[int, Rat], Sequence[Rat]]  # {exponent: coefficient} or a li
 def _d_poly(f: Coeffs) -> Scalar:
     """f(D) as a polynomial on the one-symbol ring ("D",)."""
     items = f.items() if isinstance(f, dict) else enumerate(f)
-    return sum((_DRING.const(c) * _D ** e for e, c in items), _DRING.zero)
+    return Scalar(_DRING, {(e,): c for e, c in items})
 
 
 def _times_td(weyl: Weyl, degree: int, f: Scalar) -> WeylElement:

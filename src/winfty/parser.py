@@ -327,13 +327,15 @@ def _neg_value(a: Value, weyl: Weyl) -> Value:
 
 
 def _add_value(acc: _Sum, v: Value, neg: bool, weyl: Weyl) -> None:
-    """Add a summand to ``acc``: a monomial as one term, after the W^(1)
-    guard, and a bare scalar as scalar * 1."""
+    """Add a summand to ``acc``: a monomial as one term, after the lattice
+    and W^(1) guards, and a bare scalar as scalar * 1."""
     if isinstance(v, WeylElement):
         acc.add(v, neg)
         return
     if isinstance(v, Scalar):
         v = _Mono(v)
+    if v.gamma is not None:
+        weyl.check_grade(v.gamma)
     mu = v.mu or (0,) * weyl.n
     weyl.check_mu(mu)
     c = weyl.ring.one if v.coeff is None else v.coeff
@@ -395,9 +397,9 @@ def _eval(node: AST, session: Session) -> Value:
         mu[idx] = 1
         return _Mono(mu=tuple(mu))
     if kind == "num":
-        # the parser's own Fraction; a zero is the empty map
+        # the parser's own Fraction, in lowest terms; a zero is the empty map
         q, ring = node[1], weyl.ring
-        return Scalar._trusted(ring, {ring._zero_exp: q} if q else {})
+        return Scalar._trusted(ring, q.denominator, {ring._zero_exp: q.numerator} if q else {})
     if kind == "pow":
         return _pow_value(_eval(node[1], session), node[2], weyl, node[3])
     if kind == "fall":

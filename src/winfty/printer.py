@@ -42,10 +42,11 @@ def format_monomial(gamma: Tuple[Fraction, ...], mu: Tuple[int, ...],
 
 def _format_coeff(c: Scalar) -> Tuple[str, str]:
     """Return (sign, magnitude-text) of a nonzero c; magnitude "" means 1."""
-    t = c.terms
-    q = t.get(c.ring._zero_exp)
-    if q is not None and len(t) == 1:
-        p, d = q.numerator, q.denominator
+    nums = c.nums
+    p = nums.get(c.ring._zero_exp)
+    if p is not None and len(nums) == 1:
+        # canonical: p and the denominator are coprime
+        d = c.den
         mag = abs(p)
         return ("-" if p < 0 else "+"), ("" if mag == 1 and d == 1 else rational_text(mag, d))
     return "+", f"({c})"
@@ -54,7 +55,7 @@ def _format_coeff(c: Scalar) -> Tuple[str, str]:
 def format_element(x) -> str:
     if x.is_zero():
         return "0"
-    # a list, not a generator (see scalars._cleared)
+    # a list, not a generator (see Scalar.__init__)
     lcm = math.lcm(*[g.denominator for gamma, _mu in x.terms for g in gamma])
 
     def key(item):

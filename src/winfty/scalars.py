@@ -1,28 +1,34 @@
 """Exact scalar arithmetic: sparse multivariate polynomials over the rationals.
 
-A scalar is a polynomial in a fixed, ordered set of formal parameters with
-Fraction coefficients, stored as a sparse map from exponent tuples to
-coefficients.  Zero coefficients are never stored, so two equal polynomials
-have identical internal state and compare (and hash) identically.
+A scalar is a polynomial with rational coefficients in a fixed, ordered set
+of formal parameters.  The parameter set is fixed per :class:`Ring`; mixing
+scalars from different rings is an error, and so is a coefficient that is
+neither an int nor a Fraction (a float would store its binary expansion).
+Division is restricted to division by nonzero rationals plus
+:meth:`Scalar.exact_div`, which divides by another polynomial and raises
+unless the quotient is exact (the scalar ring stays a polynomial ring).
 
-The parameter set is fixed per :class:`Ring`; mixing scalars from different
-rings is an error, and so is a coefficient that is neither an int nor a
-Fraction (a float would store its binary expansion).  Division is restricted
-to division by nonzero rationals plus :meth:`Scalar.exact_div`, which divides
-by another polynomial and raises unless the quotient is exact (the scalar
-ring stays a polynomial ring).
+Representation: integer numerators over one denominator (after Monagan &
+Pearce, "Sparse polynomial multiplication and division in Maple 14", 2009).
+A scalar stores a positive ``int`` ``den`` and a sparse map ``nums`` from
+exponent tuples to nonzero ``int`` numerators, and stands for the sum of
+nums[e]/den x^e.  The form is canonical: gcd(den, *nums) == 1, and zero is
+den == 1 with no numerators, so two equal polynomials have identical fields
+and compare (and hash) identically.  ``terms`` is a derived
+{exponent: Fraction} view, built on each read, for code off the hot paths.
 
-Kernel: a product clears each factor to integer numerators over the lcm of
-its denominators, accumulates plain ``int`` products per output exponent and
-builds one Fraction per output term, so no gcd is taken per term pair (the
-approach of Monagan & Pearce, "Sparse polynomial multiplication and division
-in Maple 14", 2009).  A rational-constant factor scales term by term, and
-a product of two one-term polynomials is one coefficient product and one
-exponent sum.
-:meth:`Scalar.substitute` computes each power of a substituted value once per
-call and collects all terms into one map.  Results the kernel already knows
-to be zero-free go through :meth:`Scalar._trusted`, which skips the zero
-filter of the public constructor.
+Kernel: every operation runs on ints and ends in :func:`_normal`, which
+divides out the one gcd of the result's denominator and numerators (a result
+over 1 is canonical as it stands and skips it); no Fraction is built per
+term.  A sum puts both operands over the lcm of their denominators.  A
+product multiplies numerators pair by pair into one map over the product of
+the denominators; a rational-constant factor scales the numerators and the
+denominator, and a product of two one-term polynomials is one numerator
+product and one exponent sum.  :meth:`Scalar.substitute` computes each power
+of a substituted value once per call and collects all terms over the lcm of
+their factors' denominators.  :meth:`Scalar.exact_div` divides numerators by
+the divisor's leading numerator, and scales the remainder and quotient up
+when that does not divide.
 
 Text: :func:`rational_text` writes a rational from its integer numerator
 and denominator, the text ``Fraction.__str__`` gives, and every printed
@@ -37,12 +43,20 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, Mapping, Sequence, Tuple, Union
 
 Exponent = Tuple[int, ...]
 Rat = Union[int, Fraction]
 
 _add = operator.add
+
+
+def _check_rational(value, what: str) -> None:
+    """The one rule that admits a rational: an int or a Fraction."""
+    # a float would store its binary expansion, a string would be parsed
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"{what} must be int or Fraction, "
+                        f"got {type(value).__name__} {value!r}")
 
 
 class Ring:
@@ -57,9 +71,9 @@ class Ring:
         self._zero_exp = (0,) * len(symbols)
         # scalars are immutable, so sym(), zero and one hand out these
         units = [tuple(int(j == i) for j in range(self.nvars)) for i in range(self.nvars)]
-        self._syms = {s: Scalar._trusted(self, {e: Fraction(1)}) for s, e in zip(symbols, units)}
-        self.zero = Scalar._trusted(self, {})
-        self.one = Scalar._trusted(self, {self._zero_exp: Fraction(1)})
+        self._syms = {s: Scalar._trusted(self, 1, {e: 1}) for s, e in zip(symbols, units)}
+        self.zero = Scalar._trusted(self, 1, {})
+        self.one = Scalar._trusted(self, 1, {self._zero_exp: 1})
 
     def __repr__(self):
         return f"Ring{self.symbols!r}"
@@ -77,12 +91,11 @@ class Ring:
         return len(self.symbols)
 
     def const(self, value: Rat) -> "Scalar":
-        if not isinstance(value, (int, Fraction)):
-            raise TypeError(f"scalar constants must be int or Fraction, "
-                            f"got {type(value).__name__} {value!r}")
-        if value == 0:
+        _check_rational(value, "scalar constants")
+        if not value:
             return self.zero
-        return Scalar._trusted(self, {self._zero_exp: Fraction(value)})
+        # an int or a Fraction is in lowest terms with a positive denominator
+        return Scalar._trusted(self, value.denominator, {self._zero_exp: value.numerator})
 
     def sym(self, name: str) -> "Scalar":
         s = self._syms.get(name)
@@ -105,49 +118,73 @@ def rational_text(p: int, q: int) -> str:
     return str(p) if q == 1 else f"{p}/{q}"
 
 
-def _cleared(terms: Dict[Exponent, Fraction]) -> Tuple[int, List[Tuple[Exponent, int]]]:
-    """The lcm d of the denominators and the integer numerators c*d per term."""
-    # a list, not a generator: a starred generator builds its argument tuple
-    # by resizing, and CPython keeps the freed tuples on free lists that grow
-    d = math.lcm(*[c.denominator for c in terms.values()])
-    return d, [(e, c.numerator * (d // c.denominator)) for e, c in terms.items()]
+def _normal(ring: Ring, den: int, nums: Dict[Exponent, int]) -> "Scalar":
+    """The scalar nums/den, for den > 0 and zero-free nums owned by the
+    result: the one gcd of den and every numerator is divided out, in place."""
+    if den != 1:
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            for e in nums:
+                nums[e] //= g
+    return Scalar._trusted(ring, den, nums)
 
 
 class Scalar:
-    """A canonical sparse polynomial; immutable once constructed."""
+    """A canonical sparse polynomial nums/den; immutable once constructed."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "den", "nums")
 
-    def __init__(self, ring: Ring, terms: Dict[Exponent, Fraction]):
+    def __init__(self, ring: Ring, terms: Mapping[Exponent, Rat]):
+        """The polynomial with coefficient terms[e] on x^e, each an int or a
+        Fraction; zero coefficients are dropped."""
+        for c in terms.values():
+            _check_rational(c, "scalar coefficients")
+        # a list, not a generator: a starred generator builds its argument
+        # tuple by resizing, and CPython keeps the freed tuples on free lists
+        # that grow
+        den = math.lcm(*[c.denominator for c in terms.values()])
+        # already canonical: for each prime p of den, the coefficient whose
+        # denominator holds the most factors p keeps a numerator prime to p
         self.ring = ring
-        self.terms = {e: c for e, c in terms.items() if c != 0}
+        self.den = den
+        self.nums = {e: c.numerator * (den // c.denominator) for e, c in terms.items() if c}
 
     @classmethod
-    def _trusted(cls, ring: Ring, terms: Dict[Exponent, Fraction]) -> "Scalar":
-        """Wrap ``terms`` as is: every value a nonzero Fraction, owned by the result."""
+    def _trusted(cls, ring: Ring, den: int, nums: Dict[Exponent, int]) -> "Scalar":
+        """Wrap ``den`` and ``nums`` as they are: already canonical, and the
+        map owned by the result."""
         out = object.__new__(cls)
         out.ring = ring
-        out.terms = terms
+        out.den = den
+        out.nums = nums
         return out
+
+    @property
+    def terms(self) -> Dict[Exponent, Fraction]:
+        """The coefficients as Fractions, in a new map on each read."""
+        den = self.den
+        return {e: Fraction(c, den) for e, c in self.nums.items()}
 
     # -- predicates -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def is_rational(self) -> bool:
-        return all(e == self.ring._zero_exp for e in self.terms)
+        nums = self.nums
+        return not nums or (len(nums) == 1 and self.ring._zero_exp in nums)
 
     def as_fraction(self) -> Fraction:
-        if not self.terms:
+        if not self.nums:
             return Fraction(0)
         if not self.is_rational():
             raise ValueError(f"not a rational constant: {self}")
-        return self.terms[self.ring._zero_exp]
+        return Fraction(self.nums[self.ring._zero_exp], self.den)
 
     def degree_in(self, name: str) -> int:
         i = self.ring._index[name]
-        return max((e[i] for e in self.terms), default=0)
+        return max((e[i] for e in self.nums), default=0)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -156,18 +193,31 @@ class Scalar:
         if not isinstance(other, (Scalar, int, Fraction)):
             return NotImplemented
         other = self.ring.coerce(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
+        n1, n2 = self.nums, other.nums
+        if not n2:
+            return self
+        if not n1:
+            return other if sign > 0 else -other
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            den, m2 = d1, sign
+            out = dict(n1)
+        else:
+            g = math.gcd(d1, d2)
+            m1, m2 = d2 // g, sign * (d1 // g)
+            den = d1 * m1
+            out = {e: c * m1 for e, c in n1.items()}
+        for e, c in n2.items():
             s = out.get(e)
             if s is None:
-                out[e] = c if sign > 0 else -c
+                out[e] = c * m2
             else:
-                s = s + c if sign > 0 else s - c
+                s += c * m2
                 if s:
                     out[e] = s
                 else:
                     del out[e]
-        return Scalar._trusted(self.ring, out)
+        return _normal(self.ring, den, out)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -175,7 +225,7 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar._trusted(self.ring, {e: -c for e, c in self.terms.items()})
+        return Scalar._trusted(self.ring, self.den, {e: -c for e, c in self.nums.items()})
 
     def __sub__(self, other):
         return self._combine(other, -1)
@@ -183,43 +233,46 @@ class Scalar:
     def __rsub__(self, other):
         return -(self - other)
 
-    def _scale(self, q: Rat) -> "Scalar":
-        if not q:
+    def _scale(self, p: int, q: int) -> "Scalar":
+        """self * p/q, for ints p and q > 0."""
+        if not p:
             return self.ring.zero
         if q == 1:
-            return self
-        if q == -1:
-            return -self
-        return Scalar._trusted(self.ring, {e: c * q for e, c in self.terms.items()})
+            if p == 1:
+                return self
+            if p == -1:
+                return -self
+        return _normal(self.ring, self.den * q, {e: c * p for e, c in self.nums.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._scale(other)
+            return self._scale(other.numerator, other.denominator)
         if not isinstance(other, Scalar):
             return NotImplemented
         other = self.ring.coerce(other)
-        t1, t2 = self.terms, other.terms
-        if not t1 or not t2:
+        n1, n2 = self.nums, other.nums
+        if not n1 or not n2:
             return self.ring.zero
         zero_exp = self.ring._zero_exp
-        if len(t2) == 1 and zero_exp in t2:
-            return self._scale(t2[zero_exp])
-        if len(t1) == 1 and zero_exp in t1:
-            return other._scale(t1[zero_exp])
-        if len(t1) == 1 and len(t2) == 1:
-            (e1, c1), = t1.items()
-            (e2, c2), = t2.items()
-            return Scalar._trusted(self.ring, {tuple(map(_add, e1, e2)): c1 * c2})
-        d1, n1 = _cleared(t1)
-        d2, n2 = _cleared(t2)
+        if len(n2) == 1 and zero_exp in n2:
+            return self._scale(n2[zero_exp], other.den)
+        if len(n1) == 1 and zero_exp in n1:
+            return other._scale(n1[zero_exp], self.den)
+        den = self.den * other.den
+        if len(n1) == 1 and len(n2) == 1:
+            (e1, c1), = n1.items()
+            (e2, c2), = n2.items()
+            return _normal(self.ring, den, {tuple(map(_add, e1, e2)): c1 * c2})
         acc: Dict[Exponent, int] = {}
         get = acc.get
-        for e1, a in n1:
-            for e2, b in n2:
+        items2 = list(n2.items())
+        for e1, a in n1.items():
+            for e2, b in items2:
                 e = tuple(map(_add, e1, e2))
                 acc[e] = get(e, 0) + a * b
-        d = d1 * d2
-        return Scalar._trusted(self.ring, {e: Fraction(n, d) for e, n in acc.items() if n})
+        if 0 in acc.values():
+            acc = {e: c for e, c in acc.items() if c}
+        return _normal(self.ring, den, acc)
 
     __rmul__ = __mul__
 
@@ -232,9 +285,10 @@ class Scalar:
         elif not isinstance(other, (int, Fraction)):
             raise TypeError(f"scalars divide only by int or Fraction, "
                             f"got {type(other).__name__} {other!r}")
-        if other == 0:
+        p, q = other.numerator, other.denominator
+        if not p:
             raise ZeroDivisionError("division of scalar by zero")
-        return self._scale(1 / Fraction(other))
+        return self._scale(q, p) if p > 0 else self._scale(-q, -p)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -261,27 +315,39 @@ class Scalar:
             raise ZeroDivisionError("exact_div by zero")
         if divisor.is_rational():
             return self / divisor.as_fraction()
-        lead = max(divisor.terms)
-        lead_c = divisor.terms[lead]
-        rem = dict(self.terms)
-        quot: Dict[Exponent, Fraction] = {}
+        dnums = divisor.nums
+        lead = max(dnums)
+        lead_c = dnums[lead]
+        # scale * self.nums == quot * dnums + rem throughout
+        rem = dict(self.nums)
+        quot: Dict[Exponent, int] = {}
+        scale = 1
         while rem:
             e = max(rem)
             qe = tuple(a - b for a, b in zip(e, lead))
             if any(x < 0 for x in qe):
                 raise ValueError(f"not divisible: {self} by {divisor}")
+            c = rem[e]
+            if c % lead_c:
+                f = abs(lead_c) // math.gcd(c, lead_c)
+                scale *= f
+                rem = {k: v * f for k, v in rem.items()}
+                quot = {k: v * f for k, v in quot.items()}
+                c *= f
             # each step removes the current lex-largest remainder term, so
             # every quotient exponent is new and nonzero
-            qc = rem[e] / lead_c
+            qc = c // lead_c
             quot[qe] = qc
-            for de, dc in divisor.terms.items():
+            for de, dc in dnums.items():
                 te = tuple(map(_add, qe, de))
                 nc = rem.get(te, 0) - qc * dc
                 if nc:
                     rem[te] = nc
                 else:
                     rem.pop(te, None)
-        return Scalar._trusted(self.ring, quot)
+        # (nums/den) / (dnums/dden) = quot dden / (scale den)
+        dden = divisor.den
+        return _normal(self.ring, self.den * scale, {e: c * dden for e, c in quot.items()})
 
     # -- substitution -----------------------------------------------------
 
@@ -290,8 +356,8 @@ class Scalar:
         ring = self.ring
         values = {ring._index[k]: ring.coerce(v) for k, v in mapping.items()}
         powers: Dict[Tuple[int, int], Scalar] = {}
-        out: Dict[Exponent, Fraction] = {}
-        for e, c in self.terms.items():
+        parts = []
+        for e, c in self.nums.items():
             kept = list(e)
             factor = None
             for i, p in enumerate(e):
@@ -301,14 +367,19 @@ class Scalar:
                     if f is None:
                         f = powers[(i, p)] = values[i] ** p
                     factor = f if factor is None else factor * f
-            kept = tuple(kept)
-            if factor is None:
-                out[kept] = out.get(kept, 0) + c
+            parts.append((tuple(kept), c, factor))
+        # every term over den times the lcm d of its factors' denominators
+        d = math.lcm(*[f.den for _k, _c, f in parts if f is not None])
+        out: Dict[Exponent, int] = {}
+        for kept, c, f in parts:
+            if f is None:
+                out[kept] = out.get(kept, 0) + c * d
                 continue
-            for fe, fc in factor.terms.items():
+            c *= d // f.den
+            for fe, fc in f.nums.items():
                 k = tuple(map(_add, kept, fe))
                 out[k] = out.get(k, 0) + c * fc
-        return Scalar(ring, out)
+        return _normal(ring, self.den * d, {k: c for k, c in out.items() if c})
 
     def shift(self, name: str, delta: Union["Scalar", Rat]) -> "Scalar":
         """Substitute name -> name + delta."""
@@ -318,8 +389,8 @@ class Scalar:
         """Collect the coefficient of name**power (a scalar free of ``name``)."""
         i = self.ring._index[name]
         # distinct exponents with the same e[i] stay distinct once e[i] is zeroed
-        return Scalar._trusted(self.ring, {e[:i] + (0,) + e[i + 1:]: c
-                                           for e, c in self.terms.items() if e[i] == power})
+        return _normal(self.ring, self.den, {e[:i] + (0,) + e[i + 1:]: c
+                                             for e, c in self.nums.items() if e[i] == power})
 
     # -- comparison / display --------------------------------------------
 
@@ -328,24 +399,27 @@ class Scalar:
             other = self.ring.const(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return (self.den == other.den and self.nums == other.nums
+                and self.ring == other.ring)
 
     def __hash__(self):
         # A rational constant equals its Fraction, so it must hash like one.
         if self.is_rational():
             return hash(self.as_fraction())
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, frozenset(self.nums.items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __str__(self):
-        if not self.terms:
+        if not self.nums:
             return "0"
+        den = self.den
         parts = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
-            p, q = c.numerator, c.denominator
+        for e in sorted(self.nums, reverse=True):
+            c = self.nums[e]
+            g = math.gcd(c, den)
+            p, q = c // g, den // g
             factors = []
             for s, k in zip(self.ring.symbols, e):
                 if k == 1:

@@ -102,9 +102,9 @@ def virasoro_consistency(ps: Optional[PSeries] = None) -> VerificationReport:
                                   details={"reason": "residual depends on kbar"})
     factor = None
     if not residual.is_zero():
-        lead = max(residual.terms)
-        tlead = max(target.terms)
-        cand = residual.terms[lead] / target.terms[tlead]
+        lead = max(residual.nums)
+        tlead = max(target.nums)
+        cand = Fraction(residual.nums[lead] * target.den, residual.den * target.nums[tlead])
         if lead == tlead and residual == target * ring.const(cand):
             factor = cand
     passed = factor is not None and factor != 0

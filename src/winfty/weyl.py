@@ -9,18 +9,19 @@ coordinate.  The associative product expands
 
 Kernel: a product or bracket runs in integer arithmetic, as the Scalar
 kernel does (after Monagan & Pearce, "Sparse polynomial multiplication and
-division in Maple 14", 2009).  Each factor's coefficients are cleared to
-integer numerators over one lcm d of all their denominators, and each grade
-coordinate to an integer B_i over Q_i, the lcm of the i-th grade
-denominators of both factors.  With M_i the largest mu_i of either factor,
-lambda_i <= M_i, so b_i^lambda_i scaled by Q_i^M_i is the integer
-B_i^lambda_i Q_i^(M_i - lambda_i).  The kernel accumulates ints per output
-grade, mu and coefficient exponent, and builds one Fraction per nonzero
-output coefficient over d_x d_y prod_i Q_i^M_i; on integral grades Q_i = 1
-and that scale is 1.  The lambda_i > 0 terms vanish when b_i = 0 and are
-never formed.  The Lie bracket is the commutator, accumulated directly: the
-lambda = 0 terms of xy and yx are equal (the coefficient ring is
-commutative), so they are skipped rather than built and cancelled.
+division in Maple 14", 2009).  Each factor's coefficients are read from
+their stored integer numerators and denominators and put over one lcm d of
+those denominators, and each grade coordinate is cleared to an integer B_i
+over Q_i, the lcm of the i-th grade denominators of both factors.  With M_i
+the largest mu_i of either factor, lambda_i <= M_i, so b_i^lambda_i scaled
+by Q_i^M_i is the integer B_i^lambda_i Q_i^(M_i - lambda_i).  The kernel
+accumulates ints per output grade, mu and coefficient exponent, and builds
+each nonzero output coefficient over d_x d_y prod_i Q_i^M_i with one gcd;
+on integral grades Q_i = 1 and that scale is 1.  The lambda_i > 0 terms
+vanish when b_i = 0 and are never formed.  The Lie bracket is the
+commutator, accumulated directly: the lambda = 0 terms of xy and yx are
+equal (the coefficient ring is commutative), so they are skipped rather
+than built and cancelled.
 
 The falling basis is notation for elements of the same algebra, so every
 operation takes either basis.  Products, brackets and the cocycle read the
@@ -45,7 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .lattice import Lattice, _as_vector, _integers, inner
 from .printer import format_element
 from .report import VerificationReport
-from .scalars import Exponent, Rat, Ring, Scalar, binom, falling
+from .scalars import Exponent, Rat, Ring, Scalar, _normal, binom, falling
 
 Gamma = Tuple[Fraction, ...]
 Mu = Tuple[int, ...]
@@ -81,8 +82,8 @@ _X = Ring(("x",)).sym("x")
 @lru_cache(maxsize=None)
 def _falling_coeffs(m: int) -> Tuple[int, ...]:
     """Coefficients c with x(x-1)...(x-m+1) = sum_j c[j] x^j."""
-    terms = falling(_X, m).terms
-    return tuple(int(terms.get((j,), 0)) for j in range(m + 1))
+    nums = falling(_X, m).nums  # a monic integer polynomial, over 1
+    return tuple(nums.get((j,), 0) for j in range(m + 1))
 
 
 class Weyl:
@@ -128,6 +129,12 @@ class Weyl:
                  basis: str = POWER) -> "WeylElement":
         return WeylElement(self, {(tuple(gamma), tuple(mu)): coeff}, basis=basis)
 
+    def check_grade(self, gamma: Gamma) -> None:
+        """Raise ValueError unless the grade gamma, n ints and Fractions,
+        lies in the lattice."""
+        if gamma not in self.lattice:
+            raise ValueError(f"grade ({', '.join(map(str, gamma))}) is not in the lattice")
+
     def check_mu(self, mu: Sequence[int]) -> None:
         """Raise SubalgebraError if monomials t^gamma D^mu lie outside the flavor."""
         if self.subalgebra in (W1, HAT) and sum(mu) == 0:
@@ -160,9 +167,9 @@ class WeylElement:
     """Canonical sparse element; immutable by convention.
 
     The constructor checks every term (gamma, mu) -> c: gamma rational and mu
-    nonnegative integers, each with n coordinates, mu allowed by the flavor,
-    and c coerced into the ring; zero coefficients are dropped.  A nonzero
-    central coordinate needs the hat algebra.
+    nonnegative integers, each with n coordinates, gamma in the lattice, mu
+    allowed by the flavor, and c coerced into the ring; zero coefficients
+    are dropped.  A nonzero central coordinate needs the hat algebra.
     """
 
     __slots__ = ("weyl", "terms", "basis", "central")
@@ -179,6 +186,7 @@ class WeylElement:
                 raise ValueError("monomial exponents have wrong dimension")
             if any(m < 0 for m in mu):
                 raise ValueError("D-exponents must be nonnegative")
+            weyl.check_grade(gamma)
             weyl.check_mu(mu)
             c = coerce(c)
             if c:
@@ -360,13 +368,17 @@ ClearedTerms = List[Tuple[Tuple[int, ...], Mu, List[Tuple[Exponent, int]]]]
 
 
 def _cleared(x: WeylElement, grade_den: Sequence[int]) -> Tuple[int, ClearedTerms]:
-    """x over one coefficient denominator d: per term the grade times
-    ``grade_den`` (integers) and the coefficient's terms times d (integers)."""
-    # a list, not a generator (see scalars._cleared)
-    d = math.lcm(*[c.denominator for s in x.terms.values() for c in s.terms.values()])
-    return d, [(tuple(gi.numerator * (q // gi.denominator) for gi, q in zip(g, grade_den)),
-                mu, [(e, c.numerator * (d // c.denominator)) for e, c in s.terms.items()])
-               for (g, mu), s in x.terms.items()]
+    """x over one coefficient denominator d, the lcm of the coefficients'
+    stored denominators: per term the grade times ``grade_den`` and the
+    coefficient's numerators times d over its own denominator (integers)."""
+    # a list, not a generator (see Scalar.__init__)
+    d = math.lcm(*[s.den for s in x.terms.values()])
+    out: ClearedTerms = []
+    for (g, mu), s in x.terms.items():
+        m = d // s.den
+        out.append((tuple(gi.numerator * (q // gi.denominator) for gi, q in zip(g, grade_den)),
+                    mu, [(e, c * m) for e, c in s.nums.items()]))
+    return d, out
 
 
 def _lambda_rows(mu: Mu, nu: Mu, b: Sequence[int], q_powers):
@@ -427,9 +439,10 @@ def _element(weyl: Weyl, acc: RawTerms, grade_den: Sequence[int], d: int) -> Wey
     for g, by_mu in acc.items():
         gamma = tuple(map(Fraction, g, grade_den))
         for mu, raw in by_mu.items():
-            coeff = {e: Fraction(v, d) for e, v in raw.items() if v}
-            if coeff:
-                terms[(gamma, mu)] = Scalar._trusted(ring, coeff)
+            if 0 in raw.values():
+                raw = {e: v for e, v in raw.items() if v}
+            if raw:
+                terms[(gamma, mu)] = _normal(ring, d, raw)
     return WeylElement._trusted(weyl, terms, POWER)
 
 

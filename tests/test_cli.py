@@ -35,6 +35,24 @@ def test_eval_subalgebra_violation_exits_2(capsys):
     assert main(["eval", "t^(1)", "--subalgebra", "w1"]) == 2
 
 
+@pytest.mark.parametrize("argv", (
+    ["t^(1/2)*D"],
+    ["[t^(1/2)*D, t^(-1/2)*D^2]", "--subalgebra", "hat"],
+    ["t^(1)*D + t^(1/2)*D^2"],
+    ["t[1/2,0]*D1", "--n", "2"],
+), ids=("monomial", "hat-bracket", "sum-term", "two-variables"))
+def test_eval_grade_outside_the_lattice_exits_2(argv, capsys):
+    # each printed an answer on Z^n and exited 0
+    assert main(["eval", *argv]) == 2
+    assert "is not in the lattice" in capsys.readouterr().err
+
+
+def test_eval_half_grades_on_half_z(capsys):
+    assert main(["eval", "[t^(1/2)*D, t^(-1/2)*D^2]", "--subalgebra", "hat",
+                 "--gamma", "1/2"]) == 0
+    assert capsys.readouterr().out.strip() == "-1/4*D - 3/2*D^2 + 1/64*C"
+
+
 def test_unknown_suite_exits_2(capsys):
     assert main(["suite", "nonexistent"]) == 2
     assert "unknown suite" in capsys.readouterr().err

@@ -181,7 +181,7 @@ def test_bracket_vec_matches_generic_bracket():
     # rational degrees and coefficients, where the product formula leaves
     # non-integral vectors
     rng = random.Random(17)
-    w = Weyl(1)
+    w = Weyl(1, lattice=Lattice([(Fraction(1, 2),)]))
 
     def element():
         out = w.zero()

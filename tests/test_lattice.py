@@ -45,6 +45,25 @@ def test_membership_answers_a_repeated_vector_without_eliminating(monkeypatch):
     assert len(calls) == 2
 
 
+def test_a_stored_answer_is_read_without_converting_the_vector(monkeypatch):
+    from winfty import lattice
+    g = Lattice([(1, 0), (1, 2)])
+    assert g.membership((0, 2)) == (-1, 1)
+    assert g.membership((Fraction(1, 2), 0)) is None
+    conversions = []
+    convert = lattice._as_vector
+    monkeypatch.setattr(lattice, "_as_vector", lambda v: conversions.append(v) or convert(v))
+    assert g.membership((0, 2)) == (-1, 1)
+    assert g.membership((Fraction(0), Fraction(2))) == (-1, 1)
+    assert g.membership((Fraction(1, 2), 0)) is None
+    assert conversions == []
+    # 0.5 equals and hashes like its stored Fraction twin, and still raises
+    with pytest.raises(TypeError):
+        g.membership((0.5, 0))
+    with pytest.raises(TypeError):
+        g.membership((0, 2.0))
+
+
 def test_dependent_generators_rejected():
     with pytest.raises(ValueError):
         Lattice([(1, 1), (2, 2), (0, 3)])

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from winfty.cli import main
+from winfty.lattice import Lattice
 from winfty.parser import (ParseError, Session, UnknownSymbolError, as_element,
                            parse, parse_element)
 from winfty.printer import format_element
@@ -108,6 +109,12 @@ def test_long_element_round_trips():
     assert parse_element(format_element(x), S) == x
 
 
+def _sixths(n):
+    """(1/6)Z^n: it holds every grade the random elements and the corpus
+    write, whose denominators are 1, 2 and 3."""
+    return Lattice([[Fraction(int(i == j), 6) for j in range(n)] for i in range(n)])
+
+
 def rand_elt(weyl, rng, basis="power", allow_sym=False, central=False):
     out = weyl.zero()
     for _ in range(rng.randint(1, 5)):
@@ -131,12 +138,12 @@ def test_round_trip_500_random_elements():
     rng = random.Random(11)
     ringp = Ring(("alpha", "beta"))
     settings = [
-        (lambda: Weyl(1), "power", False, False),
-        (lambda: Weyl(2), "power", False, False),
-        (lambda: Weyl(1, subalgebra="w1"), "power", False, False),
-        (lambda: Weyl(1, ring=ringp, subalgebra="hat"), "power", True, True),
-        (lambda: Weyl(1), "falling", False, False),
-        (lambda: Weyl(2, ring=ringp), "falling", True, False),
+        (lambda: Weyl(1, lattice=_sixths(1)), "power", False, False),
+        (lambda: Weyl(2, lattice=_sixths(2)), "power", False, False),
+        (lambda: Weyl(1, lattice=_sixths(1), subalgebra="w1"), "power", False, False),
+        (lambda: Weyl(1, ring=ringp, lattice=_sixths(1), subalgebra="hat"), "power", True, True),
+        (lambda: Weyl(1, lattice=_sixths(1)), "falling", False, False),
+        (lambda: Weyl(2, ring=ringp, lattice=_sixths(2)), "falling", True, False),
     ]
     done = 0
     while done < 500:
@@ -264,7 +271,8 @@ def _corpus():
 
 def _session(setting):
     n, sub, params = setting
-    return Session(Weyl(n, ring=Ring(("alpha",)) if params else Ring(), subalgebra=sub))
+    return Session(Weyl(n, ring=Ring(("alpha",)) if params else Ring(), lattice=_sixths(n),
+                        subalgebra=sub))
 
 
 def _joined(summands, ops, nested):

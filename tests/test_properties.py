@@ -1,0 +1,109 @@
+"""Property net over the representations every layer reads.
+
+The scalar slice: a Scalar is integer numerators over one positive
+denominator with their gcd divided out, and every operation must hand back
+that canonical form.  Equal values reached along different paths must then
+have equal fields and equal hashes, a rational constant must hash like its
+Fraction, and the text must match the printer tests' reference renderer.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_printer import _ref_scalar
+
+from winfty.scalars import Ring, Scalar
+from winfty.weightlab import WEIGHTLAB_SYMBOLS
+
+RINGS = {"const": Ring(()), "ab": Ring(("a", "b")), "weightlab": Ring(WEIGHTLAB_SYMBOLS)}
+
+NET = settings(max_examples=12, derandomize=True, database=None, deadline=None)
+
+# denominators that share factors, so sums and products carry a content to divide out
+RATIONALS = st.builds(Fraction, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 6, 12)))
+NONZERO = RATIONALS.filter(bool)
+
+
+def exponents(ring, max_degree=2):
+    if not ring.nvars:
+        return st.just(())
+    # a monomial is a product of up to max_degree ring symbols
+    return st.lists(st.integers(0, ring.nvars - 1), max_size=max_degree).map(
+        lambda idx: tuple(idx.count(i) for i in range(ring.nvars)))
+
+
+def polys(ring, max_terms=4):
+    return st.dictionaries(exponents(ring), RATIONALS, max_size=max_terms).map(
+        lambda terms: Scalar(ring, terms))
+
+
+def assert_canonical(s, ring):
+    assert s.ring is ring
+    assert type(s.den) is int and s.den > 0
+    assert all(type(c) is int and c != 0 for c in s.nums.values())
+    assert all(len(e) == ring.nvars for e in s.nums)
+    # zero is den 1 with no numerators: gcd(den) is den
+    assert math.gcd(s.den, *s.nums.values()) == 1
+    assert str(s) == _ref_scalar(s)
+
+
+def assert_same(x, y):
+    assert (x.den, x.nums) == (y.den, y.nums)
+    assert x == y and hash(x) == hash(y)
+
+
+@pytest.mark.parametrize("ring_name", sorted(RINGS))
+@NET
+@given(data=st.data())
+def test_every_operation_returns_the_canonical_form(ring_name, data):
+    ring = RINGS[ring_name]
+    p, q, v = (data.draw(polys(ring)) for _ in range(3))
+    c = data.draw(NONZERO)
+    e = data.draw(st.integers(0, 3))
+    # (p + q)(p - q) cancels its cross terms inside the product
+    results = [p, p + q, p - q, p * q, (p + q) * (p - q), p ** e, -p, p * c, c * p,
+               p + c, c - p, p / c, p / ring.const(c)]
+    if not q.is_zero():
+        results.append((p * q).exact_div(q))
+    for name in ring.symbols[:1] + ring.symbols[-1:]:
+        results += [p.substitute({name: v}), p.substitute({name: c}),
+                    p.shift(name, c), p.shift(name, v),
+                    p.coeff_of(name, data.draw(st.integers(0, 2)))]
+    for s in results:
+        assert_canonical(s, ring)
+
+
+@pytest.mark.parametrize("ring_name", sorted(RINGS))
+@NET
+@given(data=st.data())
+def test_equal_values_have_equal_fields_and_hashes(ring_name, data):
+    ring = RINGS[ring_name]
+    p, q, r = (data.draw(polys(ring)) for _ in range(3))
+    c = data.draw(NONZERO)
+    assert_same((p + q) + r, p + (q + r))
+    assert_same(p * q, q * p)
+    assert_same((p + q) * r, p * r + q * r)
+    assert_same(p - q + q, p)
+    assert_same(p ** 2, p * p)
+    assert_same(p * c / c, p)
+    assert_same(Scalar(ring, p.terms), p)
+    if not q.is_zero():
+        assert_same((p * q).exact_div(q), p)
+    for name in ring.symbols[:1]:
+        x = ring.sym(name)
+        assert_same(p.shift(name, c).shift(name, -c), p)
+        assert_same(p.substitute({name: x}), p)
+        assert_same(sum((p.coeff_of(name, k) * x ** k for k in range(5)), ring.zero), p)
+
+
+@pytest.mark.parametrize("ring_name", sorted(RINGS))
+@NET
+@given(q=RATIONALS | st.integers(-20, 20))
+def test_a_rational_constant_hashes_like_its_fraction(ring_name, q):
+    ring = RINGS[ring_name]
+    s = ring.const(q)
+    assert s == q and hash(s) == hash(q) == hash(Fraction(q))
+    assert_same(s, Scalar(ring, {(0,) * ring.nvars: q}))

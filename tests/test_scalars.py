@@ -172,6 +172,16 @@ def test_non_rational_constants_are_rejected(bad):
             combinatorial(bad, 2)
 
 
+@pytest.mark.parametrize("bad", (0.5, 0.1, "1/2"))
+def test_the_public_constructor_admits_only_ints_and_fractions(bad):
+    # a float was stored as is: its square's terms read {(2,): 0.25}, and
+    # str() of a 0.1 coefficient raised AttributeError
+    with pytest.raises(TypeError, match="int or Fraction"):
+        Scalar(Ring(("a",)), {(1,): bad})
+    assert Scalar(Ring(("a",)), {(1,): Fraction(1, 2), (0,): 3}).terms == {
+        (1,): Fraction(1, 2), (0,): Fraction(3)}
+
+
 def test_float_coefficients_rejected_by_elements_and_modules():
     # a float used to be stored as its binary expansion, 3602879701896397/2^55
     with pytest.raises(TypeError):

@@ -16,6 +16,7 @@ from winfty.weyl import (SubalgebraError, Weyl, WeylElement,
 
 W = Weyl(1)
 W2 = Weyl(2)
+WHALF = Weyl(1, lattice=Lattice([(Fraction(1, 2),)]))
 
 
 def rand_element(weyl, rng, max_mu=4, w1=False):
@@ -46,9 +47,9 @@ def test_mul_across_negative_degree():
 
 
 def test_mul_with_mu_zero_left_factor_shifts():
-    x = W.monomial((Fraction(5, 2),), (0,))
-    y = W.monomial((1,), (3,))
-    assert mul(x, y) == W.monomial((Fraction(7, 2),), (3,))
+    x = WHALF.monomial((Fraction(5, 2),), (0,))
+    y = WHALF.monomial((1,), (3,))
+    assert mul(x, y) == WHALF.monomial((Fraction(7, 2),), (3,))
 
 
 def test_mul_associative_on_random_triples():
@@ -60,10 +61,11 @@ def test_mul_associative_on_random_triples():
 
 
 def test_add_doubles_and_cancels():
-    x = W.monomial((1,), (2,), Fraction(3, 2)) + W.tD((Fraction(1, 2),))
+    x = WHALF.monomial((1,), (2,), Fraction(3, 2)) + WHALF.tD((Fraction(1, 2),))
     assert (x + x).terms == x.scale(2).terms
     assert (x + x.scale(-1)).terms == {}
-    assert (x - W.tD((Fraction(1, 2),))).terms == W.monomial((1,), (2,), Fraction(3, 2)).terms
+    assert (x - WHALF.tD((Fraction(1, 2),))).terms == WHALF.monomial((1,), (2,),
+                                                                     Fraction(3, 2)).terms
 
 
 _F = W.monomial((1,), (2,), basis="falling")  # t^(1)*[D]_2
@@ -464,6 +466,19 @@ def test_constructor_rejects_what_monomial_rejects(weyl, gamma, mu, coeff):
         weyl.monomial(gamma, mu, coeff)
     with pytest.raises(expected.type):
         WeylElement(weyl, {(gamma, mu): coeff})
+
+
+def test_constructor_rejects_grades_outside_the_lattice():
+    # W(Z,1) built t^(-1/2)*D, a grade of the half-integer algebra
+    with pytest.raises(ValueError, match=r"grade \(-1/2\) is not in the lattice"):
+        W.monomial((Fraction(-1, 2),), (1,))
+    with pytest.raises(ValueError, match="not in the lattice"):
+        WeylElement(W2, {((Fraction(1, 2), 0), (1, 0)): 1})
+    skew = Weyl(2, lattice=Lattice([(1, 0), (1, 2)]))
+    with pytest.raises(ValueError, match="not in the lattice"):
+        skew.tD((1, 1))  # 1 = a + b, 1 = 2b has b = 1/2
+    assert format_element(skew.tD((0, 2))) == "t[0,2]*D1"
+    assert format_element(WHALF.monomial((Fraction(-1, 2),), (1,))) == "t^(-1/2)*D"
 
 
 def test_constructor_rejects_a_center_outside_the_hat_algebra():
