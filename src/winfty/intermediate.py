@@ -88,7 +88,8 @@ def act(m: IntermediateModule, x: WeylElement, vec) -> ModuleVector:
                 raise ValueError("|mu| = 0 monomials are not in the acting subalgebra")
             b_coords = lattice.membership(b_amb)
             if b_coords is None:
-                raise ValueError(f"monomial exponent {b_amb} is not in the lattice")
+                raise ValueError(f"monomial exponent ({', '.join(map(str, b_amb))}) "
+                                 "is not in the lattice")
             s, xs = _argument(m, b_amb, g_amb)
             coeff = c * vc * s
             for xi, mi in zip(xs, mu):

@@ -8,9 +8,14 @@ The constructor eliminates the generators once into a fraction-free echelon
 membership reduces one vector against those rows and checks that the
 coordinates it reads off are integers (no Hermite normal form machinery is
 needed).  The lattice never changes, so it stores each vector's answer, member
-or not, and a repeated vector is neither converted nor eliminated again.  On
-Z^n itself (the unit generators) a vector's membership is read off its
-denominators.
+or not, and each coordinate tuple's ambient vector, and a repeated vector is
+neither converted nor eliminated again.  On Z^n itself (the unit generators)
+a vector's membership is read off its denominators.
+
+Every grade has one form, written by ``_canonical``: a coordinate is an int
+when it is integral and a Fraction with denominator > 1 otherwise.  Since
+3 == Fraction(3) and both hash alike, the form never changes which keys are
+equal; it only spares integral keys the pure-Python Fraction hash.
 """
 
 from __future__ import annotations
@@ -20,20 +25,28 @@ from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
 from .echelon import Echelon, integral
+from .scalars import Rat
 
-Vector = Tuple[Fraction, ...]
+Vector = Tuple[Rat, ...]  # canonical coordinates (see _canonical)
 
 # the coordinate types a stored answer is read for without conversion
 _EXACT = frozenset((int, Fraction))
+_INT = frozenset((int,))
 _UNSEEN = object()
 
 
-def _rational(x) -> Fraction:
+def _canonical(x: Rat) -> Rat:
+    """The one form of a grade coordinate: an int when x is integral, else the
+    Fraction x (denominator > 1)."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _rational(x) -> Rat:
     # a float would store its binary expansion, a string would be parsed
     if not isinstance(x, (int, Fraction)):
         raise TypeError(f"coordinates must be int or Fraction, "
                         f"got {type(x).__name__} {x!r}")
-    return Fraction(x)
+    return _canonical(x)
 
 
 def _integers(v: Sequence) -> Tuple[int, ...]:
@@ -46,7 +59,7 @@ def _as_vector(v: Sequence) -> Vector:
     return tuple(map(_rational, v))
 
 
-def _sparse(v: Vector) -> Dict[int, Fraction]:
+def _sparse(v: Vector) -> Dict[int, Rat]:
     return {i: x for i, x in enumerate(v) if x}
 
 
@@ -68,6 +81,7 @@ class Lattice:
         self.rank = len(gens)
         self.generators = tuple(gens)
         self._coords: Dict[Vector, Optional[Tuple[int, ...]]] = {}
+        self._ambient: Dict[Tuple[int, ...], Vector] = {}
         self._standard = dim == self.rank and all(
             g == tuple(int(i == j) for j in range(dim)) for i, g in enumerate(gens))
 
@@ -87,14 +101,21 @@ class Lattice:
 
     def ambient(self, coords: Sequence[int]) -> Vector:
         """Map integer coordinates to the ambient rational vector."""
+        # a Fraction or float equals and hashes like its int twin, so a
+        # stored answer is read only for a tuple of ints
+        if type(coords) is tuple:
+            v = self._ambient.get(coords)
+            if v is not None and _INT.issuperset(map(type, coords)):
+                return v
         coords = _integers(coords)
         if len(coords) != self.rank:
             raise ValueError(f"expected {self.rank} coordinates, got {len(coords)}")
-        out = [Fraction(0)] * self.dim
+        out = [0] * self.dim
         for c, g in zip(coords, self.generators):
             for i in range(self.dim):
                 out[i] += c * g[i]
-        return tuple(out)
+        v = self._ambient[coords] = tuple(map(_canonical, out))
+        return v
 
     def membership(self, v: Sequence) -> Optional[Tuple[int, ...]]:
         """Integer coordinates x with G x = v, or None if v is not in Gamma."""

@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .echelon import Echelon, integral
+from .lattice import _canonical
 from .printer import format_element
 from .report import VerificationReport
 from .scalars import Rat, Ring, Scalar, falling
@@ -147,9 +148,9 @@ Word = Union[str, Tuple[str, int, int]]  # generator name or ("br", gen_idx, raw
 
 def _to_vec(x: WeylElement) -> Vec:
     """The coefficients of a one-variable power-basis element with rational
-    coefficients (as_fraction raises on any other scalar)."""
-    return {(g[0].numerator if g[0].denominator == 1 else g[0], mu[0]): c.as_fraction()
-            for (g, mu), c in x.terms.items()}
+    coefficients (as_fraction raises on any other scalar); its grades are
+    already canonical."""
+    return {(g[0], mu[0]): c.as_fraction() for (g, mu), c in x.terms.items()}
 
 
 def _bracket_vec(x: Vec, y: Vec) -> Vec:
@@ -163,7 +164,7 @@ def _bracket_vec(x: Vec, y: Vec) -> Vec:
     out: Vec = {}
     for (a, p), cx in x.items():
         for (b, q), cy in y.items():
-            k = a + b
+            k = _canonical(a + b)
             c = cx * cy
             al = bl = 1
             for lam in range(1, max(p, q) + 1):
@@ -248,7 +249,7 @@ class GeneratedSubalgebra:
         if x is None:
             const = self.weyl.ring.const
             x = WeylElement._trusted(self.weyl, {
-                ((Fraction(k),), (m,)): const(Fraction(c, s)) for (k, m), c in ivec.items()})
+                ((k,), (m,)): const(Fraction(c, s)) for (k, m), c in ivec.items()})
         degs = {k for k, _m in ivec}
         if len(degs) == 1:
             self._on_degree[degs.pop()] += 1

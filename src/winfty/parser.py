@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
-from .scalars import Scalar
+from .lattice import _canonical
+from .scalars import Rat, Scalar
 from .weyl import FALLING, POWER, Weyl, WeylElement, _Sum, bracket, mul
 
 
@@ -86,19 +87,20 @@ def _tokenize(text: str) -> List[_Token]:
     return out
 
 
-def _rational(text: str, pos: int) -> Fraction:
-    """The rational written as ``text`` (an optionally signed ``p`` or ``p/q``)."""
+def _rational(text: str, pos: int) -> Rat:
+    """The rational written as ``text`` (an optionally signed ``p`` or ``p/q``),
+    in the canonical grade form."""
     num, _, den = text.partition("/")
     if not den:
-        return Fraction(int(num))
+        return int(num)
     if not int(den):
         raise ParseError(f"zero denominator in {text!r}", pos)
-    return Fraction(int(num), int(den))
+    return _canonical(Fraction(int(num), int(den)))
 
 
 # -- AST -------------------------------------------------------------------
-# Nodes are plain tuples: ("num", Fraction), ("name", str, pos),
-# ("t", (Fraction,...), pos), ("d", index, explicit, pos),
+# Nodes are plain tuples: ("num", Rat), ("name", str, pos),
+# ("t", (Rat,...), pos), ("d", index, explicit, pos),
 # ("fall", index, order, pos), ("ddt", pos), ("neg", a),
 # ("sum", ((neg, a), ...)) with neg False on the first summand,
 # ("prod", ((pos, a), ...)) with pos the "*" before each factor (the first
@@ -339,7 +341,9 @@ def _add_value(acc: _Sum, v: Value, neg: bool, weyl: Weyl) -> None:
     mu = v.mu or (0,) * weyl.n
     weyl.check_mu(mu)
     c = weyl.ring.one if v.coeff is None else v.coeff
-    acc.add_term((v.gamma or (Fraction(0),) * weyl.n, mu), -c if neg else c, v.basis)
+    # _plus and _pow_value may have summed Fractions to an integral one
+    gamma = tuple(map(_canonical, v.gamma)) if v.gamma else (0,) * weyl.n
+    acc.add_term((gamma, mu), -c if neg else c, v.basis)
 
 
 def _eval_sum(summands, session: Session) -> Value:
@@ -397,7 +401,7 @@ def _eval(node: AST, session: Session) -> Value:
         mu[idx] = 1
         return _Mono(mu=tuple(mu))
     if kind == "num":
-        # the parser's own Fraction, in lowest terms; a zero is the empty map
+        # the parser's own int or Fraction, in lowest terms; a zero is the empty map
         q, ring = node[1], weyl.ring
         return Scalar._trusted(ring, q.denominator, {ring._zero_exp: q.numerator} if q else {})
     if kind == "pow":

@@ -15,13 +15,12 @@ scalars.rational_text.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Tuple
 
-from .scalars import Scalar, rational_text
+from .scalars import Rat, Scalar, rational_text
 
 
-def format_monomial(gamma: Tuple[Fraction, ...], mu: Tuple[int, ...],
+def format_monomial(gamma: Tuple[Rat, ...], mu: Tuple[int, ...],
                     basis: str, n: int) -> str:
     parts = []
     if any(g.numerator for g in gamma):

@@ -7,6 +7,11 @@ coordinate.  The associative product expands
 
     (t^a D^mu)(t^b D^nu) = sum_lambda C(mu,lambda) b^lambda t^(a+b) D^(mu+nu-lambda)
 
+Every grade coordinate is in the lattice module's one form: an int when it
+is integral, a Fraction with denominator > 1 otherwise.  The constructor
+puts its input in that form and the kernel builds its output in it, so
+term keys on an integral lattice hash as tuples of ints.
+
 Kernel: a product or bracket runs in integer arithmetic, as the Scalar
 kernel does (after Monagan & Pearce, "Sparse polynomial multiplication and
 division in Maple 14", 2009).  Each factor's coefficients are read from
@@ -17,11 +22,11 @@ the largest mu_i of either factor, lambda_i <= M_i, so b_i^lambda_i scaled
 by Q_i^M_i is the integer B_i^lambda_i Q_i^(M_i - lambda_i).  The kernel
 accumulates ints per output grade, mu and coefficient exponent, and builds
 each nonzero output coefficient over d_x d_y prod_i Q_i^M_i with one gcd;
-on integral grades Q_i = 1 and that scale is 1.  The lambda_i > 0 terms
-vanish when b_i = 0 and are never formed.  The Lie bracket is the
-commutator, accumulated directly: the lambda = 0 terms of xy and yx are
-equal (the coefficient ring is commutative), so they are skipped rather
-than built and cancelled.
+on integral grades Q_i = 1, that scale is 1 and the int grades are their
+own cleared form.  The lambda_i > 0 terms vanish when b_i = 0 and are
+never formed.  The Lie bracket is the commutator, accumulated directly: the
+lambda = 0 terms of xy and yx are equal (the coefficient ring is
+commutative), so they are skipped rather than built and cancelled.
 
 The falling basis is notation for elements of the same algebra, so every
 operation takes either basis.  Products, brackets and the cocycle read the
@@ -43,12 +48,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .lattice import Lattice, _as_vector, _integers, inner
+from .lattice import Lattice, _as_vector, _canonical, _integers, inner
 from .printer import format_element
 from .report import VerificationReport
 from .scalars import Exponent, Rat, Ring, Scalar, _normal, binom, falling
 
-Gamma = Tuple[Fraction, ...]
+Gamma = Tuple[Rat, ...]  # canonical: int coordinates when integral
 Mu = Tuple[int, ...]
 TermKey = Tuple[Gamma, Mu]
 
@@ -166,10 +171,11 @@ class Weyl:
 class WeylElement:
     """Canonical sparse element; immutable by convention.
 
-    The constructor checks every term (gamma, mu) -> c: gamma rational and mu
-    nonnegative integers, each with n coordinates, gamma in the lattice, mu
-    allowed by the flavor, and c coerced into the ring; zero coefficients
-    are dropped.  A nonzero central coordinate needs the hat algebra.
+    The constructor checks every term (gamma, mu) -> c: gamma rational, put
+    in the canonical form, and mu nonnegative integers, each with n
+    coordinates, gamma in the lattice, mu allowed by the flavor, and c
+    coerced into the ring; zero coefficients are dropped.  A nonzero central
+    coordinate needs the hat algebra.
     """
 
     __slots__ = ("weyl", "terms", "basis", "central")
@@ -202,8 +208,9 @@ class WeylElement:
     @classmethod
     def _trusted(cls, weyl: Weyl, terms: Dict[TermKey, Scalar], basis: str = POWER,
                  central: Optional[Scalar] = None) -> "WeylElement":
-        """Wrap ``terms`` as is, without a copy: every coefficient nonzero,
-        ``basis`` valid, and nobody changes the map afterwards."""
+        """Wrap ``terms`` as is, without a copy: every grade canonical, every
+        coefficient nonzero, ``basis`` valid, and nobody changes the map
+        afterwards."""
         out = object.__new__(cls)
         out.weyl = weyl
         out.terms = terms
@@ -335,7 +342,8 @@ class _Sum:
 
     def add_term(self, key: TermKey, c: Scalar, basis: str) -> None:
         """Add c t^gamma D^mu, or c t^gamma [D]_mu when ``basis`` is falling,
-        for a ``key`` WeylElement accepts as is and c in the ring, maybe 0."""
+        for a ``key`` WeylElement accepts as is, its grade canonical, and c
+        in the ring, maybe 0."""
         if basis != self.basis and self._adopt(basis, bool(c) and any(key[1])):
             self.add(WeylElement._trusted(self.weyl, {key: c}, basis).to_power())
         elif c:
@@ -344,7 +352,7 @@ class _Sum:
     def _put(self, key: TermKey, c: Scalar) -> None:
         terms = self.terms
         size = len(terms)
-        old = terms.setdefault(key, c)  # one hash of the Fraction key when new
+        old = terms.setdefault(key, c)  # one hash of the key when new
         if len(terms) > size:
             return
         total = old + c
@@ -373,10 +381,12 @@ def _cleared(x: WeylElement, grade_den: Sequence[int]) -> Tuple[int, ClearedTerm
     coefficient's numerators times d over its own denominator (integers)."""
     # a list, not a generator (see Scalar.__init__)
     d = math.lcm(*[s.den for s in x.terms.values()])
+    integral = max(grade_den) == 1  # every grade is ints
     out: ClearedTerms = []
     for (g, mu), s in x.terms.items():
         m = d // s.den
-        out.append((tuple(gi.numerator * (q // gi.denominator) for gi, q in zip(g, grade_den)),
+        out.append((g if integral else
+                    tuple(gi.numerator * (q // gi.denominator) for gi, q in zip(g, grade_den)),
                     mu, [(e, c * m) for e, c in s.nums.items()]))
     return d, out
 
@@ -435,9 +445,10 @@ def _accumulate(acc: RawTerms, xs: ClearedTerms, ys: ClearedTerms, q_powers,
 def _element(weyl: Weyl, acc: RawTerms, grade_den: Sequence[int], d: int) -> WeylElement:
     """The element of ``acc`` with grades over ``grade_den`` and coefficients over d."""
     ring = weyl.ring
+    integral = max(grade_den) == 1  # g is the canonical grade
     terms: Dict[TermKey, Scalar] = {}
     for g, by_mu in acc.items():
-        gamma = tuple(map(Fraction, g, grade_den))
+        gamma = g if integral else tuple(map(_canonical, map(Fraction, g, grade_den)))
         for mu, raw in by_mu.items():
             if 0 in raw.values():
                 raw = {e: v for e, v in raw.items() if v}
@@ -484,7 +495,7 @@ def bracket(x: WeylElement, y: WeylElement) -> WeylElement:
 
 
 @lru_cache(maxsize=None)
-def _psi(a: Fraction, m: int, n: int) -> Fraction:
+def _psi(a: Rat, m: int, n: int) -> Fraction:
     """psi(t^a D^m, t^-a D^n): (1.3) summed over D^m = sum_j S(m,j) [D]_j."""
     total = Fraction(0)
     for j in range(m + 1):
@@ -511,7 +522,7 @@ def cocycle(x: WeylElement, y: WeylElement) -> Scalar:
         raise SubalgebraError("the cocycle is defined only for n = 1")
     x, y = x.to_power(), y.to_power()
     _check_compat(x.weyl, y.weyl)
-    partners: Dict[Fraction, List[Tuple[int, Scalar]]] = {}
+    partners: Dict[Rat, List[Tuple[int, Scalar]]] = {}
     for ((b,), (n,)), cy in y.terms.items():
         partners.setdefault(-b, []).append((n, cy))
     out = x.weyl.ring.zero
@@ -541,12 +552,12 @@ def act_on_combination(x: WeylElement, vec: Dict[Gamma, Scalar]) -> Dict[Gamma, 
     out: Dict[Gamma, Scalar] = {}
     for g, vc in vec.items():
         for (a, mu), c in xp.terms.items():
-            f = Fraction(1)
+            f = 1  # an int, so integral grades stay in int arithmetic
             for gi, mi in zip(g, mu):
                 f *= gi ** mi
             if f == 0:
                 continue
-            target = tuple(p + q for p, q in zip(g, a))
+            target = tuple(_canonical(p + q) for p, q in zip(g, a))
             out[target] = out.get(target, ring.zero) + vc * c * f
     return {g: c for g, c in out.items() if not c.is_zero()}
 

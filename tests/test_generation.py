@@ -1,6 +1,7 @@
 """Desk-scale certification that brackets of t^(i0)D, t^(i0+1)D, t^(i0)D^2
 and a tail of pure D-polynomials generate every t^k D^m in a window."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -302,6 +303,22 @@ def test_closure_matches_unskipped_closure_on_half_z():
             ("D3+t^(1/2)D", HALF_W1.monomial((0,), (3,)) + HALF_W1.monomial((half,), (1,), 2))]
     sub = _assert_matches_naive(HALF_W1, gens, 0, 8, 4)
     assert any(isinstance(k, Fraction) for x, _w in sub.raw for k, _m in _to_vec(x))
+
+
+def test_half_z_closure_keys_are_canonical():
+    # degrees 1/2 + 1/2 add to an integral Fraction; every raw key holds it
+    # as an int, and the closure's summary is the one recorded before that
+    half = Fraction(1, 2)
+    gens = [("a", HALF_W1.tD((half,))), ("b", HALF_W1.tD((3 * half,))),
+            ("c", HALF_W1.monomial((half,), (2,))),
+            ("d", HALF_W1.monomial((0,), (3,)) + HALF_W1.monomial((1,), (1,), half))]
+    sub = GeneratedSubalgebra(HALF_W1, gens, deg_lo=0, deg_hi=6, d_cap=3)
+    degrees = [k for x, _w in sub.raw for (k,), _m in x.terms]
+    assert all(type(k) is int or k.denominator > 1 for k in degrees)
+    assert {type(k) for k in degrees} == {int, Fraction}
+    digest = hashlib.sha256("\n".join(format_element(x) for x, _w in sub.raw).encode())
+    assert [sub.dimension, sub.rounds, digest.hexdigest()] == [
+        35, 6, "0d42b0713ff619ae2d7112ccb441a19d2fcf02e0292ccdf02e9cfc32ce7c68f3"]
 
 
 def test_settled_degrees_skip_most_brackets(monkeypatch):

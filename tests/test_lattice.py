@@ -64,6 +64,22 @@ def test_a_stored_answer_is_read_without_converting_the_vector(monkeypatch):
         g.membership((0, 2.0))
 
 
+def test_ambient_is_canonical_and_stored():
+    g = Lattice([(1, 0), (Fraction(1, 2), Fraction(1, 3))])
+    v = g.ambient((2, 3))
+    # 2 + 3/2 = 7/2 stays a Fraction, 3 * 1/3 = 1 becomes an int
+    assert v == (Fraction(7, 2), 1) and [type(x) for x in v] == [Fraction, int]
+    assert [type(x) for x in g.ambient((1, 2))] == [int, Fraction]
+    assert [type(x) for x in g.ambient([0, 0])] == [int, int]
+    assert g.ambient((2, 3)) is v
+    assert g.ambient([2, 3]) == v
+    # a Fraction or float key equals its stored int twin, and still raises
+    with pytest.raises(TypeError):
+        g.ambient((Fraction(2), 3))
+    with pytest.raises(TypeError):
+        g.ambient((2.0, 3))
+
+
 def test_dependent_generators_rejected():
     with pytest.raises(ValueError):
         Lattice([(1, 1), (2, 2), (0, 3)])

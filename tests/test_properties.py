@@ -5,6 +5,11 @@ denominator with their gcd divided out, and every operation must hand back
 that canonical form.  Equal values reached along different paths must then
 have equal fields and equal hashes, a rational constant must hash like its
 Fraction, and the text must match the printer tests' reference renderer.
+
+The grade slice: a grade coordinate is an int when it is integral and a
+Fraction with denominator > 1 otherwise.  Every way an element is made must
+hand back grades in that form, and an element built from Fraction(3) grades
+must be the element built from 3: equal, with an equal hash and equal text.
 """
 
 import math
@@ -15,8 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_printer import _ref_scalar
 
+from winfty.lattice import Lattice
+from winfty.parser import Session, as_element, parse_element
+from winfty.printer import format_element
 from winfty.scalars import Ring, Scalar
 from winfty.weightlab import WEIGHTLAB_SYMBOLS
+from winfty.weyl import Weyl, WeylElement, bracket, mul
 
 RINGS = {"const": Ring(()), "ab": Ring(("a", "b")), "weightlab": Ring(WEIGHTLAB_SYMBOLS)}
 
@@ -107,3 +116,60 @@ def test_a_rational_constant_hashes_like_its_fraction(ring_name, q):
     s = ring.const(q)
     assert s == q and hash(s) == hash(q) == hash(Fraction(q))
     assert_same(s, Scalar(ring, {(0,) * ring.nvars: q}))
+
+
+# -- grades ------------------------------------------------------------------
+
+LATTICES = {"Z": Lattice.standard(1), "Z2": Lattice.standard(2),
+            "halfZ": Lattice([(Fraction(1, 2),)]),
+            "skew": Lattice([(1, 0), (Fraction(1, 2), Fraction(1, 3))])}
+ALGEBRAS = {f"{name}-{flavour}": Weyl(lat.dim, lattice=lat, subalgebra=flavour)
+            for name, lat in LATTICES.items() for flavour in ("w1", "full", "hat")
+            if flavour != "hat" or lat.dim == 1}
+
+
+def grade_terms(weyl):
+    """Nonempty term maps on lattice points, grades in the form ambient()
+    returns (a zero element prints as the scalar 0, which is not in W^(1))."""
+    lat, n = weyl.lattice, weyl.n
+    least = 0 if weyl.subalgebra == "full" else 1
+    grade = st.lists(st.integers(-3, 3), min_size=lat.rank, max_size=lat.rank).map(lat.ambient)
+    mu = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(tuple).filter(
+        lambda m: sum(m) >= least)
+    return st.dictionaries(st.tuples(grade, mu), NONZERO, min_size=1, max_size=3)
+
+
+def assert_canonical_grades(x):
+    for gamma, _mu in x.terms:
+        for g in gamma:
+            assert type(g) is int or (type(g) is Fraction and g.denominator > 1), gamma
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+@NET
+@given(data=st.data())
+def test_every_operation_returns_canonical_grades(name, data):
+    weyl = ALGEBRAS[name]
+    terms = data.draw(grade_terms(weyl))
+    basis = data.draw(st.sampled_from(("power", "falling")))
+    # the same element from Fraction(3) grades and from 3
+    x = WeylElement(weyl, {(tuple(map(Fraction, g)), mu): c for (g, mu), c in terms.items()},
+                    basis=basis)
+    twin = WeylElement(weyl, terms, basis=basis)
+    text = format_element(x)
+    assert x == twin and hash(x) == hash(twin) and format_element(twin) == text
+    y = WeylElement(weyl, data.draw(grade_terms(weyl)))
+    c = data.draw(NONZERO)
+    back = as_element(parse_element(text, Session(weyl)), weyl)
+    assert back == x and format_element(back) == text
+    for z in (x, twin, y, mul(x, y), bracket(x, y), x + y, x - y, x.scale(c),
+              x.to_falling(), x.to_power(), back):
+        assert_canonical_grades(z)
+
+
+@pytest.mark.parametrize("text", ["t^(2/2)*D", "D + t^(1/2)*t^(1/2)*D",
+                                  "D + (t^(1/2))^2*D", "D - t^(-3/2)*t^(3/2)*D^2"])
+def test_parsed_integral_grades_are_ints(text):
+    weyl = ALGEBRAS["halfZ-full"]
+    x = parse_element(text, Session(weyl))
+    assert all(type(g) is int for gamma, _mu in x.terms for g in gamma)

@@ -335,6 +335,16 @@ def test_operator_action_examples():
         (Fraction(8),): W.ring.const(gam * gam + 2 * gam)}
 
 
+def test_operator_action_targets_are_canonical():
+    # 7/2 + 1/2 = 4 is an int key; 7/2 + 0 stays a Fraction
+    h = Fraction(1, 2)
+    half = Weyl(1, lattice=Lattice([(h,)]))
+    out = operator_action(half.tD((h,)) + half.monomial((0,), (2,)), (Fraction(7, 2),))
+    assert out == {(4,): half.ring.const(Fraction(7, 2)),
+                   (Fraction(7, 2),): half.ring.const(Fraction(49, 4))}
+    assert sorted(type(g).__name__ for (g,) in out) == ["Fraction", "int"]
+
+
 @pytest.mark.parametrize("g", ((2,), (2, 5, 7)))
 def test_operator_action_rejects_vectors_of_the_wrong_length(g):
     # these were cut to n coordinates: {(3,): 6} and {(3, 5): 30}
