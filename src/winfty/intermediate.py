@@ -150,9 +150,9 @@ def submodule_scan(m: IntermediateModule, window: Sequence[Coords]) -> List[List
     return found
 
 
-def highest_weight_scan(m: IntermediateModule, window: Sequence[Coords]) -> Optional[Dict]:
-    """The lowest basis vector that no action carries to a higher one inside
-    the window, or None.
+def highest_weight_scan(m: IntermediateModule, window: Sequence[Coords]) -> Optional[Coords]:
+    """The coordinates of the lowest basis vector that no action carries to a
+    higher one inside the window, or None.
 
     Positivity is lexicographic on coordinates.  Weight spaces being
     one-dimensional and the action graded, any annihilated vector is
@@ -161,8 +161,7 @@ def highest_weight_scan(m: IntermediateModule, window: Sequence[Coords]) -> Opti
     reach = _reach(m, window)
     for g in sorted(reach):
         if all(dst < g for dst in reach[g]):
-            return {"coords": g, "saw_positive_actions": any(w > g for w in reach),
-                    "also_lowest_weight": not reach[g]}
+            return g
     return None
 
 

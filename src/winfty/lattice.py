@@ -9,8 +9,7 @@ membership reduces one vector against those rows and checks that the
 coordinates it reads off are integers (no Hermite normal form machinery is
 needed).  The lattice never changes, so it stores each vector's answer, member
 or not, and each coordinate tuple's ambient vector, and a repeated vector is
-neither converted nor eliminated again.  On Z^n itself (the unit generators)
-a vector's membership is read off its denominators.
+not eliminated again.
 
 Every grade has one form, written by ``_canonical``: a coordinate is an int
 when it is integral and a Fraction with denominator > 1 otherwise.  Since
@@ -25,14 +24,9 @@ from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
 from .echelon import Echelon, integral
-from .scalars import Rat
+from .scalars import Rat, _check_rational
 
 Vector = Tuple[Rat, ...]  # canonical coordinates (see _canonical)
-
-# the coordinate types a stored answer is read for without conversion
-_EXACT = frozenset((int, Fraction))
-_INT = frozenset((int,))
-_UNSEEN = object()
 
 
 def _canonical(x: Rat) -> Rat:
@@ -42,10 +36,7 @@ def _canonical(x: Rat) -> Rat:
 
 
 def _rational(x) -> Rat:
-    # a float would store its binary expansion, a string would be parsed
-    if not isinstance(x, (int, Fraction)):
-        raise TypeError(f"coordinates must be int or Fraction, "
-                        f"got {type(x).__name__} {x!r}")
+    _check_rational(x, "coordinates")
     return _canonical(x)
 
 
@@ -82,8 +73,6 @@ class Lattice:
         self.generators = tuple(gens)
         self._coords: Dict[Vector, Optional[Tuple[int, ...]]] = {}
         self._ambient: Dict[Tuple[int, ...], Vector] = {}
-        self._standard = dim == self.rank and all(
-            g == tuple(int(i == j) for j in range(dim)) for i, g in enumerate(gens))
 
     @classmethod
     def standard(cls, n: int) -> "Lattice":
@@ -101,13 +90,10 @@ class Lattice:
 
     def ambient(self, coords: Sequence[int]) -> Vector:
         """Map integer coordinates to the ambient rational vector."""
-        # a Fraction or float equals and hashes like its int twin, so a
-        # stored answer is read only for a tuple of ints
-        if type(coords) is tuple:
-            v = self._ambient.get(coords)
-            if v is not None and _INT.issuperset(map(type, coords)):
-                return v
         coords = _integers(coords)
+        v = self._ambient.get(coords)
+        if v is not None:
+            return v
         if len(coords) != self.rank:
             raise ValueError(f"expected {self.rank} coordinates, got {len(coords)}")
         out = [0] * self.dim
@@ -119,12 +105,6 @@ class Lattice:
 
     def membership(self, v: Sequence) -> Optional[Tuple[int, ...]]:
         """Integer coordinates x with G x = v, or None if v is not in Gamma."""
-        # a float equals and hashes like its Fraction twin, so a stored
-        # answer is read only for a tuple of ints and Fractions
-        if type(v) is tuple:
-            coords = self._coords.get(v, _UNSEEN)
-            if coords is not _UNSEEN and _EXACT.issuperset(map(type, v)):
-                return coords
         v = _as_vector(v)
         if len(v) != self.dim:
             raise ValueError(f"vector has dimension {len(v)}, lattice is in Q^{self.dim}")
@@ -138,11 +118,6 @@ class Lattice:
 
     def __contains__(self, v: Vector) -> bool:
         """Whether v, a vector of dim ints and Fractions, lies in Gamma."""
-        if self._standard:
-            for x in v:
-                if x.denominator != 1:
-                    return False
-            return True
         return self.membership(v) is not None
 
 

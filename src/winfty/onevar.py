@@ -164,7 +164,9 @@ def _bracket_vec(x: Vec, y: Vec) -> Vec:
     out: Vec = {}
     for (a, p), cx in x.items():
         for (b, q), cy in y.items():
-            k = _canonical(a + b)
+            k = a + b
+            if type(k) is Fraction:  # a formal (Scalar) degree has no one form
+                k = _canonical(k)
             c = cx * cy
             al = bl = 1
             for lam in range(1, max(p, q) + 1):
@@ -187,9 +189,10 @@ class GeneratedSubalgebra:
     [g, x] with g a generator, which span the generated subalgebra.
 
     Preconditions, checked on entry: the algebra has n = 1 and no central
-    extension, and every generator is an element of it (same ring, lattice
-    and flavor) with rational coefficients.  Generators and membership
-    targets in the falling basis are converted to the power basis.
+    extension, the generator names are distinct, and every generator is an
+    element of it (same ring, lattice and flavor) with rational coefficients.
+    Generators and membership targets in the falling basis are converted to
+    the power basis.
 
     The closure runs on integer vectors {(k, m): c}: brackets come from the
     one-variable product formula and the fraction-free elimination of
@@ -220,6 +223,10 @@ class GeneratedSubalgebra:
         if d_cap < 1 or deg_lo > deg_hi:
             raise ValueError(f"empty truncation box: degrees [{deg_lo}, {deg_hi}], "
                              f"D-exponents [1, {d_cap}]")
+        names = [name for name, _g in generators]
+        if len(set(names)) != len(names):
+            # eval_word finds a generator by its name
+            raise ValueError(f"duplicate generator names in {names!r}")
         for name, g in generators:
             if g.weyl != weyl:
                 raise ValueError(f"generator {name} is not in the closure's algebra")

@@ -282,9 +282,8 @@ class Scalar:
             if not other.is_rational():
                 raise ValueError("polynomial division unsupported; use exact_div")
             other = other.as_fraction()
-        elif not isinstance(other, (int, Fraction)):
-            raise TypeError(f"scalars divide only by int or Fraction, "
-                            f"got {type(other).__name__} {other!r}")
+        else:
+            _check_rational(other, "scalar divisors")
         p, q = other.numerator, other.denominator
         if not p:
             raise ZeroDivisionError("division of scalar by zero")
@@ -453,10 +452,7 @@ def falling(a: Union[Scalar, Rat], j: int):
         for m in range(j):
             out = out * (a - m)
         return out
-    if not isinstance(a, (int, Fraction)):
-        # Fraction(a) would take a float's binary expansion and parse a string
-        raise TypeError(f"falling factorials take an int, Fraction or Scalar, "
-                        f"got {type(a).__name__} {a!r}")
+    _check_rational(a, "falling factorial arguments")
     a = Fraction(a)
     # a - m = (p - m q)/q: multiply ints, build one Fraction
     p, q = a.numerator, a.denominator

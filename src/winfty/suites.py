@@ -374,7 +374,7 @@ def _suite_submodules(opts: SuiteOptions) -> _Run:
     for alpha in (Fraction(0), Fraction(1, 2)):
         for m in _rank_one_modules(opts, [alpha]):
             found = submodule_scan(m, window)
-            highest = highest_weight_scan(m, window)["coords"]
+            highest = highest_weight_scan(m, window)
             checks.append(VerificationReport(
                 f"submodules[{m.kind},alpha={alpha}]",
                 None if (found, highest) == expectations[m.kind, alpha]

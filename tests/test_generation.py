@@ -178,6 +178,31 @@ def test_raw_entries_match_generic_bracket(deg_hi, d_cap, i0, scale):
     assert brackets == len(sub.raw) - len(gens)
 
 
+K = Ring(("k",)).sym("k")
+
+
+@pytest.mark.parametrize("i0", (1, 2))
+@pytest.mark.parametrize("q", (1, 2, 3, 4))
+def test_bracket_vec_takes_a_formal_degree(i0, q):
+    # the diagonal of [t^(i0)D, t^(k-i0)D^q] that the step of Lemma 2.1 reads
+    out = _bracket_vec({(i0, 1): 1}, {(K - i0, q): 1})
+    assert out[(K, q)] == K - (q + 1) * i0
+
+
+def test_bracket_vec_formal_degree_full_bracket():
+    # [D^3, t^k D] = 3k D^3 + 3k^2 D^2 + k^3 D
+    assert _bracket_vec({(0, 3): 1}, {(K, 1): 1}) == {
+        (K, 3): 3 * K, (K, 2): 3 * K ** 2, (K, 1): K ** 3}
+
+
+def test_duplicate_generator_names_rejected():
+    # eval_word finds a generator by name, so the second "g" re-evaluated as
+    # the first: raw[1] = t^(1)*D^2 came back as t^(1)*D
+    with pytest.raises(ValueError, match="duplicate generator names"):
+        GeneratedSubalgebra(W1, [("g", W1.tD((1,))), ("g", W1.monomial((1,), (2,)))],
+                            deg_hi=4, d_cap=3)
+
+
 def test_bracket_vec_matches_generic_bracket():
     # rational degrees and coefficients, where the product formula leaves
     # non-integral vectors

@@ -69,9 +69,16 @@ def test_act_rejects_non_integer_coordinates(coords):
 
 
 def test_act_solves_each_exponent_once(monkeypatch):
-    def module_and_element():
+    def module_and_element(calls=None):
         # a lattice of its own, so no coordinates are stored yet
-        weyl = Weyl(1, ring=RING, lattice=Lattice([[1]]), subalgebra="w1")
+        lattice = Lattice([[1]])
+        if calls is not None:
+            # count from before the element is built: its constructor checks
+            # each grade through the same stored membership answers
+            solve = lattice._echelon.solve
+            monkeypatch.setattr(lattice._echelon, "solve", lambda v, s:
+                                calls.append(Fraction(v.get(0, 0), s)) or solve(v, s))
+        weyl = Weyl(1, ring=RING, lattice=lattice, subalgebra="w1")
         x = weyl.monomial((2,), (1,)) + weyl.monomial((2,), (2,)) + weyl.monomial((3,), (1,))
         return make_module("A", [frac("1/2")], weyl), x
 
@@ -82,12 +89,8 @@ def test_act_solves_each_exponent_once(monkeypatch):
         for k, v in act(m, x, coords).items():
             expected[k] = expected.get(k, RING.zero) + v * vc
     expected = {k: v for k, v in expected.items() if v}
-    m, x = module_and_element()
-    echelon = m.weyl.lattice._echelon
-    solve = echelon.solve
     calls = []
-    monkeypatch.setattr(echelon, "solve",
-                        lambda v, s: calls.append(Fraction(v.get(0, 0), s)) or solve(v, s))
+    m, x = module_and_element(calls)
     assert act(m, x, vec) == expected
     # one elimination per exponent, not one per (vector term, element term) pair
     assert sorted(calls) == [2, 3]
@@ -205,11 +208,9 @@ def test_b0_has_coline(window):
 
 def test_highest_weight_scan(window):
     # no vector below the window's top is killed; the top sees no positive action
-    top = {"coords": (8,), "saw_positive_actions": False, "also_lowest_weight": False}
     for kind, alpha in (("A", frac("1/2")), ("B", frac("1/2")), ("B", 0)):
-        assert highest_weight_scan(make_module(kind, [alpha], W1), window) == top
-    hw = highest_weight_scan(make_module("A", [0], W1), window)
-    assert hw == {"coords": (0,), "saw_positive_actions": True, "also_lowest_weight": True}
+        assert highest_weight_scan(make_module(kind, [alpha], W1), window) == (8,)
+    assert highest_weight_scan(make_module("A", [0], W1), window) == (0,)
 
 
 @pytest.mark.parametrize("kind", ("A", "B"))
