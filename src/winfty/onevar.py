@@ -254,9 +254,13 @@ class GeneratedSubalgebra:
         if not self._echelon.insert(ivec, s, len(self.raw)):
             return False
         if x is None:
-            const = self.weyl.ring.const
-            x = WeylElement._trusted(self.weyl, {
-                ((k,), (m,)): const(Fraction(c, s)) for (k, m), c in ivec.items()})
+            # each coefficient c / s in lowest terms: one gcd, no Fraction
+            ring = self.weyl.ring
+            terms = {}
+            for (k, m), c in ivec.items():
+                g = math.gcd(c, s)
+                terms[((k,), (m,))] = Scalar._trusted(ring, s // g, {0: c // g})
+            x = WeylElement._trusted(self.weyl, terms)
         degs = {k for k, _m in ivec}
         if len(degs) == 1:
             self._on_degree[degs.pop()] += 1

@@ -403,7 +403,7 @@ def _eval(node: AST, session: Session) -> Value:
     if kind == "num":
         # the parser's own int or Fraction, in lowest terms; a zero is the empty map
         q, ring = node[1], weyl.ring
-        return Scalar._trusted(ring, q.denominator, {ring._zero_exp: q.numerator} if q else {})
+        return Scalar._trusted(ring, q.denominator, {0: q.numerator} if q else {})
     if kind == "pow":
         return _pow_value(_eval(node[1], session), node[2], weyl, node[3])
     if kind == "fall":

@@ -42,7 +42,7 @@ def format_monomial(gamma: Tuple[Rat, ...], mu: Tuple[int, ...],
 def _format_coeff(c: Scalar) -> Tuple[str, str]:
     """Return (sign, magnitude-text) of a nonzero c; magnitude "" means 1."""
     nums = c.nums
-    p = nums.get(c.ring._zero_exp)
+    p = nums.get(0)  # the constant monomial's key
     if p is not None and len(nums) == 1:
         # canonical: p and the denominator are coprime
         d = c.den

@@ -8,27 +8,40 @@ Division is restricted to division by nonzero rationals plus
 :meth:`Scalar.exact_div`, which divides by another polynomial and raises
 unless the quotient is exact (the scalar ring stays a polynomial ring).
 
-Representation: integer numerators over one denominator (after Monagan &
-Pearce, "Sparse polynomial multiplication and division in Maple 14", 2009).
-A scalar stores a positive ``int`` ``den`` and a sparse map ``nums`` from
-exponent tuples to nonzero ``int`` numerators, and stands for the sum of
-nums[e]/den x^e.  The form is canonical: gcd(den, *nums) == 1, and zero is
-den == 1 with no numerators, so two equal polynomials have identical fields
-and compare (and hash) identically.  ``terms`` is a derived
-{exponent: Fraction} view, built on each read, for code off the hot paths.
+Representation: integer numerators over one denominator, keyed by packed
+monomials (both after Monagan & Pearce, "Sparse polynomial multiplication
+and division in Maple 14", 2009).  A scalar stores a positive ``int``
+``den`` and a sparse map ``nums`` from monomial keys to nonzero ``int``
+numerators, and stands for the sum of nums[e]/den x^e.  The form is
+canonical: gcd(den, *nums) == 1, and zero is den == 1 with no numerators, so
+two equal polynomials have identical fields and compare (and hash)
+identically.
+
+A monomial key is one non-negative int: the exponent of symbol i sits in a
+field of ``_FIELD`` bits, the first symbol's field most significant, so the
+int order of keys is the lex order of exponent tuples and the constant
+monomial is key 0.  A product of monomials is one int add.  The top bit of
+every field is a guard: an exponent is at most ``_EXP_MAX`` = 2^63 - 1, a
+sum of two such exponents cannot carry into the next field, and a product
+or substitution whose result sets a guard bit raises ValueError.  Tuples
+exist only at the door: ``Scalar(ring, terms)`` packs {exponent tuple:
+coefficient} (and rejects a key that is not a tuple of ``nvars`` ints in
+[0, _EXP_MAX]), and ``terms`` is the unpacked {exponent tuple: Fraction}
+view, built on each read, for code off the hot paths.
 
 Kernel: every operation runs on ints and ends in :func:`_normal`, which
 divides out the one gcd of the result's denominator and numerators (a result
 over 1 is canonical as it stands and skips it); no Fraction is built per
-term.  A sum puts both operands over the lcm of their denominators.  A
-product multiplies numerators pair by pair into one map over the product of
-the denominators; a rational-constant factor scales the numerators and the
-denominator, and a product of two one-term polynomials is one numerator
-product and one exponent sum.  :meth:`Scalar.substitute` computes each power
-of a substituted value once per call and collects all terms over the lcm of
-their factors' denominators.  :meth:`Scalar.exact_div` divides numerators by
-the divisor's leading numerator, and scales the remainder and quotient up
-when that does not divide.
+term.  A sum puts both operands over the lcm of their denominators, and an
+int or Fraction operand joins as the one-term map {0: numerator}.  A product
+multiplies numerators pair by pair into one map over the product of the
+denominators; a rational-constant factor scales the numerators and the
+denominator.  :meth:`Scalar.substitute` computes each power of a substituted
+value once per call and collects all terms over the lcm of their factors'
+denominators.  :meth:`Scalar.exact_div` divides numerators by the divisor's
+leading numerator, and scales the remainder and quotient up when that does
+not divide; a quotient monomial is a key difference, and the guard bits find
+a negative exponent in one subtraction.
 
 Text: :func:`rational_text` writes a rational from its integer numerator
 and denominator, the text ``Fraction.__str__`` gives, and every printed
@@ -41,14 +54,16 @@ hands those out.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Dict, Mapping, Sequence, Tuple, Union
 
-Exponent = Tuple[int, ...]
+Key = int  # a packed monomial
 Rat = Union[int, Fraction]
 
-_add = operator.add
+_FIELD = 64  # bits per symbol in a monomial key
+_EXP_MAX = (1 << (_FIELD - 1)) - 1  # the largest exponent; the top bit is the guard
 
 
 def _check_rational(value, what: str) -> None:
@@ -68,12 +83,14 @@ class Ring:
             raise ValueError(f"duplicate symbols in {symbols!r}")
         self.symbols = symbols
         self._index = {s: i for i, s in enumerate(symbols)}
-        self._zero_exp = (0,) * len(symbols)
+        # the bit offset of each symbol's field, the first symbol's highest
+        self._shifts = tuple(_FIELD * (self.nvars - 1 - i) for i in range(self.nvars))
+        self._guard = sum(1 << (s + _FIELD - 1) for s in self._shifts)
         # scalars are immutable, so sym(), zero and one hand out these
-        units = [tuple(int(j == i) for j in range(self.nvars)) for i in range(self.nvars)]
-        self._syms = {s: Scalar._trusted(self, 1, {e: 1}) for s, e in zip(symbols, units)}
+        self._syms = {s: Scalar._trusted(self, 1, {1 << shift: 1})
+                      for s, shift in zip(symbols, self._shifts)}
         self.zero = Scalar._trusted(self, 1, {})
-        self.one = Scalar._trusted(self, 1, {self._zero_exp: 1})
+        self.one = Scalar._trusted(self, 1, {0: 1})
 
     def __repr__(self):
         return f"Ring{self.symbols!r}"
@@ -90,12 +107,26 @@ class Ring:
     def nvars(self) -> int:
         return len(self.symbols)
 
+    def _pack(self, exponents) -> Key:
+        """The key of an exponent tuple: ``nvars`` ints in [0, _EXP_MAX]."""
+        if (type(exponents) is not tuple or len(exponents) != self.nvars
+                or not all(type(k) is int and 0 <= k <= _EXP_MAX for k in exponents)):
+            raise ValueError(f"an exponent must be a tuple of {self.nvars} ints "
+                             f"in [0, 2^63 - 1], got {exponents!r}")
+        key = 0
+        for k in exponents:
+            key = key << _FIELD | k
+        return key
+
+    def _unpack(self, key: Key) -> Tuple[int, ...]:
+        return tuple(key >> shift & _EXP_MAX for shift in self._shifts)
+
     def const(self, value: Rat) -> "Scalar":
         _check_rational(value, "scalar constants")
         if not value:
             return self.zero
         # an int or a Fraction is in lowest terms with a positive denominator
-        return Scalar._trusted(self, value.denominator, {self._zero_exp: value.numerator})
+        return Scalar._trusted(self, value.denominator, {0: value.numerator})
 
     def sym(self, name: str) -> "Scalar":
         s = self._syms.get(name)
@@ -118,7 +149,7 @@ def rational_text(p: int, q: int) -> str:
     return str(p) if q == 1 else f"{p}/{q}"
 
 
-def _normal(ring: Ring, den: int, nums: Dict[Exponent, int]) -> "Scalar":
+def _normal(ring: Ring, den: int, nums: Dict[Key, int]) -> "Scalar":
     """The scalar nums/den, for den > 0 and zero-free nums owned by the
     result: the one gcd of den and every numerator is divided out, in place."""
     if den != 1:
@@ -130,12 +161,20 @@ def _normal(ring: Ring, den: int, nums: Dict[Exponent, int]) -> "Scalar":
     return Scalar._trusted(ring, den, nums)
 
 
+def _check_exponents(ring: Ring, keys) -> None:
+    """Raise ValueError if a product's result key has an exponent past
+    _EXP_MAX, that is, sets a guard bit (one OR over all keys)."""
+    guard = ring._guard
+    if guard and reduce(or_, keys, 0) & guard:
+        raise ValueError("an exponent exceeds 2^63 - 1")
+
+
 class Scalar:
     """A canonical sparse polynomial nums/den; immutable once constructed."""
 
     __slots__ = ("ring", "den", "nums")
 
-    def __init__(self, ring: Ring, terms: Mapping[Exponent, Rat]):
+    def __init__(self, ring: Ring, terms: Mapping[Tuple[int, ...], Rat]):
         """The polynomial with coefficient terms[e] on x^e, each an int or a
         Fraction; zero coefficients are dropped."""
         for c in terms.values():
@@ -146,12 +185,14 @@ class Scalar:
         den = math.lcm(*[c.denominator for c in terms.values()])
         # already canonical: for each prime p of den, the coefficient whose
         # denominator holds the most factors p keeps a numerator prime to p
+        pack = ring._pack
         self.ring = ring
         self.den = den
-        self.nums = {e: c.numerator * (den // c.denominator) for e, c in terms.items() if c}
+        self.nums = {pack(e): c.numerator * (den // c.denominator)
+                     for e, c in terms.items() if c}
 
     @classmethod
-    def _trusted(cls, ring: Ring, den: int, nums: Dict[Exponent, int]) -> "Scalar":
+    def _trusted(cls, ring: Ring, den: int, nums: Dict[Key, int]) -> "Scalar":
         """Wrap ``den`` and ``nums`` as they are: already canonical, and the
         map owned by the result."""
         out = object.__new__(cls)
@@ -161,10 +202,11 @@ class Scalar:
         return out
 
     @property
-    def terms(self) -> Dict[Exponent, Fraction]:
-        """The coefficients as Fractions, in a new map on each read."""
-        den = self.den
-        return {e: Fraction(c, den) for e, c in self.nums.items()}
+    def terms(self) -> Dict[Tuple[int, ...], Fraction]:
+        """The coefficients as Fractions on exponent tuples, in a new map on
+        each read."""
+        den, unpack = self.den, self.ring._unpack
+        return {unpack(e): Fraction(c, den) for e, c in self.nums.items()}
 
     # -- predicates -------------------------------------------------------
 
@@ -173,32 +215,39 @@ class Scalar:
 
     def is_rational(self) -> bool:
         nums = self.nums
-        return not nums or (len(nums) == 1 and self.ring._zero_exp in nums)
+        return not nums or (len(nums) == 1 and 0 in nums)
 
     def as_fraction(self) -> Fraction:
         if not self.nums:
             return Fraction(0)
         if not self.is_rational():
             raise ValueError(f"not a rational constant: {self}")
-        return Fraction(self.nums[self.ring._zero_exp], self.den)
+        return Fraction(self.nums[0], self.den)
 
     def degree_in(self, name: str) -> int:
-        i = self.ring._index[name]
-        return max((e[i] for e in self.nums), default=0)
+        shift = self.ring._shifts[self.ring._index[name]]
+        return max((e >> shift & _EXP_MAX for e in self.nums), default=0)
 
     # -- arithmetic -------------------------------------------------------
 
     def _combine(self, other, sign: int) -> "Scalar":
         """self + sign * other."""
-        if not isinstance(other, (Scalar, int, Fraction)):
-            return NotImplemented
-        other = self.ring.coerce(other)
-        n1, n2 = self.nums, other.nums
+        if type(other) is Scalar:
+            if other.ring is not self.ring:
+                self.ring.coerce(other)
+            d2, n2 = other.den, other.nums
+        else:
+            _check_rational(other, "scalar operands")
+            # an int or a Fraction is in lowest terms with a positive denominator
+            d2, n2 = other.denominator, {0: other.numerator} if other else {}
+        n1 = self.nums
         if not n2:
             return self
         if not n1:
-            return other if sign > 0 else -other
-        d1, d2 = self.den, other.den
+            if sign > 0 and type(other) is Scalar:
+                return other
+            return Scalar._trusted(self.ring, d2, {e: sign * c for e, c in n2.items()})
+        d1 = self.den
         if d1 == d2:
             den, m2 = d1, sign
             out = dict(n1)
@@ -245,34 +294,36 @@ class Scalar:
         return _normal(self.ring, self.den * q, {e: c * p for e, c in self.nums.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Scalar:
+            _check_rational(other, "scalar factors")
             return self._scale(other.numerator, other.denominator)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        other = self.ring.coerce(other)
+        ring = self.ring
+        if other.ring is not ring:
+            ring.coerce(other)
         n1, n2 = self.nums, other.nums
         if not n1 or not n2:
-            return self.ring.zero
-        zero_exp = self.ring._zero_exp
-        if len(n2) == 1 and zero_exp in n2:
-            return self._scale(n2[zero_exp], other.den)
-        if len(n1) == 1 and zero_exp in n1:
-            return other._scale(n1[zero_exp], self.den)
+            return ring.zero
+        if len(n2) == 1 and 0 in n2:
+            return self._scale(n2[0], other.den)
+        if len(n1) == 1 and 0 in n1:
+            return other._scale(n1[0], self.den)
         den = self.den * other.den
         if len(n1) == 1 and len(n2) == 1:
             (e1, c1), = n1.items()
             (e2, c2), = n2.items()
-            return _normal(self.ring, den, {tuple(map(_add, e1, e2)): c1 * c2})
-        acc: Dict[Exponent, int] = {}
-        get = acc.get
-        items2 = list(n2.items())
-        for e1, a in n1.items():
-            for e2, b in items2:
-                e = tuple(map(_add, e1, e2))
-                acc[e] = get(e, 0) + a * b
-        if 0 in acc.values():
-            acc = {e: c for e, c in acc.items() if c}
-        return _normal(self.ring, den, acc)
+            acc = {e1 + e2: c1 * c2}
+        else:
+            acc: Dict[Key, int] = {}
+            get = acc.get
+            items2 = list(n2.items())
+            for e1, a in n1.items():
+                for e2, b in items2:
+                    e = e1 + e2
+                    acc[e] = get(e, 0) + a * b
+            if 0 in acc.values():
+                acc = {e: c for e, c in acc.items() if c}
+        _check_exponents(ring, acc)
+        return _normal(ring, den, acc)
 
     __rmul__ = __mul__
 
@@ -309,7 +360,8 @@ class Scalar:
         the ideal (divisor) the remainder is provably zero, so exactness and
         divisibility coincide.
         """
-        divisor = self.ring.coerce(divisor)
+        ring = self.ring
+        divisor = ring.coerce(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("exact_div by zero")
         if divisor.is_rational():
@@ -317,15 +369,21 @@ class Scalar:
         dnums = divisor.nums
         lead = max(dnums)
         lead_c = dnums[lead]
+        guard = ring._guard
         # scale * self.nums == quot * dnums + rem throughout
         rem = dict(self.nums)
-        quot: Dict[Exponent, int] = {}
+        quot: Dict[Key, int] = {}
         scale = 1
         while rem:
             e = max(rem)
-            qe = tuple(a - b for a, b in zip(e, lead))
-            if any(x < 0 for x in qe):
+            # a field of (e | guard) - lead keeps its guard bit exactly when
+            # that exponent of e is at least lead's: no field borrows.  A
+            # remainder exponent past _EXP_MAX (its guard bit set) leaves the
+            # Newton polytope of self, so self is not divisible either.
+            qe = (e | guard) - lead
+            if e & guard or qe & guard != guard:
                 raise ValueError(f"not divisible: {self} by {divisor}")
+            qe ^= guard
             c = rem[e]
             if c % lead_c:
                 f = abs(lead_c) // math.gcd(c, lead_c)
@@ -338,7 +396,7 @@ class Scalar:
             qc = c // lead_c
             quot[qe] = qc
             for de, dc in dnums.items():
-                te = tuple(map(_add, qe, de))
+                te = qe + de
                 nc = rem.get(te, 0) - qc * dc
                 if nc:
                     rem[te] = nc
@@ -346,7 +404,7 @@ class Scalar:
                     rem.pop(te, None)
         # (nums/den) / (dnums/dden) = quot dden / (scale den)
         dden = divisor.den
-        return _normal(self.ring, self.den * scale, {e: c * dden for e, c in quot.items()})
+        return _normal(ring, self.den * scale, {e: c * dden for e, c in quot.items()})
 
     # -- substitution -----------------------------------------------------
 
@@ -354,31 +412,36 @@ class Scalar:
         """Substitute parameters by scalars/rationals, expanding exactly."""
         ring = self.ring
         values = {ring._index[k]: ring.coerce(v) for k, v in mapping.items()}
+        # in symbol order, the order the factors of a term are multiplied in
+        fields = [(i, ring._shifts[i], values[i]) for i in sorted(values)]
         powers: Dict[Tuple[int, int], Scalar] = {}
         parts = []
         for e, c in self.nums.items():
-            kept = list(e)
+            kept = e
             factor = None
-            for i, p in enumerate(e):
-                if p and i in values:
-                    kept[i] = 0
+            for i, shift, v in fields:
+                p = e >> shift & _EXP_MAX
+                if p:
+                    kept -= p << shift
                     f = powers.get((i, p))
                     if f is None:
-                        f = powers[(i, p)] = values[i] ** p
+                        f = powers[(i, p)] = v ** p
                     factor = f if factor is None else factor * f
-            parts.append((tuple(kept), c, factor))
+            parts.append((kept, c, factor))
         # every term over den times the lcm d of its factors' denominators
         d = math.lcm(*[f.den for _k, _c, f in parts if f is not None])
-        out: Dict[Exponent, int] = {}
+        out: Dict[Key, int] = {}
         for kept, c, f in parts:
             if f is None:
                 out[kept] = out.get(kept, 0) + c * d
                 continue
             c *= d // f.den
             for fe, fc in f.nums.items():
-                k = tuple(map(_add, kept, fe))
+                k = kept + fe
                 out[k] = out.get(k, 0) + c * fc
-        return _normal(ring, self.den * d, {k: c for k, c in out.items() if c})
+        out = {k: c for k, c in out.items() if c}
+        _check_exponents(ring, out)
+        return _normal(ring, self.den * d, out)
 
     def shift(self, name: str, delta: Union["Scalar", Rat]) -> "Scalar":
         """Substitute name -> name + delta."""
@@ -386,18 +449,19 @@ class Scalar:
 
     def coeff_of(self, name: str, power: int) -> "Scalar":
         """Collect the coefficient of name**power (a scalar free of ``name``)."""
-        i = self.ring._index[name]
-        # distinct exponents with the same e[i] stay distinct once e[i] is zeroed
-        return _normal(self.ring, self.den, {e[:i] + (0,) + e[i + 1:]: c
-                                             for e, c in self.nums.items() if e[i] == power})
+        shift = self.ring._shifts[self.ring._index[name]]
+        top = power << shift
+        # distinct keys with the same field stay distinct once it is cleared
+        return _normal(self.ring, self.den, {e - top: c for e, c in self.nums.items()
+                                             if e >> shift & _EXP_MAX == power})
 
     # -- comparison / display --------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Scalar:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = self.ring.const(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
         return (self.den == other.den and self.nums == other.nums
                 and self.ring == other.ring)
 
@@ -414,17 +478,20 @@ class Scalar:
         if not self.nums:
             return "0"
         den = self.den
+        fields = tuple(zip(self.ring.symbols, self.ring._shifts))
         parts = []
         for e in sorted(self.nums, reverse=True):
             c = self.nums[e]
             g = math.gcd(c, den)
             p, q = c // g, den // g
             factors = []
-            for s, k in zip(self.ring.symbols, e):
-                if k == 1:
-                    factors.append(s)
-                elif k > 1:
-                    factors.append(f"{s}^{k}")
+            if e:
+                for s, shift in fields:
+                    k = e >> shift & _EXP_MAX
+                    if k == 1:
+                        factors.append(s)
+                    elif k > 1:
+                        factors.append(f"{s}^{k}")
             if not factors:
                 parts.append(rational_text(p, q))
             elif q == 1 and p == 1:

@@ -8,11 +8,13 @@ their displayed closed forms and re-derived from the Virasoro recurrence
 silently repaired.  The displayed relations (2.7)-(2.9) are transcribed once,
 in ``_q_coefficients``: ``build_f_polynomials`` reads them with a symbolic i
 and two constant sets, ``verify_yk_relations`` with an integer i and one set.
+Both read the series through :meth:`PSeries.pjk`, which builds each shifted
+polynomial once per series.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, Optional, Tuple, Union
 
@@ -30,16 +32,23 @@ class PSeries:
     ring: Ring
     transcribed: Dict[int, Scalar]
     discrepancies: Dict[int, Scalar]  # recurrence-derived - transcribed, j = 3, 4, 5
+    # pjk's answers: the relations in _q_coefficients read most p_{j,k+c} twice or more
+    _read: Dict[Tuple, Scalar] = field(default_factory=dict, init=False, repr=False,
+                                       compare=False)
 
     def pjk(self, j: int, shift: Union[Scalar, int, Fraction] = 0,
             primed: bool = False) -> Scalar:
         """p_{j, k+shift} (primed swaps in the second constant set)."""
-        out = self.transcribed[j]
-        if not (isinstance(shift, int) and shift == 0):
-            out = out.shift("kbar", self.ring.coerce(shift))
-        if primed:
-            out = out.substitute({"p1": self.ring.sym("pp1"),
-                                  "p2": self.ring.sym("pp2")})
+        key = (j, shift, primed)
+        out = self._read.get(key)
+        if out is None:
+            out = self.transcribed[j]
+            if shift:
+                out = out.shift("kbar", self.ring.coerce(shift))
+            if primed:
+                out = out.substitute({"p1": self.ring.sym("pp1"),
+                                      "p2": self.ring.sym("pp2")})
+            self._read[key] = out
         return out
 
 
@@ -159,7 +168,7 @@ def build_f_polynomials() -> FPolys:
     i = ring.sym("i")
 
     def p(j, c=0):
-        return ps.pjk(j, ring.const(c) - i)
+        return ps.pjk(j, c - i)
 
     def pp(j, c=0):
         return ps.pjk(j, c, primed=True)
@@ -227,15 +236,9 @@ def verify_yk_relations(data: PQData) -> VerificationReport:
         raise ValueError("relations need rational P1/P2 constants")
     consts = {"p1": data.p1_const.as_fraction(), "p2": data.p2_const.as_fraction()}
     # the rational constants commute with the kbar shift, so substitute them
-    # once per j and build each shifted polynomial once per call
-    base = {j: pj.substitute(consts) for j, pj in ps.transcribed.items()}
-    memo: Dict[Tuple[int, int], Scalar] = {}
-
-    def shifted(j, c=0):
-        key = (j, c)
-        if key not in memo:
-            memo[key] = base[j].shift("kbar", c) if c else base[j]
-        return memo[key]
+    # once per j; pjk builds each shifted polynomial once per call
+    series = replace(ps, transcribed={j: pj.substitute(consts)
+                                      for j, pj in ps.transcribed.items()})
 
     def q(j) -> Fraction:
         if j < 1:
@@ -250,7 +253,7 @@ def verify_yk_relations(data: PQData) -> VerificationReport:
     residuals = {}
     for i in (1, 3, 5):
         # the module data has one constant set: p' = p, both read the same series
-        f1, f2, f3 = _q_coefficients(lambda j, c=0: shifted(j, c - i), shifted, i)
+        f1, f2, f3 = _q_coefficients(lambda j, c=0: series.pjk(j, c - i), series.pjk, i)
         qi = q(i)
         r27 = ring.const(-falling(Fraction(i + 1), 4) * q(i - 2)) - f1 * qi
         r28 = -(f2 * qi)

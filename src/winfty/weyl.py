@@ -51,7 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .lattice import Lattice, _as_vector, _canonical, _integers, inner
 from .printer import format_element
 from .report import VerificationReport
-from .scalars import Exponent, Rat, Ring, Scalar, _normal, binom, falling
+from .scalars import Key, Rat, Ring, Scalar, _check_exponents, _normal, binom, falling
 
 Gamma = Tuple[Rat, ...]  # canonical: int coordinates when integral
 Mu = Tuple[int, ...]
@@ -88,7 +88,8 @@ _X = Ring(("x",)).sym("x")
 def _falling_coeffs(m: int) -> Tuple[int, ...]:
     """Coefficients c with x(x-1)...(x-m+1) = sum_j c[j] x^j."""
     nums = falling(_X, m).nums  # a monic integer polynomial, over 1
-    return tuple(nums.get((j,), 0) for j in range(m + 1))
+    # on a one-symbol ring a monomial's key is its exponent
+    return tuple(nums.get(j, 0) for j in range(m + 1))
 
 
 class Weyl:
@@ -372,7 +373,7 @@ def _has_d(terms: Dict[TermKey, Scalar]) -> bool:
 # -- products and brackets -------------------------------------------------
 
 
-ClearedTerms = List[Tuple[Tuple[int, ...], Mu, List[Tuple[Exponent, int]]]]
+ClearedTerms = List[Tuple[Tuple[int, ...], Mu, List[Tuple[Key, int]]]]
 
 
 def _cleared(x: WeylElement, grade_den: Sequence[int]) -> Tuple[int, ClearedTerms]:
@@ -413,7 +414,7 @@ def _lambda_rows(mu: Mu, nu: Mu, b: Sequence[int], q_powers):
     return rows
 
 
-RawTerms = Dict[Tuple[int, ...], Dict[Mu, Dict[Exponent, int]]]
+RawTerms = Dict[Tuple[int, ...], Dict[Mu, Dict[Key, int]]]
 
 
 def _accumulate(acc: RawTerms, xs: ClearedTerms, ys: ClearedTerms, q_powers,
@@ -425,10 +426,10 @@ def _accumulate(acc: RawTerms, xs: ClearedTerms, ys: ClearedTerms, q_powers,
     """
     for a, mu, cx in xs:
         for b, nu, cy in ys:
-            coeff: Dict[Exponent, int] = {}
+            coeff: Dict[Key, int] = {}
             for e1, c1 in cx:
                 for e2, c2 in cy:
-                    e = tuple(map(_add, e1, e2))
+                    e = e1 + e2
                     coeff[e] = coeff.get(e, 0) + c1 * c2
             combos = [((), sign)]
             for row in _lambda_rows(mu, nu, b, q_powers):
@@ -453,6 +454,7 @@ def _element(weyl: Weyl, acc: RawTerms, grade_den: Sequence[int], d: int) -> Wey
             if 0 in raw.values():
                 raw = {e: v for e, v in raw.items() if v}
             if raw:
+                _check_exponents(ring, raw)
                 terms[(gamma, mu)] = _normal(ring, d, raw)
     return WeylElement._trusted(weyl, terms, POWER)
 

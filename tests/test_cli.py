@@ -26,6 +26,14 @@ def test_eval_scalar(capsys):
     assert capsys.readouterr().out.strip() == "alpha^2 + 2*alpha + 1"
 
 
+def test_eval_exponent_limit(capsys):
+    assert main(["eval", "--alpha", "formal", "alpha^3000000000*t^(1)*D"]) == 0
+    assert capsys.readouterr().out.strip() == "(alpha^3000000000)*t^(1)*D"
+    # 2^63: one past the largest exponent a monomial key holds
+    assert main(["eval", "--alpha", "formal", "alpha^9223372036854775808*t^(1)*D"]) == 2
+    assert "exponent exceeds 2^63 - 1" in capsys.readouterr().err
+
+
 def test_eval_syntax_error_exits_2(capsys):
     assert main(["eval", "t^(1)*"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -1,8 +1,8 @@
 """Property net over the representations every layer reads.
 
 The scalar slice: a Scalar is integer numerators over one positive
-denominator with their gcd divided out, and every operation must hand back
-that canonical form.  Equal values reached along different paths must then
+denominator with their gcd divided out, keyed by packed monomials, and every
+operation must hand back that canonical form.  Equal values reached along different paths must then
 have equal fields and equal hashes, a rational constant must hash like its
 Fraction, and the text must match the printer tests' reference renderer.
 
@@ -53,7 +53,9 @@ def assert_canonical(s, ring):
     assert s.ring is ring
     assert type(s.den) is int and s.den > 0
     assert all(type(c) is int and c != 0 for c in s.nums.values())
-    assert all(len(e) == ring.nvars for e in s.nums)
+    # a key is one int, with no guard bit set, that unpacks and packs back to itself
+    assert all(type(e) is int and not e & ring._guard and ring._pack(ring._unpack(e)) == e
+               for e in s.nums)
     # zero is den 1 with no numerators: gcd(den) is den
     assert math.gcd(s.den, *s.nums.values()) == 1
     assert str(s) == _ref_scalar(s)
@@ -64,11 +66,8 @@ def assert_same(x, y):
     assert x == y and hash(x) == hash(y)
 
 
-@pytest.mark.parametrize("ring_name", sorted(RINGS))
-@NET
-@given(data=st.data())
-def test_every_operation_returns_the_canonical_form(ring_name, data):
-    ring = RINGS[ring_name]
+def operation_results(ring, data):
+    """The results of every Scalar operation on drawn operands."""
     p, q, v = (data.draw(polys(ring)) for _ in range(3))
     c = data.draw(NONZERO)
     e = data.draw(st.integers(0, 3))
@@ -81,8 +80,27 @@ def test_every_operation_returns_the_canonical_form(ring_name, data):
         results += [p.substitute({name: v}), p.substitute({name: c}),
                     p.shift(name, c), p.shift(name, v),
                     p.coeff_of(name, data.draw(st.integers(0, 2)))]
-    for s in results:
+    return results
+
+
+@pytest.mark.parametrize("ring_name", sorted(RINGS))
+@NET
+@given(data=st.data())
+def test_every_operation_returns_the_canonical_form(ring_name, data):
+    ring = RINGS[ring_name]
+    for s in operation_results(ring, data):
         assert_canonical(s, ring)
+
+
+@pytest.mark.parametrize("ring_name", sorted(RINGS))
+@NET
+@given(data=st.data())
+def test_packed_keys_order_and_round_trip_like_exponent_tuples(ring_name, data):
+    ring = RINGS[ring_name]
+    for s in operation_results(ring, data):
+        # int order of the keys is the lex order of their exponent tuples
+        assert [ring._unpack(e) for e in sorted(s.nums)] == sorted(s.terms)
+        assert_same(Scalar(ring, s.terms), s)
 
 
 @pytest.mark.parametrize("ring_name", sorted(RINGS))

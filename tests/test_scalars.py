@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from winfty.intermediate import make_module
 from winfty.scalars import Ring, Scalar, binom, falling, rising
 from winfty.weightlab import WEIGHTLAB_SYMBOLS
-from winfty.weyl import Weyl
+from winfty.weyl import Weyl, mul
 
 RING = Ring(("a", "b"))
 A = RING.sym("a")
@@ -188,6 +188,76 @@ def test_float_coefficients_rejected_by_elements_and_modules():
         Weyl(1).monomial((1,), (1,), 0.1)
     with pytest.raises(TypeError):
         make_module("A", [0.1], Weyl(1, ring=Ring(("alpha",)), subalgebra="w1"))
+
+
+@pytest.mark.parametrize("op", (
+    lambda s: s + 0.5, lambda s: 0.5 + s, lambda s: s - 0.5, lambda s: 0.5 - s,
+    lambda s: s * 0.5, lambda s: 0.5 * s,
+), ids=("add", "radd", "sub", "rsub", "mul", "rmul"))
+def test_float_operands_are_rejected_by_the_one_rule(op):
+    with pytest.raises(TypeError, match="int or Fraction"):
+        op(A + 1)
+
+
+def test_int_and_fraction_operands_join_a_sum_as_constants():
+    assert A + 2 == Scalar(RING, {(1, 0): 1, (0, 0): 2})
+    assert Fraction(1, 2) - A == Scalar(RING, {(1, 0): -1, (0, 0): Fraction(1, 2)})
+    assert (A + 1) - 1 == A and RING.zero + Fraction(-3, 4) == Fraction(-3, 4)
+    assert (A + 0) is A
+
+
+# -- packed monomial keys ---------------------------------------------------
+
+
+@pytest.mark.parametrize("key", (
+    (-1,), (1, 2), (), (2 ** 63,), (1.0,), (Fraction(1),), 1, "a",
+), ids=("negative", "too-long", "too-short", "past-the-limit", "float", "fraction",
+        "not-a-tuple", "string"))
+def test_the_constructor_rejects_a_malformed_exponent(key):
+    # (-1,) printed 1 and (1, 2) printed a: the text dropped what it could not show
+    with pytest.raises(ValueError, match="an exponent must be a tuple of 1 ints"):
+        Scalar(Ring(("a",)), {key: 1})
+
+
+def test_the_largest_exponent_is_admitted_and_printed():
+    top = 2 ** 63 - 1
+    s = Scalar(RING, {(top, 0): 1, (0, top): 2})
+    assert s.terms == {(top, 0): 1, (0, top): 2}
+    assert str(s) == f"a^{top} + 2*b^{top}"
+    assert s.degree_in("b") == top and s.coeff_of("a", top) == 1
+
+
+def test_a_product_past_the_exponent_limit_raises():
+    half = A ** 2 ** 62
+    with pytest.raises(ValueError, match="exceeds 2\\^63 - 1"):
+        half * half
+    with pytest.raises(ValueError, match="exceeds 2\\^63 - 1"):
+        (half + 1) * (half + B)
+    with pytest.raises(ValueError, match="exceeds 2\\^63 - 1"):
+        A ** 2 ** 63
+    with pytest.raises(ValueError, match="exceeds 2\\^63 - 1"):
+        (half * B).substitute({"b": half})
+    x = Weyl(1, ring=RING).monomial((1,), (1,), half)
+    with pytest.raises(ValueError, match="exceeds 2\\^63 - 1"):
+        mul(x, x)
+    # a lower field at its limit does not carry into the field above it
+    top = B ** (2 ** 63 - 1)
+    assert (top * A).terms == {(1, 2 ** 63 - 1): 1}
+
+
+def test_exact_div_finds_a_negative_exponent_in_a_lower_field():
+    # a^2 b / (a b^2): the a field divides, the b field borrows
+    with pytest.raises(ValueError, match="not divisible"):
+        (A ** 2 * B).exact_div(A * B ** 2)
+    with pytest.raises(ValueError, match="not divisible"):
+        (A ** 3 + B).exact_div(A * B + 1)
+    assert (A ** 2 * B ** 3 - A * B ** 4).exact_div(A * B ** 2) == A * B - B ** 2
+
+
+def test_key_order_is_the_lex_order_of_exponents():
+    s = Scalar(RING, {(0, 5): 1, (1, 0): 2, (1, 3): 3, (0, 0): 4})
+    assert [RING._unpack(e) for e in sorted(s.nums)] == [(0, 0), (0, 5), (1, 0), (1, 3)]
+    assert str(s) == "3*a*b^3 + 2*a + b^5 + 4"
 
 
 # -- differential check against sympy -------------------------------------

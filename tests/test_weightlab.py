@@ -13,7 +13,7 @@ from winfty.weightlab import (WEIGHTLAB_SYMBOLS, build_f_polynomials, build_p_se
                               p_series_report, verify_yk_relations,
                               virasoro_consistency)
 from winfty.intermediate import make_module, normalize_ddt_basis
-from winfty.scalars import Ring
+from winfty.scalars import Ring, Scalar
 from winfty.weyl import Weyl
 
 RING = Ring(WEIGHTLAB_SYMBOLS)
@@ -85,6 +85,22 @@ def test_coefficient_claims():
     # recorded observation: f2 does not vanish identically when the primed
     # constants equal the unprimed ones
     assert rep.details["f2_at_equal_constants_zero"] is False
+
+
+def test_f_polynomials_build_each_shifted_series_entry_once(monkeypatch):
+    # the relations read the series 42 times for 19 distinct (j, shift, primed) keys
+    reads, shifts = [], []
+    real_pjk, real_shift = weightlab.PSeries.pjk, Scalar.shift
+    monkeypatch.setattr(weightlab.PSeries, "pjk",
+                        lambda ps, j, shift=0, primed=False:
+                        reads.append((j, shift, primed)) or real_pjk(ps, j, shift, primed))
+    monkeypatch.setattr(Scalar, "shift",
+                        lambda s, name, delta: shifts.append(delta) or real_shift(s, name, delta))
+    build_p_series()
+    recurrence = len(shifts)
+    build_f_polynomials()
+    assert (len(reads), len(set(reads))) == (42, 19)
+    assert len(shifts) - 2 * recurrence == len({key for key in reads if key[1]})
 
 
 def test_p_series_report_passes():
