@@ -1,20 +1,24 @@
 #!/usr/bin/env python3
-"""Scalar microbenchmarks: the median time of one operation, in microseconds.
+"""Layer microbenchmarks: the median time of one operation, in microseconds.
 
 Usage:
     python3 scripts/microbench.py [--repeats N]
 
-Times ``+``, ``*``, ``**``, ``exact_div``, ``substitute`` and ``shift`` on
-fixed polynomials in two rings: the six-symbol weightlab ring (P-series
-entries) and the one-symbol ring of a formal alpha.  Each case runs in
-batches sized to take at least 20 ms; a repeat is one batch, and the median
-over the repeats is printed per case, one line each: ring, operation,
-microseconds.  Only the public API is used, so the same script times any
-revision that has it.
+Scalars: ``+``, ``*``, ``**``, ``exact_div``, ``substitute`` and ``shift`` on
+fixed polynomials in two rings, the six-symbol weightlab ring (P-series
+entries) and the one-symbol ring of a formal alpha.  The layers above them:
+the Weyl ``mul`` and ``bracket`` for n = 1 and n = 2, ``cocycle`` in the hat
+algebra, the module ``act`` with formal alpha on a rank-2 lattice, one
+``GeneratedSubalgebra`` box, and ``format_element`` and ``parse_element`` of a
+40-term element.  Each case runs in batches sized to take at least 20 ms; a
+repeat is one batch, and the median over the repeats is printed per case,
+one line each: ring or layer, operation, microseconds.  Only the public API
+is used, so the same script times any revision that has it.
 """
 
 import argparse
 import pathlib
+import random
 import statistics
 import sys
 import time
@@ -23,10 +27,13 @@ from fractions import Fraction
 # import winfty from this checkout's src/, installed or not
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from winfty.scalars import Ring, falling, rising  # noqa: E402
+from winfty import (GeneratedSubalgebra, Lattice, Ring, Session, Weyl,  # noqa: E402
+                    WeylElement, act, bracket, cocycle, falling, format_element,
+                    make_module, mul, parse_element, rising, standard_generators)
 from winfty.weightlab import build_p_series  # noqa: E402
 
 BATCH_S = 0.02
+RANK2 = ((1, 0), (Fraction(1, 2), Fraction(1, 3)))
 
 
 def cases():
@@ -53,6 +60,48 @@ def cases():
         ("alpha", "exact_div", lambda: fg.exact_div(g)),
         ("alpha", "substitute", lambda: f.substitute(moved)),
         ("alpha", "shift", lambda: f.shift("alpha", 3)),
+    ] + layer_cases()
+
+
+def element(weyl, size, seed, coeff=None):
+    """A fixed element of ``size`` terms t^g D^mu, g from lattice coordinates
+    in [-3, 3] and |mu| from 1 to 3, with rational coefficients (or ``coeff``)."""
+    rng = random.Random(seed)
+    terms = {}
+    while len(terms) < size:
+        g = weyl.lattice.ambient(tuple(rng.randint(-3, 3) for _ in range(weyl.n)))
+        mu = tuple(rng.randint(0, 2) for _ in range(weyl.n))
+        if any(mu):
+            terms[(g, mu)] = coeff or Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
+    return WeylElement(weyl, terms)
+
+
+def layer_cases():
+    """[(layer label, operation, zero-argument callable)] above the scalars."""
+    out = []
+    for n in (1, 2):
+        w = Weyl(n, subalgebra="full")
+        x, y = element(w, 6, "x"), element(w, 6, "y")
+        out += [(f"weyl-n{n}", "mul", lambda x=x, y=y: mul(x, y)),
+                (f"weyl-n{n}", "bracket", lambda x=x, y=y: bracket(x, y))]
+    hat = Weyl(1, subalgebra="hat")
+    u, v = element(hat, 8, "u"), element(hat, 8, "v")
+    ring = Ring(("a1", "a2"))
+    rank2 = Weyl(2, ring=ring, lattice=Lattice(RANK2), subalgebra="w1")
+    module = make_module("B", "formal", rank2)
+    z = element(rank2, 3, "z", ring.sym("a1") + Fraction(1, 2))
+    w1 = Weyl(1, subalgebra="w1")
+    gens = standard_generators(w1, 1, 2, 4)
+    w = Weyl(2, subalgebra="full")
+    big = element(w, 40, "text")
+    text, session = format_element(big), Session(w)
+    return out + [
+        ("hat", "cocycle", lambda: cocycle(u, v)),
+        ("module", "act", lambda: act(module, z, (1, -1))),
+        ("closure", "box", lambda: GeneratedSubalgebra(w1, gens, deg_lo=0, deg_hi=12,
+                                                       d_cap=4)),
+        ("text", "format", lambda: format_element(big)),
+        ("text", "parse", lambda: parse_element(text, session)),
     ]
 
 

@@ -9,28 +9,32 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
-from fractions import Fraction
 from typing import List, Optional
 
+from . import parser
 from .lattice import Lattice
 from .parser import Session, parse_element
 from .printer import format_element
 from .report import GRAMMAR_VERSION
-from .scalars import Ring, Scalar
+from .scalars import Rat, Ring, Scalar
 from .suites import SUITE_NAMES, SuiteOptions, run_suite
 from .weyl import Weyl
 
 
-def _rational(text: str, flag: str) -> Fraction:
+def _rational(text: str, flag: str) -> Rat:
+    """A flag value read by the grammar's rational rule (FORMAT.md)."""
     text = text.strip()
+    if not re.fullmatch(parser._FRAC, text):
+        raise ValueError(f"{flag}: expected an integer p or a fraction p/q, got {text!r}")
     try:
-        return Fraction(text)
-    except ZeroDivisionError:
+        return parser._rational(text, 0)
+    except parser.ParseError:
         raise ValueError(f"{flag}: zero denominator in {text!r}") from None
 
 
-def _parse_gamma(text: str) -> List[List[Fraction]]:
+def _parse_gamma(text: str) -> List[List[Rat]]:
     vectors = []
     for chunk in text.split(";"):
         chunk = chunk.strip()

@@ -8,9 +8,10 @@ parse(format_element(x)) evaluates back to x for every canonical element.
 Sums and products are n-ary nodes.  A sum is folded left to right by
 weyl._Sum, the fold behind WeylElement.__add__, so its value, its basis (the
 rule in FORMAT.md, "Semantics") and its first error are those of
-((a + b) + c) + ...; a written monomial joins it as one term, without an
-element of its own.  The factors of a written monomial merge into one _Mono
-without going through the associative product.
+((a + b) + c) + ...  The factors of a written monomial merge into one _Mono
+without going through the associative product, and _Mono.finalize is the one
+way a monomial becomes an element, for sums, products, brackets, powers and
+evaluate alike.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
@@ -89,13 +91,17 @@ def _tokenize(text: str) -> List[_Token]:
 
 def _rational(text: str, pos: int) -> Rat:
     """The rational written as ``text`` (an optionally signed ``p`` or ``p/q``),
-    in the canonical grade form."""
+    of any length, in the canonical grade form."""
     num, _, den = text.partition("/")
+    try:
+        p, q = int(num), int(den) if den else 1
+    except ValueError:  # int() refuses a text past sys.get_int_max_str_digits()
+        p, q = int(Decimal(num)), int(Decimal(den or 1))
     if not den:
-        return int(num)
-    if not int(den):
+        return p
+    if not q:
         raise ParseError(f"zero denominator in {text!r}", pos)
-    return _canonical(Fraction(int(num), int(den)))
+    return _canonical(Fraction(p, q))
 
 
 # -- AST -------------------------------------------------------------------
@@ -251,9 +257,18 @@ class _Mono:
         return self.mu is not None and any(self.mu)
 
     def finalize(self, weyl: Weyl) -> WeylElement:
-        zero = (0,) * weyl.n
-        return weyl.monomial(self.gamma or zero, self.mu or zero,
-                             1 if self.coeff is None else self.coeff, basis=self.basis)
+        """The monomial as an element, after the constructor's checks that a
+        written monomial can fail: the grade lies in Gamma, mu fits the flavor."""
+        if self.gamma is None:
+            gamma = (0,) * weyl.n
+        else:
+            # _plus and _pow_value may have summed Fractions to an integral one
+            gamma = tuple(map(_canonical, self.gamma))
+            weyl.check_grade(gamma)
+        mu = self.mu or (0,) * weyl.n
+        weyl.check_mu(mu)
+        c = weyl.ring.one if self.coeff is None else self.coeff
+        return WeylElement._trusted(weyl, {(gamma, mu): c} if c else {}, self.basis)
 
 
 # quoted: typing caches each subscription, so a class named here stays alive
@@ -261,11 +276,9 @@ Value = Union["Scalar", "WeylElement", "_Mono"]
 
 
 def _finalize(v: Value, weyl: Weyl, pos: int) -> WeylElement:
-    if isinstance(v, _Mono):
-        return v.finalize(weyl)
-    if isinstance(v, WeylElement):
-        return v
-    raise ParseError("expected an algebra element, found a scalar", pos)
+    if isinstance(v, Scalar):
+        raise ParseError("expected an algebra element, found a scalar", pos)
+    return as_element(v, weyl)
 
 
 def _times(x: Optional[Scalar], y: Optional[Scalar]) -> Optional[Scalar]:
@@ -328,50 +341,27 @@ def _neg_value(a: Value, weyl: Weyl) -> Value:
     return -a
 
 
-def _add_value(acc: _Sum, v: Value, neg: bool, weyl: Weyl) -> None:
-    """Add a summand to ``acc``: a monomial as one term, after the lattice
-    and W^(1) guards, and a bare scalar as scalar * 1."""
-    if isinstance(v, WeylElement):
-        acc.add(v, neg)
-        return
-    if isinstance(v, Scalar):
-        v = _Mono(v)
-    if v.gamma is not None:
-        weyl.check_grade(v.gamma)
-    mu = v.mu or (0,) * weyl.n
-    weyl.check_mu(mu)
-    c = weyl.ring.one if v.coeff is None else v.coeff
-    # _plus and _pow_value may have summed Fractions to an integral one
-    gamma = tuple(map(_canonical, v.gamma)) if v.gamma else (0,) * weyl.n
-    acc.add_term((gamma, mu), -c if neg else c, v.basis)
-
-
 def _eval_sum(summands, session: Session) -> Value:
     # The first summand joins the sum only once the second is evaluated, and
     # a run of scalar summands stays a scalar, as in pairwise addition.
     weyl = session.weyl
     it = iter(summands)
     head = _eval(next(it)[1], session)
-    scalar = head if isinstance(head, Scalar) else None
     acc = None
     for neg, node in it:
         v = _eval(node, session)
         if acc is None:
-            if scalar is not None and isinstance(v, Scalar):
-                scalar = scalar - v if neg else scalar + v
+            if isinstance(head, Scalar) and isinstance(v, Scalar):
+                head = head - v if neg else head + v
                 continue
-            if scalar is not None:
-                head = as_element(scalar, weyl)
-            acc = _Sum(head.finalize(weyl) if isinstance(head, _Mono) else head)
-        _add_value(acc, v, neg, weyl)
-    return scalar if acc is None else acc.element()
+            acc = _Sum(as_element(head, weyl))
+        acc.add(as_element(v, weyl), neg)
+    return head if acc is None else acc.element()
 
 
 def evaluate(node: AST, session: Session) -> Union[Scalar, WeylElement]:
     v = _eval(node, session)
-    if isinstance(v, _Mono):
-        return v.finalize(session.weyl)
-    return v
+    return v.finalize(session.weyl) if isinstance(v, _Mono) else v
 
 
 def _eval(node: AST, session: Session) -> Value:
@@ -445,8 +435,9 @@ def parse_element(text: str, session: Session) -> Union[Scalar, WeylElement]:
     return evaluate(parse(text), session)
 
 
-def as_element(value: Union[Scalar, WeylElement], weyl: Weyl) -> WeylElement:
-    """Lift an evaluation result to a WeylElement (scalar c becomes c * 1)."""
+def as_element(value: Value, weyl: Weyl) -> WeylElement:
+    """Lift an evaluation result to a WeylElement: scalar c becomes c * 1, and
+    a monomial goes through _Mono.finalize, as every parsed monomial does."""
     if isinstance(value, Scalar):
-        return weyl.one().scale(value)
-    return value
+        value = _Mono(value)
+    return value.finalize(weyl) if isinstance(value, _Mono) else value

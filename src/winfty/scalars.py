@@ -36,24 +36,25 @@ term.  A sum puts both operands over the lcm of their denominators, and an
 int or Fraction operand joins as the one-term map {0: numerator}.  A product
 multiplies numerators pair by pair into one map over the product of the
 denominators; a rational-constant factor scales the numerators and the
-denominator.  :meth:`Scalar.substitute` computes each power of a substituted
-value once per call and collects all terms over the lcm of their factors'
-denominators.  :meth:`Scalar.exact_div` divides numerators by the divisor's
-leading numerator, and scales the remainder and quotient up when that does
-not divide; a quotient monomial is a key difference, and the guard bits find
-a negative exponent in one subtraction.
+denominator.  :meth:`Scalar.substitute` builds the powers of a value in
+increasing order, each from the one before, and puts all terms over the lcm
+of their factors' denominators.  :meth:`Scalar.exact_div` divides numerators
+by the divisor's leading numerator, and scales the remainder and quotient up
+when that does not divide; a quotient monomial is a key difference, and the
+guard bits find a negative exponent in one subtraction.
 
 Text: :func:`rational_text` writes a rational from its integer numerator
 and denominator, the text ``Fraction.__str__`` gives, and every printed
 rational (here and in the printer) goes through it, so printing compares
-and writes ``int``s only.  A scalar is immutable, so a ring builds its
-``zero``, its ``one`` and one scalar per symbol (:meth:`Ring.sym`) once and
-hands those out.
+and writes ``int``s of any length.  A scalar is immutable, so a ring builds
+its ``zero``, its ``one`` and one scalar per symbol (:meth:`Ring.sym`) once
+and hands those out.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 from functools import reduce
 from operator import or_
@@ -143,10 +144,13 @@ class Ring:
         return self.const(value)
 
 
-def rational_text(p: int, q: int) -> str:
+def rational_text(p: int, q: int = 1) -> str:
     """The rational p/q in lowest terms with q > 0 as text: "p" when q is 1,
-    else "p/q" (what str() of the Fraction gives)."""
-    return str(p) if q == 1 else f"{p}/{q}"
+    else "p/q" (what str() of the Fraction gives), of any length."""
+    try:
+        return str(p) if q == 1 else f"{p}/{q}"
+    except ValueError:  # str() refuses an int past sys.get_int_max_str_digits()
+        return rational_text(Decimal(p), Decimal(q))
 
 
 def _normal(ring: Ring, den: int, nums: Dict[Key, int]) -> "Scalar":
@@ -414,18 +418,24 @@ class Scalar:
         values = {ring._index[k]: ring.coerce(v) for k, v in mapping.items()}
         # in symbol order, the order the factors of a term are multiplied in
         fields = [(i, ring._shifts[i], values[i]) for i in sorted(values)]
+        # the powers each term reads, in increasing order, each the one
+        # before times v^gap: a gap of 1 is one product
         powers: Dict[Tuple[int, int], Scalar] = {}
+        for i, shift, v in fields:
+            last, f = 0, None
+            for p in sorted({e >> shift & _EXP_MAX for e in self.nums} - {0}):
+                step = v if p - last == 1 else v ** (p - last)
+                f = powers[(i, p)] = step if f is None else f * step
+                last = p
         parts = []
         for e, c in self.nums.items():
             kept = e
             factor = None
-            for i, shift, v in fields:
+            for i, shift, _v in fields:
                 p = e >> shift & _EXP_MAX
                 if p:
                     kept -= p << shift
-                    f = powers.get((i, p))
-                    if f is None:
-                        f = powers[(i, p)] = v ** p
+                    f = powers[(i, p)]
                     factor = f if factor is None else factor * f
             parts.append((kept, c, factor))
         # every term over den times the lcm d of its factors' denominators

@@ -51,7 +51,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .lattice import Lattice, _as_vector, _canonical, _integers, inner
 from .printer import format_element
 from .report import VerificationReport
-from .scalars import Key, Rat, Ring, Scalar, _check_exponents, _normal, binom, falling
+from .scalars import (Key, Rat, Ring, Scalar, _check_exponents, _normal, binom, falling,
+                      rational_text)
 
 Gamma = Tuple[Rat, ...]  # canonical: int coordinates when integral
 Mu = Tuple[int, ...]
@@ -139,7 +140,8 @@ class Weyl:
         """Raise ValueError unless the grade gamma, n ints and Fractions,
         lies in the lattice."""
         if gamma not in self.lattice:
-            raise ValueError(f"grade ({', '.join(map(str, gamma))}) is not in the lattice")
+            coords = ", ".join(rational_text(g.numerator, g.denominator) for g in gamma)
+            raise ValueError(f"grade ({coords}) is not in the lattice")
 
     def check_mu(self, mu: Sequence[int]) -> None:
         """Raise SubalgebraError if monomials t^gamma D^mu lie outside the flavor."""
@@ -305,8 +307,10 @@ class _Sum:
     its basis and its center.  This is the one place the basis rule of a sum
     is written (FORMAT.md, "Semantics"): a partial sum with no D-terms takes
     the summand's basis, D-terms on both sides in different bases give the
-    power basis, and otherwise the partial sum keeps its basis.  ``element()``
-    hands over the map, after which the sum is not used again.
+    power basis, and otherwise the partial sum keeps its basis.  ``add`` is the
+    one way in, for every summand, the parser's monomials included (a zero one
+    as an empty element in its basis).  ``element()`` hands over the map, after
+    which the sum is not used again.
     """
 
     __slots__ = ("weyl", "terms", "basis", "central")
@@ -340,15 +344,6 @@ class _Sum:
             self.central = self.central - x.central if neg else self.central + x.central
         for k, c in x.terms.items():
             self._put(k, -c if neg else c)
-
-    def add_term(self, key: TermKey, c: Scalar, basis: str) -> None:
-        """Add c t^gamma D^mu, or c t^gamma [D]_mu when ``basis`` is falling,
-        for a ``key`` WeylElement accepts as is, its grade canonical, and c
-        in the ring, maybe 0."""
-        if basis != self.basis and self._adopt(basis, bool(c) and any(key[1])):
-            self.add(WeylElement._trusted(self.weyl, {key: c}, basis).to_power())
-        elif c:
-            self._put(key, c)
 
     def _put(self, key: TermKey, c: Scalar) -> None:
         terms = self.terms

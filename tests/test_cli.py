@@ -257,6 +257,20 @@ def test_zero_denominator_in_a_flag_names_the_flag(argv, message, capsys):
     assert f"error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", (
+    (["suite", "weightlab-yk", "--alpha", "0.5"], "--alpha"),
+    (["suite", "weightlab-yk", "--alpha", "1_000"], "--alpha"),
+    (["suite", "jacobi", "--gamma", "1e3"], "--gamma"),
+    (["eval", "D", "--gamma", "+3"], "--gamma"),
+    (["eval", "D", "--subalgebra", "full", "--gamma", "1e3000000"], "--gamma"),
+))
+def test_a_flag_value_is_read_by_the_grammars_rational_rule(argv, flag, capsys):
+    # before, Fraction(text) read them: --alpha 0.5 ran alpha = 1/2, and
+    # 1e3000000 spent seconds building a 3,000,001-digit generator
+    assert main(argv) == 2
+    assert f"error: {flag}: expected an integer p or a fraction p/q" in capsys.readouterr().err
+
+
 def test_submodules_window_0_exits_2(capsys):
     # before, it reported FAIL and exited 1: a window of y_0 alone holds
     # no proper submodule, so the suite has nothing to check

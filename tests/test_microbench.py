@@ -1,4 +1,4 @@
-"""Smoke test of scripts/microbench.py: one repeat of every case."""
+"""Smoke test of scripts/microbench.py: one repeat of every case, scalar and layer."""
 
 import pathlib
 import subprocess
@@ -12,6 +12,9 @@ def test_microbench_times_every_case_once():
                          capture_output=True, text=True, check=True).stdout
     rows = [line.split() for line in out.splitlines()]
     ops = ["add", "mul", "pow", "exact_div", "substitute", "shift"]
+    layers = [("weyl-n1", "mul"), ("weyl-n1", "bracket"), ("weyl-n2", "mul"),
+              ("weyl-n2", "bracket"), ("hat", "cocycle"), ("module", "act"),
+              ("closure", "box"), ("text", "format"), ("text", "parse")]
     assert [(ring, op) for ring, op, _us in rows] == [
-        (ring, op) for ring in ("weightlab", "alpha") for op in ops]
+        (ring, op) for ring in ("weightlab", "alpha") for op in ops] + layers
     assert all(float(us) > 0 for _ring, _op, us in rows)

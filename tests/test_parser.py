@@ -481,3 +481,37 @@ def test_parsing_leaves_the_ring_symbols_unchanged():
     assert ring.sym("alpha") == Scalar(ring, {(1, 0): 1})
     assert ring.sym("beta") == Scalar(ring, {(0, 1): 1})
     assert parse_element("alpha + 1", session) == Scalar(ring, {(1, 0): 1, (0, 0): 1})
+
+
+BIG = 10 ** 4300  # 4301 digits, past CPython's default int <-> str limit of 4300
+
+
+@pytest.mark.parametrize("build", (
+    lambda w: w.monomial((1,), (1,), 3 ** 9100),
+    lambda w: w.monomial((1,), (1,), Fraction(-BIG, 7)),
+    lambda w: w.monomial((Fraction(1, BIG),), (1,)),
+    lambda w: w.monomial((BIG,), (1,)),
+), ids=("3^9100", "-BIG/7", "grade-1/BIG", "grade-BIG"))
+def test_numbers_of_any_length_round_trip(build):
+    # before, str() and int() raised ValueError past 4300 digits, so the
+    # element neither printed nor parsed
+    w = Weyl(1, lattice=Lattice([(Fraction(1, BIG),)]), subalgebra="full")
+    x = build(w)
+    text = format_element(x)
+    assert repr(x) == f"<{text}>"
+    back = parse_element(text, Session(w))
+    assert back == x and format_element(back) == text
+
+
+def test_eval_prints_3_to_the_9100(capsys):
+    # before, it exited 2: "Exceeds the limit (4300 digits) for integer string conversion"
+    assert main(["eval", "3^9100"]) == 0
+    text = capsys.readouterr().out.strip()
+    assert len(text) == 4342 and text == str(Ring().const(3 ** 9100))
+    assert parse_element(text, S) == 3 ** 9100
+
+
+def test_a_grade_outside_gamma_of_any_length_names_the_grade():
+    with pytest.raises(ValueError, match=r"grade \(1/1000000000000000000000000"):
+        parse_element("t^(1/1" + "0" * 4300 + ")*D", S1)
+

@@ -10,6 +10,10 @@ The grade slice: a grade coordinate is an int when it is integral and a
 Fraction with denominator > 1 otherwise.  Every way an element is made must
 hand back grades in that form, and an element built from Fraction(3) grades
 must be the element built from 3: equal, with an equal hash and equal text.
+
+The parser slice: a written monomial, alone or as a later summand, is the
+element the WeylElement constructor builds, and where the constructor raises
+the parser raises the same exception type.
 """
 
 import math
@@ -191,3 +195,68 @@ def test_parsed_integral_grades_are_ints(text):
     weyl = ALGEBRAS["halfZ-full"]
     x = parse_element(text, Session(weyl))
     assert all(type(g) is int for gamma, _mu in x.terms for g in gamma)
+
+
+# -- the parser's monomials --------------------------------------------------
+
+ALPHA = Ring(("alpha",))
+MONOMIAL_ALGEBRAS = {f"{name}-{flavour}": Weyl(LATTICES[name].dim, ring=ALPHA,
+                                                lattice=LATTICES[name], subalgebra=flavour)
+                     for name in ("Z", "halfZ", "skew") for flavour in ("w1", "full", "hat")
+                     if flavour != "hat" or LATTICES[name].dim == 1}
+# grade coordinates in Gamma and out of it on each lattice
+COORDS = st.sampled_from((0, 1, -2, Fraction(1, 2), Fraction(-3, 2), Fraction(1, 3),
+                          Fraction(5, 6)))
+
+
+def written_monomials(weyl):
+    """(grade, mu, coefficient, basis, text): one monomial of the grammar,
+    with its grade maybe outside Gamma and mu maybe 0 (then, with a zero
+    grade, the text is a bare scalar, which as_element lifts)."""
+    n = weyl.n
+    gamma = st.lists(COORDS, min_size=n, max_size=n).map(tuple)
+    mu = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(tuple)
+    rational = RATIONALS.map(lambda q: (q, f"({q})"))
+    formal = st.tuples(NONZERO, RATIONALS).map(
+        lambda ab: (ab[0] * ALPHA.sym("alpha") + ab[1], f"(({ab[0]})*alpha + ({ab[1]}))"))
+    return st.tuples(gamma, mu, rational | formal, st.sampled_from(("power", "falling")),
+                     st.booleans()).map(lambda drawn: _write(n, *drawn))
+
+
+def _write(n, gamma, mu, coeff, basis, coeff_last):
+    c, c_text = coeff
+    names = ["D"] if n == 1 else [f"D{i + 1}" for i in range(n)]
+    parts = []
+    if any(gamma):
+        coords = [str(g) for g in gamma]
+        parts.append(f"t^({coords[0]})" if n == 1 else "t[" + ",".join(coords) + "]")
+    for name, m in zip(names, mu):
+        if m:
+            parts.append(f"[{name}]_{m}" if basis == "falling" else f"{name}^{m}")
+    parts.insert(len(parts) if coeff_last else 0, c_text)
+    return gamma, mu, c, basis, "*".join(parts)
+
+
+@pytest.mark.parametrize("name", sorted(MONOMIAL_ALGEBRAS))
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_a_parsed_monomial_is_the_constructors_element(name, data):
+    """The parser's guards are the constructor's checks: a written monomial,
+    alone or as a later summand, is WeylElement(weyl, {(gamma, mu): c}), and
+    when the constructor raises, the parser raises the same exception type."""
+    weyl = MONOMIAL_ALGEBRAS[name]
+    gamma, mu, c, basis, text = data.draw(written_monomials(weyl))
+    first = weyl.tD((1,) + (0,) * (weyl.n - 1))
+    head = "t^(1)*D" if weyl.n == 1 else "t[1,0]*D1"
+    session = Session(weyl)
+    try:
+        want = WeylElement(weyl, {(gamma, mu): c}, basis=basis)
+    except ValueError as exc:
+        for written in (text, f"{head} + {text}"):
+            with pytest.raises(type(exc)) as raised:
+                as_element(parse_element(written, session), weyl)
+            assert type(raised.value) is type(exc), written
+        return
+    for written, value in ((text, want), (f"{head} + {text}", first + want)):
+        got = as_element(parse_element(written, session), weyl)
+        assert got == value and format_element(got) == format_element(value), written

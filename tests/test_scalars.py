@@ -360,3 +360,24 @@ def test_substitute_shift_coeff_of_match_sympy(ring_name, data):
     assert_matches(p.shift(x, v), P.subs(sx, sx + V), ring)
     assert_matches(p.coeff_of(x, k), sympy.expand(P).coeff(sx, k), ring)
 
+
+def test_substitute_builds_successive_powers_one_product_each(monkeypatch):
+    # before, each power v^p was its own repeated squaring: 17 products here
+    alpha = Ring(("alpha",)).sym("alpha")
+    f = falling(alpha + Fraction(1, 2), 6)
+    calls = []
+    product = Scalar.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", counted)
+    got = f.shift("alpha", 3)
+    assert len(calls) <= 5
+    monkeypatch.undo()
+    assert got == falling(alpha + Fraction(7, 2), 6)
+    # a lone high power, and two symbols with gaps between their powers
+    assert (alpha ** 9).shift("alpha", 1) == (alpha + 1) ** 9
+    assert (A ** 5 * B ** 2 + A ** 2).substitute({"a": B - 1, "b": A + B}) == \
+        (B - 1) ** 5 * (A + B) ** 2 + (B - 1) ** 2
