@@ -9,11 +9,12 @@ fixed polynomials in two rings, the six-symbol weightlab ring (P-series
 entries) and the one-symbol ring of a formal alpha.  The layers above them:
 the Weyl ``mul`` and ``bracket`` for n = 1 and n = 2, ``cocycle`` in the hat
 algebra, the module ``act`` with formal alpha on a rank-2 lattice, one
-``GeneratedSubalgebra`` box, and ``format_element`` and ``parse_element`` of a
-40-term element.  Each case runs in batches sized to take at least 20 ms; a
-repeat is one batch, and the median over the repeats is printed per case,
-one line each: ring or layer, operation, microseconds.  Only the public API
-is used, so the same script times any revision that has it.
+``GeneratedSubalgebra`` box and the ``membership`` of every t^k D^m in it,
+and ``format_element`` and ``parse_element`` of a 40-term element.  Each
+case runs in batches sized to take at least 20 ms; a repeat is one batch,
+and the median over the repeats is printed per case, one line each: ring or
+layer, operation, microseconds.  Only the public API is used, so the same
+script times any revision that has it.
 """
 
 import argparse
@@ -92,6 +93,8 @@ def layer_cases():
     z = element(rank2, 3, "z", ring.sym("a1") + Fraction(1, 2))
     w1 = Weyl(1, subalgebra="w1")
     gens = standard_generators(w1, 1, 2, 4)
+    box = GeneratedSubalgebra(w1, gens, deg_lo=0, deg_hi=12, d_cap=4)
+    targets = [w1.monomial((k,), (m,)) for k in range(13) for m in range(1, 5)]
     w = Weyl(2, subalgebra="full")
     big = element(w, 40, "text")
     text, session = format_element(big), Session(w)
@@ -100,6 +103,7 @@ def layer_cases():
         ("module", "act", lambda: act(module, z, (1, -1))),
         ("closure", "box", lambda: GeneratedSubalgebra(w1, gens, deg_lo=0, deg_hi=12,
                                                        d_cap=4)),
+        ("closure", "members", lambda: [box.membership(t) for t in targets]),
         ("text", "format", lambda: format_element(big)),
         ("text", "parse", lambda: parse_element(text, session)),
     ]

@@ -146,11 +146,24 @@ IntVec = Dict[MonoKey, int]
 Word = Union[str, Tuple[str, int, int]]  # generator name or ("br", gen_idx, raw_idx)
 
 
-def _to_vec(x: WeylElement) -> Vec:
-    """The coefficients of a one-variable power-basis element with rational
-    coefficients (as_fraction raises on any other scalar); its grades are
-    already canonical."""
-    return {(g[0], mu[0]): c.as_fraction() for (g, mu), c in x.terms.items()}
+def _int_vec(x: WeylElement) -> Tuple[IntVec, int]:
+    """(w, s) with x == w / s on the keys (t-degree, D-exponent), for a
+    one-variable power-basis element with rational coefficients (ValueError
+    on any other); s > 0 is the lcm of the denominators.  Each coefficient is
+    nums[0] / den in lowest terms, so w and s have no common factor, and no
+    Fraction is built.  The grades are already canonical."""
+    s = math.lcm(*[c.den for c in x.terms.values()])
+    vec = {}
+    for (g, mu), c in x.terms.items():
+        if not c.is_rational():
+            raise ValueError(f"not a rational constant: {c}")
+        vec[g[0], mu[0]] = c.nums[0] * (s // c.den)
+    return vec, s
+
+
+def _top(vec: Vec) -> int:
+    """The highest D-exponent of a vector, 0 if it is empty."""
+    return max([m for _k, m in vec], default=0)
 
 
 def _bracket_vec(x: Vec, y: Vec) -> Vec:
@@ -204,13 +217,16 @@ class GeneratedSubalgebra:
 
     Most frontier x generator pairs are skipped before their bracket is
     computed.  The terms of [g, x] sit at degrees a + b with a a degree of g
-    and b one of x.  Once d_cap accepted raw vectors each lie on the single
-    degree k, they span the whole slice {(k, m) : 1 <= m <= d_cap}, because
-    accepted raw vectors are independent; k is then settled.  A bracket whose
-    every degree a + b is outside [deg_lo, deg_hi] or settled has each term
-    out of the box or inside a spanned slice, so the echelon would reject it.
-    Skipping it leaves the rows, ``raw``, ``rounds`` and every answer as
-    they were, for any generators, homogeneous or not.
+    and b one of x.  By (1.2) the l = 0 terms cancel, so each term has
+    D-exponent at most top(g) + top(x) - 1, top being the highest D-exponent
+    of an element.  Accepted raw vectors are independent, so once the raw
+    vectors that lie on the single degree k are as many as their highest
+    D-exponent p, they span the prefix {(k, m) : 1 <= m <= p}; the largest
+    such p is spanned(k).  A bracket whose every degree a + b is outside
+    [deg_lo, deg_hi] or has spanned(a + b) >= min(top(g) + top(x) - 1, d_cap)
+    has each term out of the box or inside a spanned prefix, so the echelon
+    would reject it.  Skipping it leaves the rows, ``raw``, ``rounds`` and
+    every answer as they were, for any generators, homogeneous or not.
     """
 
     def __init__(self, weyl: Weyl, generators: Sequence[Tuple[str, WeylElement]],
@@ -235,7 +251,9 @@ class GeneratedSubalgebra:
         self.deg_lo, self.deg_hi, self.d_cap = deg_lo, deg_hi, d_cap
         self.raw: List[Tuple[WeylElement, Word]] = []
         self._vecs: List[Tuple[IntVec, int]] = []  # raw[r] == vec / scale
-        self._on_degree: Counter = Counter()  # raw vectors on that degree alone
+        # per degree: (count, top) of the raw vectors on that degree alone
+        self._on_degree: Dict[Rat, Tuple[int, int]] = {}
+        self._spanned: Counter = Counter()  # the D-order prefix each degree spans
         self._echelon = Echelon()
         self.rounds = 0
         self._grow()
@@ -263,21 +281,29 @@ class GeneratedSubalgebra:
             x = WeylElement._trusted(self.weyl, terms)
         degs = {k for k, _m in ivec}
         if len(degs) == 1:
-            self._on_degree[degs.pop()] += 1
+            k = degs.pop()
+            count, top = self._on_degree.get(k, (0, 0))
+            count, top = count + 1, max(top, _top(ivec))
+            self._on_degree[k] = count, top
+            if count == top:
+                self._spanned[k] = top
         self._vecs.append((ivec, s))
         self.raw.append((x, word))
         return True
 
-    def _futile(self, a: Set[Rat], b: Set[Rat]) -> bool:
-        """True when every degree a + b is outside the box or settled, so a
-        bracket of elements on degrees a and b cannot be accepted."""
-        lo, hi, d_cap, on_degree = self.deg_lo, self.deg_hi, self.d_cap, self._on_degree
-        return all(k < lo or k > hi or on_degree[k] == d_cap
+    def _futile(self, a: Set[Rat], b: Set[Rat], order: int) -> bool:
+        """True when every degree a + b is outside the box or spanned up to
+        D-order min(order, d_cap), so a bracket of elements on degrees a and
+        b with terms of D-order at most ``order`` cannot be accepted."""
+        lo, hi, spanned = self.deg_lo, self.deg_hi, self._spanned
+        order = min(order, self.d_cap)
+        return all(k < lo or k > hi or spanned[k] >= order
                    for k in {p + q for p in a for q in b})
 
     def _grow(self):
-        gens = [integral(_to_vec(g)) for _name, g in self.generators]
+        gens = [_int_vec(g) for _name, g in self.generators]
         gen_degs = [{k for k, _m in vec} for vec, _s in gens]
+        gen_tops = [_top(vec) for vec, _s in gens]
         frontier = []
         for (name, g), (vec, s) in zip(self.generators, gens):
             if self._try_add(vec, s, name, g):
@@ -288,8 +314,9 @@ class GeneratedSubalgebra:
             for idx in frontier:
                 x, xs = self._vecs[idx]
                 x_degs = {k for k, _m in x}
+                x_top = _top(x) - 1
                 for gi, (g, gs) in enumerate(gens):
-                    if self._futile(gen_degs[gi], x_degs):
+                    if self._futile(gen_degs[gi], x_degs, gen_tops[gi] + x_top):
                         continue
                     if self._try_add(_bracket_vec(g, x), gs * xs, ("br", gi, idx)):
                         nxt.append(len(self.raw) - 1)
@@ -305,10 +332,10 @@ class GeneratedSubalgebra:
         """A combination sum c_r * raw[r] equal to target, or None."""
         if target.weyl != self.weyl:
             raise ValueError("target is not in the closure's algebra")
-        vec = _to_vec(target.to_power())
+        vec, s = _int_vec(target.to_power())
         if not self._in_box(vec):
             raise ValueError("target lies outside the truncation caps")
-        coeffs = self._echelon.solve(*integral(vec))
+        coeffs = self._echelon.solve(vec, s)
         if coeffs is None:
             return None
         return [(coeffs[r], r) for r in sorted(coeffs)]

@@ -19,7 +19,7 @@ from .onevar import (GeneratedSubalgebra, df_bracket, df_element,
                      standard_generators, verify_named_identity)
 from .printer import format_element
 from .report import ReportDocument, VerificationReport
-from .scalars import Ring, rising
+from .scalars import Rat, Ring, rational_text, rising
 from .weightlab import (coefficient_claims, p_series_report,
                         verify_yk_relations, virasoro_consistency)
 from .weyl import (Weyl, WeylElement, act_on_combination, bracket, degree_one_bracket,
@@ -154,13 +154,18 @@ def _vec_text(v: ModuleVector) -> str:
     return " + ".join(f"({v[k]})*y{list(k)}" for k in sorted(v))
 
 
+def _text(c: Rat) -> str:
+    """A flag's rational as report text, of any length."""
+    return rational_text(c.numerator, c.denominator)
+
+
 def _suite_jacobi(opts: SuiteOptions) -> _Run:
     samples = opts.samples or 200
     params = {"samples": samples, "max_mu": opts.max_mu}
     lattice = None if opts.gamma is None else Lattice(opts.gamma)
     if lattice is not None:
         # the default Z^n report keeps its form; a --gamma one names its lattice
-        params.update(n=lattice.dim, gamma=[[str(c) for c in g] for g in lattice.generators])
+        params.update(n=lattice.dim, gamma=[[_text(c) for c in g] for g in lattice.generators])
     checks = []
     for n in (1, 2):
         rng = random.Random(opts.seed + n)
@@ -356,7 +361,7 @@ def _suite_assoc(opts: SuiteOptions) -> _Run:
             residual = None if witnesses else "no associativity failure found for kind B"
         checks.append(VerificationReport(f"assoc-dichotomy[{m.kind}]", residual,
                                          details=details))
-    return {"alpha": str(alpha), "samples": samples}, checks
+    return {"alpha": _text(alpha), "samples": samples}, checks
 
 
 def _suite_submodules(opts: SuiteOptions) -> _Run:
@@ -408,7 +413,7 @@ def _suite_normalize(opts: SuiteOptions) -> _Run:
 
 def _suite_weightlab_yk(opts: SuiteOptions) -> _Run:
     alpha = _alpha1(opts)
-    return {"alpha": str(alpha)}, [
+    return {"alpha": _text(alpha)}, [
         verify_yk_relations(normalize_ddt_basis(m, range(-3, 4)))
         for m in _rank_one_modules(opts, [alpha])]
 

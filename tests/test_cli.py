@@ -245,6 +245,23 @@ def test_flag_value_with_a_leading_minus_is_read_as_the_value(
     assert json.loads(out.read_text())["params"][param] == value
 
 
+LONG = "1" + "0" * 4400  # past the interpreter's 4300-digit int/str limit
+
+
+@pytest.mark.parametrize("argv, param, value", (
+    (["weightlab-yk", "--alpha", f"1/{LONG}"], "alpha", f"1/{LONG}"),
+    (["assoc-dichotomy", "--alpha", f"-1/{LONG}", "--samples", "2"], "alpha", f"-1/{LONG}"),
+    (["jacobi", "--gamma", LONG, "--samples", "2"], "gamma", [[LONG]]),
+), ids=("weightlab-yk", "assoc-dichotomy", "jacobi"))
+def test_a_flag_value_of_any_length_is_recorded_in_full(argv, param, value, tmp_path, capsys):
+    # before, the report's str() of the value raised the int/str limit, and
+    # the command exited 2 with "Exceeds the limit (4300 digits)"
+    out = tmp_path / "report.json"
+    assert main(["suite", *argv, "--json", str(out)]) == 0
+    capsys.readouterr()
+    assert json.loads(out.read_text())["params"][param] == value
+
+
 @pytest.mark.parametrize("argv, message", (
     (["suite", "jacobi", "--gamma", "1/0"], "--gamma: zero denominator in '1/0'"),
     (["suite", "jacobi", "--gamma", "1, 2/0"], "--gamma: zero denominator in '2/0'"),

@@ -10,10 +10,10 @@ import pytest
 from winfty import onevar
 from winfty.echelon import Echelon, integral
 from winfty.lattice import Lattice
-from winfty.onevar import GeneratedSubalgebra, _bracket_vec, _to_vec, standard_generators
+from winfty.onevar import GeneratedSubalgebra, _bracket_vec, _int_vec, standard_generators
 from winfty.printer import format_element
 from winfty.scalars import Ring
-from winfty.weyl import Weyl, bracket
+from winfty.weyl import Weyl, WeylElement, bracket
 
 W1 = Weyl(1, subalgebra="w1")
 
@@ -218,11 +218,10 @@ def test_bracket_vec_matches_generic_bracket():
 
     for _ in range(60):
         x, y = element(), element()
-        expect = _to_vec(bracket(x, y))
-        assert _bracket_vec(_to_vec(x), _to_vec(y)) == expect
-        ivec, s = integral(expect)
+        (xv, xs), (yv, ys) = _int_vec(x), _int_vec(y)
+        ivec, s = integral(_bracket_vec(xv, yv), xs * ys)
         assert all(type(c) is int for c in ivec.values()) and s > 0
-        assert {k: Fraction(c, s) for k, c in ivec.items()} == expect
+        assert (ivec, s) == _int_vec(bracket(x, y))
 
 
 def test_stretch_box_100_10():
@@ -255,7 +254,7 @@ def _naive_closure(gens, deg_lo, deg_hi, d_cap):
         words.append(word)
         return True
 
-    gvecs = [integral(_to_vec(g)) for _name, g in gens]
+    gvecs = [_int_vec(g) for _name, g in gens]
     frontier = []
     for (name, _g), (vec, s) in zip(gens, gvecs):
         if add(vec, s, name):
@@ -270,13 +269,12 @@ def _naive_closure(gens, deg_lo, deg_hi, d_cap):
                 if add(_bracket_vec(g, x), gs * xs, ("br", gi, idx)):
                     nxt.append(len(vecs) - 1)
         frontier = nxt
-    return (len(echelon), rounds, words,
-            [{k: Fraction(c, s) for k, c in v.items()} for v, s in vecs])
+    return len(echelon), rounds, words, vecs
 
 
 def _closure_summary(sub):
     return (sub.dimension, sub.rounds, [w for _x, w in sub.raw],
-            [_to_vec(x) for x, _w in sub.raw])
+            [_int_vec(x) for x, _w in sub.raw])
 
 
 def _assert_matches_naive(weyl, gens, deg_lo, deg_hi, d_cap):
@@ -321,13 +319,36 @@ def test_closure_matches_unskipped_closure_on_inhomogeneous_generators(monkeypat
     assert calls[0] < pairs
 
 
+def _cofinite_s(rng, codim, d_cap):
+    """An echelon basis of a random S of codimension ``codim`` in span{D, ...,
+    D^d_cap}: D^p + sum c_(p,q) D^q for each order p but ``codim`` missing ones,
+    q running over the missing orders below p, with integer c."""
+    missing = rng.sample(range(1, d_cap + 1), codim)
+    return [(f"S{p}", WeylElement(W1, {((0,), (q,)): rng.randint(-4, 4)
+                                        for q in missing if q < p} | {((0,), (p,)): 1}))
+            for p in range(1, d_cap + 1) if p not in missing]
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2))
+@pytest.mark.parametrize("codim", (1, 2, 3))
+def test_closure_matches_unskipped_closure_on_a_cofinite_s(monkeypatch, codim, seed):
+    # the generators of Lemma 2.1 with a generic S: non-monomial generators
+    # that reach partly spanned D-order prefixes
+    calls = _counting_brackets(monkeypatch)
+    rng = random.Random(seed)
+    gens = standard_generators(W1, 1 + seed % 2, 2)[:3] + _cofinite_s(rng, codim, 6)
+    sub = _assert_matches_naive(W1, gens, 0, 20, 6)
+    assert any(len(g.terms) > 1 for _name, g in gens)
+    assert calls[0] < len(sub.raw) * len(gens)
+
+
 def test_closure_matches_unskipped_closure_on_half_z():
     half = Fraction(1, 2)
     gens = [("t^(1/2)D", HALF_W1.tD((half,))), ("t^(3/2)D", HALF_W1.tD((3 * half,))),
             ("t^(1/2)D2", HALF_W1.monomial((half,), (2,))),
             ("D3+t^(1/2)D", HALF_W1.monomial((0,), (3,)) + HALF_W1.monomial((half,), (1,), 2))]
     sub = _assert_matches_naive(HALF_W1, gens, 0, 8, 4)
-    assert any(isinstance(k, Fraction) for x, _w in sub.raw for k, _m in _to_vec(x))
+    assert any(isinstance(k, Fraction) for x, _w in sub.raw for k, _m in _int_vec(x)[0])
 
 
 def test_half_z_closure_keys_are_canonical():
@@ -348,8 +369,21 @@ def test_half_z_closure_keys_are_canonical():
 
 def test_settled_degrees_skip_most_brackets(monkeypatch):
     # every accepted raw element is bracketed with every generator once, so
-    # an unskipped closure computes len(raw) * len(gens) brackets (570 here)
+    # an unskipped closure computes len(raw) * len(gens) brackets (570 here);
+    # skipping the brackets that land in spanned D-order prefixes leaves 115
     calls = _counting_brackets(monkeypatch)
     gens = standard_generators(W1, 1, 2, 4)
     sub = GeneratedSubalgebra(W1, gens, deg_lo=0, deg_hi=28, d_cap=4)
-    assert calls[0] < len(sub.raw) * len(gens) / 2
+    assert calls[0] < len(sub.raw) * len(gens) / 4
+
+
+def test_closure_reads_only_rational_coefficients():
+    # the closure's vectors are integers over one denominator, so a formal
+    # coefficient is refused where it enters, as a generator or a target
+    w = Weyl(1, ring=Ring(("a",)), subalgebra="w1")
+    formal = w.tD((3,)).scale(w.ring.sym("a"))
+    with pytest.raises(ValueError, match="not a rational constant: a"):
+        GeneratedSubalgebra(w, standard_generators(w, 1, 2) + [("g", formal)], deg_hi=12)
+    sub = GeneratedSubalgebra(w, standard_generators(w, 1, 2), deg_hi=12)
+    with pytest.raises(ValueError, match="not a rational constant: a"):
+        sub.membership(formal)

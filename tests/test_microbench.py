@@ -14,7 +14,8 @@ def test_microbench_times_every_case_once():
     ops = ["add", "mul", "pow", "exact_div", "substitute", "shift"]
     layers = [("weyl-n1", "mul"), ("weyl-n1", "bracket"), ("weyl-n2", "mul"),
               ("weyl-n2", "bracket"), ("hat", "cocycle"), ("module", "act"),
-              ("closure", "box"), ("text", "format"), ("text", "parse")]
+              ("closure", "box"), ("closure", "members"), ("text", "format"),
+              ("text", "parse")]
     assert [(ring, op) for ring, op, _us in rows] == [
         (ring, op) for ring in ("weightlab", "alpha") for op in ops] + layers
     assert all(float(us) > 0 for _ring, _op, us in rows)
