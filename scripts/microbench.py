@@ -10,7 +10,9 @@ entries) and the one-symbol ring of a formal alpha.  The layers above them:
 the Weyl ``mul`` and ``bracket`` for n = 1 and n = 2, ``cocycle`` in the hat
 algebra, the module ``act`` with formal alpha on a rank-2 lattice, one
 ``GeneratedSubalgebra`` box and the ``membership`` of every t^k D^m in it,
-and ``format_element`` and ``parse_element`` of a 40-term element.  Each
+``format_element`` and ``parse_element`` of a 40-term element, and the
+``WeylElement`` constructor on 40 terms over Z^2 and over the rank-2
+lattice, where every grade is admitted through the lattice.  Each
 case runs in batches sized to take at least 20 ms; a repeat is one batch,
 and the median over the repeats is printed per case, one line each: ring or
 layer, operation, microseconds.  Only the public API is used, so the same
@@ -64,9 +66,10 @@ def cases():
     ] + layer_cases()
 
 
-def element(weyl, size, seed, coeff=None):
-    """A fixed element of ``size`` terms t^g D^mu, g from lattice coordinates
-    in [-3, 3] and |mu| from 1 to 3, with rational coefficients (or ``coeff``)."""
+def element_terms(weyl, size, seed, coeff=None):
+    """The term map of a fixed element of ``size`` terms t^g D^mu, g from
+    lattice coordinates in [-3, 3] and |mu| from 1 to 3, with rational
+    coefficients (or ``coeff``)."""
     rng = random.Random(seed)
     terms = {}
     while len(terms) < size:
@@ -74,7 +77,11 @@ def element(weyl, size, seed, coeff=None):
         mu = tuple(rng.randint(0, 2) for _ in range(weyl.n))
         if any(mu):
             terms[(g, mu)] = coeff or Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
-    return WeylElement(weyl, terms)
+    return terms
+
+
+def element(weyl, size, seed, coeff=None):
+    return WeylElement(weyl, element_terms(weyl, size, seed, coeff))
 
 
 def layer_cases():
@@ -96,7 +103,8 @@ def layer_cases():
     box = GeneratedSubalgebra(w1, gens, deg_lo=0, deg_hi=12, d_cap=4)
     targets = [w1.monomial((k,), (m,)) for k in range(13) for m in range(1, 5)]
     w = Weyl(2, subalgebra="full")
-    big = element(w, 40, "text")
+    big_terms, skew_terms = element_terms(w, 40, "text"), element_terms(rank2, 40, "text")
+    big = WeylElement(w, big_terms)
     text, session = format_element(big), Session(w)
     return out + [
         ("hat", "cocycle", lambda: cocycle(u, v)),
@@ -106,6 +114,8 @@ def layer_cases():
         ("closure", "members", lambda: [box.membership(t) for t in targets]),
         ("text", "format", lambda: format_element(big)),
         ("text", "parse", lambda: parse_element(text, session)),
+        ("weyl-n2", "construct", lambda: WeylElement(w, big_terms)),
+        ("rank2", "construct", lambda: WeylElement(rank2, skew_terms)),
     ]
 
 

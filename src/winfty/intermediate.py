@@ -78,18 +78,14 @@ def act(m: IntermediateModule, x: WeylElement, vec) -> ModuleVector:
     if not isinstance(vec, dict):
         vec = m.basis_vector(vec)
     xp = x.to_power()  # central coordinate acts trivially and is dropped
-    ring = m.weyl.ring
-    lattice = m.weyl.lattice
+    ring, lattice, grade_coords = m.weyl.ring, m.weyl.lattice, m.weyl.coords
     out: ModuleVector = {}
     for coords, vc in vec.items():
         g_amb = lattice.ambient(coords)
         for (b_amb, mu), c in xp.terms.items():
             if sum(mu) == 0:
                 raise ValueError("|mu| = 0 monomials are not in the acting subalgebra")
-            b_coords = lattice.membership(b_amb)
-            if b_coords is None:
-                raise ValueError(f"monomial exponent ({', '.join(map(str, b_amb))}) "
-                                 "is not in the lattice")
+            b_coords = grade_coords(b_amb)
             s, xs = _argument(m, b_amb, g_amb)
             coeff = c * vc * s
             for xi, mi in zip(xs, mu):

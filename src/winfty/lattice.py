@@ -7,9 +7,9 @@ The constructor eliminates the generators once into a fraction-free echelon
 (:mod:`winfty.echelon`) whose rows remember their generator combinations;
 membership reduces one vector against those rows and checks that the
 coordinates it reads off are integers (no Hermite normal form machinery is
-needed).  The lattice never changes, so it stores each vector's answer, member
-or not, and each coordinate tuple's ambient vector, and a repeated vector is
-not eliminated again.
+needed); Weyl.coords admits every grade through it.  The lattice never
+changes, so it stores each vector's answer, member or not, and each
+coordinate tuple's ambient vector, and a repeated vector is not eliminated again.
 
 Every grade has one form, written by ``_canonical``: a coordinate is an int
 when it is integral and a Fraction with denominator > 1 otherwise.  Since
@@ -115,10 +115,6 @@ class Lattice:
                 coords = tuple(int(x.get(r, 0)) for r in range(self.rank))
             self._coords[v] = coords
         return coords
-
-    def __contains__(self, v: Vector) -> bool:
-        """Whether v, a vector of dim ints and Fractions, lies in Gamma."""
-        return self.membership(v) is not None
 
 
 def inner(beta: Sequence, d: Sequence) -> Fraction:

@@ -23,7 +23,6 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
-from .lattice import _canonical
 from .scalars import Rat, Scalar
 from .weyl import FALLING, POWER, Weyl, WeylElement, _Sum, bracket, mul
 
@@ -91,7 +90,7 @@ def _tokenize(text: str) -> List[_Token]:
 
 def _rational(text: str, pos: int) -> Rat:
     """The rational written as ``text`` (an optionally signed ``p`` or ``p/q``),
-    of any length, in the canonical grade form."""
+    of any length."""
     num, _, den = text.partition("/")
     try:
         p, q = int(num), int(den) if den else 1
@@ -101,7 +100,7 @@ def _rational(text: str, pos: int) -> Rat:
         return p
     if not q:
         raise ParseError(f"zero denominator in {text!r}", pos)
-    return _canonical(Fraction(p, q))
+    return Fraction(p, q)
 
 
 # -- AST -------------------------------------------------------------------
@@ -258,13 +257,10 @@ class _Mono:
 
     def finalize(self, weyl: Weyl) -> WeylElement:
         """The monomial as an element, after the constructor's checks that a
-        written monomial can fail: the grade lies in Gamma, mu fits the flavor."""
-        if self.gamma is None:
-            gamma = (0,) * weyl.n
-        else:
-            # _plus and _pow_value may have summed Fractions to an integral one
-            gamma = tuple(map(_canonical, self.gamma))
-            weyl.check_grade(gamma)
+        written monomial can fail: the grade enters through Weyl.coords and
+        takes the lattice's ambient form, and mu fits the flavor."""
+        gamma = (0,) * weyl.n if self.gamma is None else weyl.lattice.ambient(
+            weyl.coords(self.gamma))
         mu = self.mu or (0,) * weyl.n
         weyl.check_mu(mu)
         c = weyl.ring.one if self.coeff is None else self.coeff

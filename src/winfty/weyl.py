@@ -8,9 +8,9 @@ coordinate.  The associative product expands
     (t^a D^mu)(t^b D^nu) = sum_lambda C(mu,lambda) b^lambda t^(a+b) D^(mu+nu-lambda)
 
 Every grade coordinate is in the lattice module's one form: an int when it
-is integral, a Fraction with denominator > 1 otherwise.  The constructor
-puts its input in that form and the kernel builds its output in it, so
-term keys on an integral lattice hash as tuples of ints.
+is integral, a Fraction with denominator > 1 otherwise.  A grade enters
+once, through Weyl.coords, and is keyed by the lattice's ambient form of its
+coordinates; the kernel builds that form, so integral keys hash as ints.
 
 Kernel: a product or bracket runs in integer arithmetic, as the Scalar
 kernel does (after Monagan & Pearce, "Sparse polynomial multiplication and
@@ -98,7 +98,7 @@ class Weyl:
 
     ``subalgebra`` is one of "full" (all of W(Gamma,n)), "w1" (monomials with
     |mu| >= 1 only) or "hat" (n = 1, with the one-dimensional central
-    extension; brackets pick up the 2-cocycle).
+    extension; brackets pick up the 2-cocycle).  Grades enter through ``coords``.
     """
 
     def __init__(self, n: int = 1, ring: Optional[Ring] = None,
@@ -136,12 +136,14 @@ class Weyl:
                  basis: str = POWER) -> "WeylElement":
         return WeylElement(self, {(tuple(gamma), tuple(mu)): coeff}, basis=basis)
 
-    def check_grade(self, gamma: Gamma) -> None:
-        """Raise ValueError unless the grade gamma, n ints and Fractions,
-        lies in the lattice."""
-        if gamma not in self.lattice:
-            coords = ", ".join(rational_text(g.numerator, g.denominator) for g in gamma)
-            raise ValueError(f"grade ({coords}) is not in the lattice")
+    def coords(self, gamma) -> Tuple[int, ...]:
+        """The lattice coordinates of the grade gamma (n ints and Fractions),
+        the one way a grade enters; ValueError if gamma is not in the lattice."""
+        coords = self.lattice.membership(gamma)
+        if coords is None:
+            text = ", ".join(rational_text(g.numerator, g.denominator) for g in gamma)
+            raise ValueError(f"grade ({text}) is not in the lattice")
+        return coords
 
     def check_mu(self, mu: Sequence[int]) -> None:
         """Raise SubalgebraError if monomials t^gamma D^mu lie outside the flavor."""
@@ -174,11 +176,11 @@ class Weyl:
 class WeylElement:
     """Canonical sparse element; immutable by convention.
 
-    The constructor checks every term (gamma, mu) -> c: gamma rational, put
-    in the canonical form, and mu nonnegative integers, each with n
-    coordinates, gamma in the lattice, mu allowed by the flavor, and c
-    coerced into the ring; zero coefficients are dropped.  A nonzero central
-    coordinate needs the hat algebra.
+    The constructor checks every term (gamma, mu) -> c: gamma is admitted
+    once, through Weyl.coords, and keyed by the lattice's canonical ambient
+    form of its coordinates; mu is n nonnegative integers allowed by the
+    flavor, and c is coerced into the ring; zero coefficients are dropped.
+    A nonzero central coordinate needs the hat algebra.
     """
 
     __slots__ = ("weyl", "terms", "basis", "central")
@@ -187,15 +189,14 @@ class WeylElement:
                  basis: str = POWER, central: Union[Scalar, Rat, None] = None):
         if basis not in (POWER, FALLING):
             raise ValueError(f"unknown basis {basis!r}")
-        coerce = weyl.ring.coerce
+        coerce, ambient = weyl.ring.coerce, weyl.lattice.ambient
         checked: Dict[TermKey, Scalar] = {}
         for (gamma, mu), c in terms.items():
-            gamma, mu = _as_vector(gamma), _integers(mu)
-            if len(gamma) != weyl.n or len(mu) != weyl.n:
+            gamma, mu = ambient(weyl.coords(gamma)), _integers(mu)
+            if len(mu) != weyl.n:
                 raise ValueError("monomial exponents have wrong dimension")
             if any(m < 0 for m in mu):
                 raise ValueError("D-exponents must be nonnegative")
-            weyl.check_grade(gamma)
             weyl.check_mu(mu)
             c = coerce(c)
             if c:

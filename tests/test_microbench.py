@@ -15,7 +15,7 @@ def test_microbench_times_every_case_once():
     layers = [("weyl-n1", "mul"), ("weyl-n1", "bracket"), ("weyl-n2", "mul"),
               ("weyl-n2", "bracket"), ("hat", "cocycle"), ("module", "act"),
               ("closure", "box"), ("closure", "members"), ("text", "format"),
-              ("text", "parse")]
+              ("text", "parse"), ("weyl-n2", "construct"), ("rank2", "construct")]
     assert [(ring, op) for ring, op, _us in rows] == [
         (ring, op) for ring in ("weightlab", "alpha") for op in ops] + layers
     assert all(float(us) > 0 for _ring, _op, us in rows)

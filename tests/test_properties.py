@@ -14,6 +14,11 @@ must be the element built from 3: equal, with an equal hash and equal text.
 The parser slice: a written monomial, alone or as a later summand, is the
 element the WeylElement constructor builds, and where the constructor raises
 the parser raises the same exception type.
+
+The admission slice: a grade enters the algebra through Weyl.coords alone.
+A monomial exists exactly when Lattice.membership finds the grade, its key
+is the lattice's ambient form of those coordinates, and a non-member gets
+one message from the constructor, the parser and the module action.
 """
 
 import math
@@ -24,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_printer import _ref_scalar
 
+from winfty.intermediate import act, make_module
 from winfty.lattice import Lattice
 from winfty.parser import Session, as_element, parse_element
 from winfty.printer import format_element
@@ -260,3 +266,48 @@ def test_a_parsed_monomial_is_the_constructors_element(name, data):
     for written, value in ((text, want), (f"{head} + {text}", first + want)):
         got = as_element(parse_element(written, session), weyl)
         assert got == value and format_element(got) == format_element(value), written
+
+
+# -- grade admission -----------------------------------------------------------
+
+ADMISSION_LATTICES = {"Z": Lattice.standard(1), "Z2": Lattice.standard(2),
+                      "halfZ": LATTICES["halfZ"], "sixthZ": Lattice([(Fraction(1, 6),)]),
+                      "skew": LATTICES["skew"], "Z(1,0)": Lattice([(1, 0)])}
+# ints, Fractions with denominator 1 (Fraction(4, 2) is Fraction(2)) and
+# coordinates that some of the lattices above miss; every one lies in (1/12)Z
+ADMISSION_COORDS = st.sampled_from((0, 1, -3, Fraction(4, 2), Fraction(-6, 3), Fraction(0, 5),
+                                    Fraction(1, 2), Fraction(-3, 2), Fraction(1, 3),
+                                    Fraction(5, 6), Fraction(-1, 4)))
+
+
+@pytest.mark.parametrize("name", sorted(ADMISSION_LATTICES))
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_a_grade_is_admitted_through_membership_alone(name, data):
+    lat = ADMISSION_LATTICES[name]
+    n = lat.dim
+    weyl = Weyl(n, lattice=lat, subalgebra="w1")
+    gamma = tuple(data.draw(st.lists(ADMISSION_COORDS, min_size=n, max_size=n)))
+    mu = tuple(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(any)))
+    coords = lat.membership(gamma)
+    if coords is not None:
+        x = weyl.monomial(gamma, mu)
+        (key, _mu), = x.terms
+        assert key == lat.ambient(coords) == gamma
+        assert all((type(k) is int) == (Fraction(k).denominator == 1) for k in key), key
+        assert parse_element(format_element(x), Session(weyl)) == x
+        return
+    message = rf"^grade \({', '.join(str(Fraction(g)) for g in gamma)}\) is not in the lattice$"
+    with pytest.raises(ValueError, match=message):
+        weyl.monomial(gamma, mu)
+    written = (f"t^({gamma[0]})*D^{mu[0]}" if n == 1
+               else "t[" + ",".join(map(str, gamma)) + "]*" + "*".join(
+                   f"D{i + 1}^{m}" for i, m in enumerate(mu) if m))
+    with pytest.raises(ValueError, match=message):
+        parse_element(written, Session(weyl))
+    # an element of (1/12)Z^n, which holds every drawn grade, acting on the module over lat
+    twelfths = Weyl(n, lattice=Lattice([[Fraction(int(i == j), 12) for j in range(n)]
+                                         for i in range(n)]), subalgebra="w1")
+    with pytest.raises(ValueError, match=message):
+        act(make_module("A", [Fraction(1, 2)] * n, weyl), twelfths.monomial(gamma, mu),
+            (0,) * lat.rank)

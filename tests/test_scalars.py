@@ -75,13 +75,15 @@ OTHER = Ring(("x",)).sym("x")
     (lambda: Ring(("a", "a")), ValueError, "duplicate symbols"),
     (lambda: A.as_fraction(), ValueError, "not a rational constant"),
     (lambda: A + OTHER, ValueError, "scalars from different rings"),
+    (lambda: A * OTHER, ValueError, "scalars from different rings"),
     (lambda: RING.coerce(OTHER), ValueError, "scalars from different rings"),
     (lambda: A / 0, ZeroDivisionError, "division of scalar by zero"),
     (lambda: A ** -1, ValueError, "negative powers unsupported"),
     (lambda: falling(A, -1), ValueError, "needs j >= 0"),
     (lambda: rising(A, -1), ValueError, "needs j >= 0"),
     (lambda: binom(A, -1), ValueError, "needs j >= 0"),
-), ids=("duplicate-symbols", "non-constant-fraction", "two-rings", "coerce-two-rings",
+), ids=("duplicate-symbols", "non-constant-fraction", "two-rings", "two-rings-mul",
+        "coerce-two-rings",
         "divide-by-zero", "negative-power", "falling-negative-j", "rising-negative-j",
         "binom-negative-j"))
 def test_invalid_scalar_input_raises(build, error, message):

@@ -15,6 +15,10 @@ from winfty.suites import (_SUITES, SUITE_NAMES, SuiteOptions,
                            UnknownSuiteError, run_suite)
 
 
+def test_the_zero_module_vector_reads_0():
+    assert suites._vec_text({}) == "0"
+
+
 def test_unknown_suite_raises():
     with pytest.raises(UnknownSuiteError):
         run_suite("no-such-suite")

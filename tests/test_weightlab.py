@@ -12,7 +12,7 @@ from winfty.weightlab import (WEIGHTLAB_SYMBOLS, build_f_polynomials, build_p_se
                               coefficient_claims, consistency_polynomial,
                               p_series_report, verify_yk_relations,
                               virasoro_consistency)
-from winfty.intermediate import make_module, normalize_ddt_basis
+from winfty.intermediate import PQData, make_module, normalize_ddt_basis
 from winfty.scalars import Ring, Scalar
 from winfty.weyl import Weyl
 
@@ -126,6 +126,21 @@ def test_yk_relations_on_module_data():
             rep = verify_yk_relations(data)
             assert rep.passed, rep.residual
             assert rep.details["i_values"] == [1, 3, 5]
+
+
+_RING = Ring(("alpha",))
+_ALPHA = _RING.sym("alpha")
+
+
+@pytest.mark.parametrize("p1, p2, q, message", (
+    (_ALPHA, _RING.one, {1: _RING.one}, "rational P1/P2 constants"),
+    (_RING.one, _ALPHA, {1: _RING.one}, "rational P1/P2 constants"),
+    (_RING.one, _RING.one, {}, "missing Q_1 in module data"),
+    (_RING.one, _RING.one, {1: _ALPHA}, "Q_1 is not rational"),
+), ids=("formal-p1", "formal-p2", "missing-q", "formal-q"))
+def test_yk_relations_refuse_data_they_cannot_instantiate(p1, p2, q, message):
+    with pytest.raises(ValueError, match=message):
+        verify_yk_relations(PQData("A", {}, q, p1, p2))
 
 
 @pytest.mark.parametrize("kind", ("A", "B"))
