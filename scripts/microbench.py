@@ -7,7 +7,9 @@ Usage:
 Scalars: ``+``, ``*``, ``**``, ``exact_div``, ``substitute`` and ``shift`` on
 fixed polynomials in two rings, the six-symbol weightlab ring (P-series
 entries) and the one-symbol ring of a formal alpha.  The layers above them:
-the Weyl ``mul`` and ``bracket`` for n = 1 and n = 2, ``cocycle`` in the hat
+the Weyl ``mul`` and ``bracket`` for n = 1 and n = 2 (and ``bracket-block``,
+a 3-term by 9-term bracket with one grade per factor, the shape of the outer
+brackets of a Jacobi check on homogeneous elements), ``cocycle`` in the hat
 algebra, the module ``act`` with formal alpha on a rank-2 lattice, one
 ``GeneratedSubalgebra`` box and the ``membership`` of every t^k D^m in it,
 ``format_element`` and ``parse_element`` of a 40-term element, and the
@@ -84,14 +86,30 @@ def element(weyl, size, seed, coeff=None):
     return WeylElement(weyl, element_terms(weyl, size, seed, coeff))
 
 
+def block_element(weyl, size, seed):
+    """A fixed element of ``size`` terms t^g D^mu on one grade g, from lattice
+    coordinates in [-3, 3], with distinct mu != 0 (each mu_i at most 9 / n)
+    and rational coefficients."""
+    rng = random.Random(seed)
+    g = weyl.lattice.ambient(tuple(rng.randint(-3, 3) for _ in range(weyl.n)))
+    terms = {}
+    while len(terms) < size:
+        mu = tuple(rng.randint(0, 9 // weyl.n) for _ in range(weyl.n))
+        if any(mu):
+            terms[(g, mu)] = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
+    return WeylElement(weyl, terms)
+
+
 def layer_cases():
     """[(layer label, operation, zero-argument callable)] above the scalars."""
     out = []
     for n in (1, 2):
         w = Weyl(n, subalgebra="full")
         x, y = element(w, 6, "x"), element(w, 6, "y")
+        bx, by = block_element(w, 3, "bx"), block_element(w, 9, "by")
         out += [(f"weyl-n{n}", "mul", lambda x=x, y=y: mul(x, y)),
-                (f"weyl-n{n}", "bracket", lambda x=x, y=y: bracket(x, y))]
+                (f"weyl-n{n}", "bracket", lambda x=x, y=y: bracket(x, y)),
+                (f"weyl-n{n}", "bracket-block", lambda x=bx, y=by: bracket(x, y))]
     hat = Weyl(1, subalgebra="hat")
     u, v = element(hat, 8, "u"), element(hat, 8, "v")
     ring = Ring(("a1", "a2"))

@@ -14,19 +14,28 @@ coordinates; the kernel builds that form, so integral keys hash as ints.
 
 Kernel: a product or bracket runs in integer arithmetic, as the Scalar
 kernel does (after Monagan & Pearce, "Sparse polynomial multiplication and
-division in Maple 14", 2009).  Each factor's coefficients are read from
-their stored integer numerators and denominators and put over one lcm d of
-those denominators, and each grade coordinate is cleared to an integer B_i
-over Q_i, the lcm of the i-th grade denominators of both factors.  With M_i
-the largest mu_i of either factor, lambda_i <= M_i, so b_i^lambda_i scaled
-by Q_i^M_i is the integer B_i^lambda_i Q_i^(M_i - lambda_i).  The kernel
-accumulates ints per output grade, mu and coefficient exponent, and builds
-each nonzero output coefficient over d_x d_y prod_i Q_i^M_i with one gcd;
-on integral grades Q_i = 1, that scale is 1 and the int grades are their
-own cleared form.  The lambda_i > 0 terms vanish when b_i = 0 and are
+division in Maple 14", 2009), one pair of grade blocks at a time.  Summed
+over the terms of one grade, (1.2) reads
+
+    t^a P(D) . t^b Q(D) = t^(a+b) P(D+b) Q(D),
+
+so the Taylor shift P(D+b) of the left factor's block at grade a depends on
+the right factor only through its grade b: it is formed once per pair of
+blocks and multiplied into every term of the right block.  Each factor's
+coefficients are read from their stored integer numerators and
+denominators and put over one lcm d of those denominators, and each grade
+coordinate is cleared to an integer B_i over Q_i, the lcm of the i-th grade
+denominators of both factors.  With M_i the largest mu_i of either factor,
+lambda_i <= M_i, so b_i^lambda_i scaled by Q_i^M_i is the integer
+B_i^lambda_i Q_i^(M_i - lambda_i), and the shift has integer coefficients.
+The kernel accumulates ints per output grade, mu and coefficient exponent,
+and builds each nonzero output coefficient over d_x d_y prod_i Q_i^M_i with
+one gcd; on integral grades Q_i = 1, that scale is 1 and the int grades are
+their own cleared form.  The lambda_i > 0 terms vanish when b_i = 0 and are
 never formed.  The Lie bracket is the commutator, accumulated directly: the
 lambda = 0 terms of xy and yx are equal (the coefficient ring is
-commutative), so they are skipped rather than built and cancelled.
+commutative), so they are left out of both shifts rather than built and
+cancelled.
 
 The falling basis is notation for elements of the same algebra, so every
 operation takes either basis.  Products, brackets and the cocycle read the
@@ -369,74 +378,83 @@ def _has_d(terms: Dict[TermKey, Scalar]) -> bool:
 # -- products and brackets -------------------------------------------------
 
 
-ClearedTerms = List[Tuple[Tuple[int, ...], Mu, List[Tuple[Key, int]]]]
+Block = List[Tuple[Mu, List[Tuple[Key, int]]]]
+Blocks = Dict[Tuple[int, ...], Block]
 
 
-def _cleared(x: WeylElement, grade_den: Sequence[int]) -> Tuple[int, ClearedTerms]:
+def _cleared(x: WeylElement, grade_den: Sequence[int]) -> Tuple[int, Blocks]:
     """x over one coefficient denominator d, the lcm of the coefficients'
-    stored denominators: per term the grade times ``grade_den`` and the
-    coefficient's numerators times d over its own denominator (integers)."""
+    stored denominators, as grade blocks: the terms grouped by their grade
+    times ``grade_den`` (integers), each term its mu and its coefficient's
+    numerators times d over its own denominator (integers)."""
     # a list, not a generator (see Scalar.__init__)
     d = math.lcm(*[s.den for s in x.terms.values()])
     integral = max(grade_den) == 1  # every grade is ints
-    out: ClearedTerms = []
+    blocks: Blocks = {}
     for (g, mu), s in x.terms.items():
         m = d // s.den
-        out.append((g if integral else
-                    tuple(gi.numerator * (q // gi.denominator) for gi, q in zip(g, grade_den)),
-                    mu, [(e, c * m) for e, c in s.nums.items()]))
-    return d, out
-
-
-def _lambda_rows(mu: Mu, nu: Mu, b: Sequence[int], q_powers):
-    """Per coordinate, the pairs (mu_i + nu_i - lambda_i, row entry) where the
-    entry is C(mu_i, lambda_i) B_i^lambda_i Q_i^(M_i - lambda_i), an integer:
-    b_i^lambda_i = B_i^lambda_i / Q_i^lambda_i scaled by Q_i^M_i.  The grade
-    b is cleared to B, and q_powers[i] lists Q_i^0, ..., Q_i^M_i.
-
-    Each row starts with lambda_i = 0; when B_i = 0 it holds only that entry,
-    since every lambda_i > 0 term vanishes.
-    """
-    rows = []
-    for m, n, bi, qp in zip(mu, nu, b, q_powers):
-        top = len(qp) - 1
-        row = [(m + n, qp[top])]
-        if bi:
-            power = 1
-            for li in range(1, m + 1):
-                power *= bi
-                row.append((m + n - li, math.comb(m, li) * power * qp[top - li]))
-        rows.append(row)
-    return rows
+        if not integral:
+            g = tuple(gi.numerator * (q // gi.denominator) for gi, q in zip(g, grade_den))
+        blocks.setdefault(g, []).append((mu, [(e, c * m) for e, c in s.nums.items()]))
+    return d, blocks
 
 
 RawTerms = Dict[Tuple[int, ...], Dict[Mu, Dict[Key, int]]]
 
 
-def _accumulate(acc: RawTerms, xs: ClearedTerms, ys: ClearedTerms, q_powers,
+def _shift(block: Block, b: Sequence[int], q_powers, sign: int,
+           skip_lambda0: bool) -> Dict[Tuple[Mu, Key], int]:
+    """sign * P(D + b) Q^M for the block P(D) = sum c_mu D^mu: the map from
+    (mu - lambda, ring monomial e) to the integer coefficient of
+    x^e D^(mu - lambda), summed over the block's terms.  Per coordinate the
+    entry of lambda_i is C(mu_i, lambda_i) B_i^lambda_i Q_i^(M_i - lambda_i),
+    an integer: b_i^lambda_i = B_i^lambda_i / Q_i^lambda_i scaled by
+    Q_i^M_i.  The grade b is cleared to B, and q_powers[i] lists Q_i^0, ...,
+    Q_i^M_i.  A coordinate with B_i = 0 has only its lambda_i = 0 entry.
+
+    With ``skip_lambda0`` the lambda = 0 terms are left out.
+    """
+    out: Dict[Tuple[Mu, Key], int] = {}
+    for mu, cx in block:
+        combos = [((), sign)]
+        for m, bi, qp in zip(mu, b, q_powers):
+            top = len(qp) - 1
+            row = [(m, qp[top])]
+            if bi:
+                power = 1
+                for li in range(1, m + 1):
+                    power *= bi
+                    row.append((m - li, math.comb(m, li) * power * qp[top - li]))
+            combos = [(stem + (ei,), f * fi) for stem, f in combos for ei, fi in row]
+        if skip_lambda0:
+            del combos[0]
+        for kappa, f in combos:
+            for e, c in cx:
+                key = (kappa, e)
+                out[key] = out.get(key, 0) + c * f
+    return out
+
+
+def _accumulate(acc: RawTerms, xs: Blocks, ys: Blocks, q_powers,
                 sign: int, skip_lambda0: bool):
     """Add sign * x*y, over the common denominator, into ``acc``: a map from
     cleared grade to mu to integer ring coefficients.
 
+    Per pair of grade blocks, t^a P(D) . t^b Q(D) = t^(a+b) P(D+b) Q(D): the
+    x-block at grade a is shifted by b once (``_shift``), and each term of
+    the y-block at b multiplies that shift, at exponent (mu - lambda) + nu.
     With ``skip_lambda0`` the lambda = 0 terms t^(a+b) D^(mu+nu) are left out.
     """
-    for a, mu, cx in xs:
-        for b, nu, cy in ys:
-            coeff: Dict[Key, int] = {}
-            for e1, c1 in cx:
-                for e2, c2 in cy:
-                    e = e1 + e2
-                    coeff[e] = coeff.get(e, 0) + c1 * c2
-            combos = [((), sign)]
-            for row in _lambda_rows(mu, nu, b, q_powers):
-                combos = [(stem + (ei,), f * fi) for stem, f in combos for ei, fi in row]
-            if skip_lambda0:
-                del combos[0]
+    for a, block in xs.items():
+        for b, ys_b in ys.items():
+            shifted = _shift(block, b, q_powers, sign, skip_lambda0)
             by_mu = acc.setdefault(tuple(map(_add, a, b)), {})
-            for exp, f in combos:
-                raw = by_mu.setdefault(exp, {})
-                for e, c in coeff.items():
-                    raw[e] = raw.get(e, 0) + c * f
+            for nu, cy in ys_b:
+                for (kappa, e1), c1 in shifted.items():
+                    raw = by_mu.setdefault(tuple(map(_add, kappa, nu)), {})
+                    for e2, c2 in cy:
+                        e = e1 + e2
+                        raw[e] = raw.get(e, 0) + c1 * c2
 
 
 def _element(weyl: Weyl, acc: RawTerms, grade_den: Sequence[int], d: int) -> WeylElement:

@@ -12,8 +12,9 @@ def test_microbench_times_every_case_once():
                          capture_output=True, text=True, check=True).stdout
     rows = [line.split() for line in out.splitlines()]
     ops = ["add", "mul", "pow", "exact_div", "substitute", "shift"]
-    layers = [("weyl-n1", "mul"), ("weyl-n1", "bracket"), ("weyl-n2", "mul"),
-              ("weyl-n2", "bracket"), ("hat", "cocycle"), ("module", "act"),
+    layers = [("weyl-n1", "mul"), ("weyl-n1", "bracket"), ("weyl-n1", "bracket-block"),
+              ("weyl-n2", "mul"), ("weyl-n2", "bracket"), ("weyl-n2", "bracket-block"),
+              ("hat", "cocycle"), ("module", "act"),
               ("closure", "box"), ("closure", "members"), ("text", "format"),
               ("text", "parse"), ("weyl-n2", "construct"), ("rank2", "construct")]
     assert [(ring, op) for ring, op, _us in rows] == [

@@ -19,6 +19,11 @@ The admission slice: a grade enters the algebra through Weyl.coords alone.
 A monomial exists exactly when Lattice.membership finds the grade, its key
 is the lattice's ambient form of those coordinates, and a non-member gets
 one message from the constructor, the parser and the module action.
+
+The kernel slice: on random homogeneous triples of several terms each (one
+grade block per element), the Jacobi identity holds in the hat algebra over
+Z, (1/2)Z and a formal coefficient ring, and so does the cocycle condition
+on the 2-cocycle psi.
 """
 
 import math
@@ -35,7 +40,8 @@ from winfty.parser import Session, as_element, parse_element
 from winfty.printer import format_element
 from winfty.scalars import Ring, Scalar
 from winfty.weightlab import WEIGHTLAB_SYMBOLS
-from winfty.weyl import Weyl, WeylElement, bracket, mul
+from winfty.weyl import (Weyl, WeylElement, bracket, mul, verify_cocycle_condition,
+                         verify_jacobi)
 
 RINGS = {"const": Ring(()), "ab": Ring(("a", "b")), "weightlab": Ring(WEIGHTLAB_SYMBOLS)}
 
@@ -311,3 +317,32 @@ def test_a_grade_is_admitted_through_membership_alone(name, data):
     with pytest.raises(ValueError, match=message):
         act(make_module("A", [Fraction(1, 2)] * n, weyl), twelfths.monomial(gamma, mu),
             (0,) * lat.rank)
+
+
+# -- the kernel on grade blocks ------------------------------------------------
+
+HATS = {"Z": Weyl(1, subalgebra="hat"),
+        "halfZ": Weyl(1, lattice=LATTICES["halfZ"], subalgebra="hat"),
+        "formal": Weyl(1, ring=RINGS["ab"], subalgebra="hat")}
+
+
+def homogeneous(weyl, coords, data):
+    """2 to 4 terms t^g D^mu on one grade, the lattice point ``coords``."""
+    coeffs = (polys(weyl.ring, max_terms=3).filter(lambda c: not c.is_zero())
+              if weyl.ring.nvars else NONZERO)
+    terms = data.draw(st.dictionaries(st.integers(1, 4), coeffs, min_size=2, max_size=4))
+    g = weyl.lattice.ambient((coords,))
+    return WeylElement(weyl, {(g, (m,)): c for m, c in terms.items()})
+
+
+@pytest.mark.parametrize("name", sorted(HATS))
+@settings(max_examples=6, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_jacobi_and_the_cocycle_condition_hold_on_grade_blocks(name, data):
+    weyl = HATS[name]
+    a, b = data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))
+    # grades summing to zero, where psi([x,y],z) can be nonzero, or any three
+    c = -(a + b) if data.draw(st.booleans()) else data.draw(st.integers(-3, 3))
+    x, y, z = (homogeneous(weyl, k, data) for k in (a, b, c))
+    assert verify_jacobi(x, y, z).passed
+    assert verify_cocycle_condition(x, y, z).passed

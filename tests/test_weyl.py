@@ -181,6 +181,32 @@ def test_kernel_mul_matches_operator_action(weyl):
                 x, operator_action(y, g))
 
 
+def rand_block_element(weyl, rng):
+    """3 to 9 distinct terms on 1 or 2 grades, so that the kernel's grade
+    blocks hold several terms each."""
+    grades = [weyl.lattice.ambient(tuple(0 if rng.random() < 0.3 else rng.randint(-4, 4)
+                                         for _ in range(weyl.lattice.rank)))
+              for _ in range(rng.randint(1, 2))]
+    size = rng.randint(3, 9)
+    terms = {}
+    while len(terms) < size:
+        mu = tuple(rng.randint(0, 8 // weyl.n) for _ in range(weyl.n))
+        terms[rng.choice(grades), mu] = rand_coeff(weyl.ring, rng)
+    return WeylElement(weyl, terms)
+
+
+@pytest.mark.parametrize("weyl", KERNEL_ALGEBRAS, ids=kernel_id)
+def test_kernel_on_shared_grades_matches_operator_action(weyl):
+    rng = random.Random(71 + weyl.n + weyl.ring.nvars)
+    for _ in range(12):
+        x, y = rand_block_element(weyl, rng), rand_block_element(weyl, rng)
+        xy = mul(x, y)
+        assert bracket(x, y) == xy - mul(y, x)
+        for _ in range(2):
+            g = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(weyl.n))
+            assert operator_action(xy, g) == act_on_combination(x, operator_action(y, g))
+
+
 # sha256 of the printed products and brackets below, recorded with the
 # Fraction-accumulating kernel that the integer kernel replaced.
 NON_INTEGRAL_DIGEST = "5b75cf1d0b3768e6b4e02ee7ce10bfae976f794e316ed3eebebad7e2672dbe1c"
