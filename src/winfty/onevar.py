@@ -46,8 +46,10 @@ def df_element(weyl: Weyl, degree: int, f: Coeffs) -> WeylElement:
 def df_bracket(weyl: Weyl, i: int, f: Coeffs, j: int, g: Coeffs) -> WeylElement:
     """[t^i D f(D), t^j D g(D)] in closed form (one bracket, no expansion):
 
-    t^(i+j) D ( (D+j) f(D+j) g(D) - (D+i) g(D+i) f(D) ).
+    t^(i+j) D ( (D+j) f(D+j) g(D) - (D+i) g(D+i) f(D) ),
+    i and j entering through Weyl.coords: a grade outside the lattice raises.
     """
+    (i,), (j,) = (weyl.lattice.ambient(weyl.coords((k,))) for k in (i, j))
     f, g = _d_poly(f), _d_poly(g)
     left = (_D + j) * f.shift("D", j) * g
     right = (_D + i) * g.shift("D", i) * f

@@ -163,7 +163,9 @@ class Weyl:
         return self.monomial((0,) * self.n, (0,) * self.n)
 
     def tD(self, gamma, i: int = 0) -> "WeylElement":
-        """t^gamma D_i."""
+        """t^gamma D_i, for 0 <= i < n."""
+        if not 0 <= i < self.n:
+            raise ValueError(f"D index {i} is outside 0..{self.n - 1}")
         mu = [0] * self.n
         mu[i] = 1
         return self.monomial(gamma, mu)
@@ -580,16 +582,12 @@ def act_on_combination(x: WeylElement, vec: Dict[Gamma, Scalar]) -> Dict[Gamma, 
 
 def degree_one_bracket(weyl: Weyl, beta, d: Sequence, gamma, d2: Sequence) -> WeylElement:
     """Closed form [t^beta d, t^gamma d'] = t^(beta+gamma)(<gamma,d>d' - <beta,d'>d),
-    the directions d, d' rational vectors."""
-    beta_g, gamma_g = _as_vector(beta), _as_vector(gamma)
-    d, d2 = _as_vector(d), _as_vector(d2)
-    if len(beta_g) != weyl.n or len(d) != weyl.n or len(d2) != weyl.n:
-        raise ValueError("dimension mismatch")
-    s = tuple(p + q for p, q in zip(beta_g, gamma_g))
-    c1 = inner(gamma_g, d)
-    c2 = inner(beta_g, d2)
+    the directions d, d' rational vectors.  beta and gamma enter through
+    Weyl.coords, so a grade outside the lattice raises ValueError."""
+    beta, gamma = (weyl.lattice.ambient(weyl.coords(g)) for g in (beta, gamma))
+    c1, c2 = inner(gamma, d), inner(beta, d2)
     combined = [c1 * b - c2 * a for a, b in zip(d, d2)]
-    return weyl.from_direction(s, combined)
+    return weyl.from_direction(tuple(map(_add, beta, gamma)), combined)
 
 
 # -- verifiers -------------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from winfty.lattice import Lattice
 from winfty.onevar import (ddt_power, df_bracket, df_element, t_ddt,
                            verify_named_identity)
 from winfty.weyl import Weyl, bracket, mul
@@ -37,6 +38,17 @@ def test_df_bracket_matches_generic():
         closed = df_bracket(W, i, f, j, g)
         generic = bracket(df_element(W, i, f), df_element(W, j, g))
         assert closed == generic
+
+
+def test_df_bracket_admits_grades_through_the_lattice():
+    even = Weyl(1, lattice=Lattice([(2,)]))
+    # df_bracket returned -t^(2)*D - t^(2)*D^2 for this bracket of two odd grades
+    with pytest.raises(ValueError, match=r"^grade \(1\) is not in the lattice$"):
+        df_bracket(even, 1, {0: 1}, 1, {1: 1})
+    with pytest.raises(ValueError, match=r"^grade \(1\) is not in the lattice$"):
+        df_element(even, 1, {0: 1})
+    assert df_bracket(even, 2, {0: 1}, 4, {1: 1}) == bracket(
+        df_element(even, 2, {0: 1}), df_element(even, 4, {1: 1}))
 
 
 @pytest.mark.parametrize("f", [[0.1], {2: "3"}])

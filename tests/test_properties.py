@@ -24,6 +24,14 @@ The kernel slice: on random homogeneous triples of several terms each (one
 grade block per element), the Jacobi identity holds in the hat algebra over
 Z, (1/2)Z and a formal coefficient ring, and so does the cocycle condition
 on the 2-cocycle psi.
+
+The cross-layer slice, over Z, (1/2)Z and a rank-2 lattice in Q^2, on
+elements in either basis: mul agrees with the operator action on a random
+t^g; every grade that mul, bracket and + put out lies in the lattice; the
+modules A_alpha and B_alpha with formal alpha satisfy the Lie-module axiom;
+and a sum of three is the same value however it is grouped, its basis
+following FORMAT.md's left-fold rule at each step (the basis itself may
+depend on the grouping).
 """
 
 import math
@@ -40,8 +48,8 @@ from winfty.parser import Session, as_element, parse_element
 from winfty.printer import format_element
 from winfty.scalars import Ring, Scalar
 from winfty.weightlab import WEIGHTLAB_SYMBOLS
-from winfty.weyl import (Weyl, WeylElement, bracket, mul, verify_cocycle_condition,
-                         verify_jacobi)
+from winfty.weyl import (Weyl, WeylElement, act_on_combination, bracket, mul,
+                         operator_action, verify_cocycle_condition, verify_jacobi)
 
 RINGS = {"const": Ring(()), "ab": Ring(("a", "b")), "weightlab": Ring(WEIGHTLAB_SYMBOLS)}
 
@@ -346,3 +354,96 @@ def test_jacobi_and_the_cocycle_condition_hold_on_grade_blocks(name, data):
     x, y, z = (homogeneous(weyl, k, data) for k in (a, b, c))
     assert verify_jacobi(x, y, z).passed
     assert verify_cocycle_condition(x, y, z).passed
+
+
+# -- across the layers ---------------------------------------------------------
+
+CROSS = {name: Weyl(LATTICES[name].dim, lattice=LATTICES[name])
+         for name in ("Z", "halfZ", "skew")}
+# the same lattices, W^(1) with a formal alpha for the modules
+MODULE_ALGEBRAS = {name: Weyl(w.n, ring=Ring(("alpha",) if w.n == 1 else ("a1", "a2")),
+                              lattice=w.lattice, subalgebra="w1")
+                   for name, w in CROSS.items()}
+
+
+def elements(weyl):
+    """Nonzero elements of up to three terms on lattice points, in either basis."""
+    return st.tuples(grade_terms(weyl), st.sampled_from(("power", "falling"))).map(
+        lambda drawn: WeylElement(weyl, drawn[0], basis=drawn[1]))
+
+
+def points(lattice):
+    return st.lists(st.integers(-3, 3), min_size=lattice.rank,
+                    max_size=lattice.rank).map(tuple)
+
+
+@pytest.mark.parametrize("name", sorted(CROSS))
+@NET
+@given(data=st.data())
+def test_mul_agrees_with_the_operator_action(name, data):
+    weyl = CROSS[name]
+    x, y = data.draw(elements(weyl)), data.draw(elements(weyl))
+    g = weyl.lattice.ambient(data.draw(points(weyl.lattice)))
+    assert operator_action(mul(x, y), g) == act_on_combination(x, operator_action(y, g))
+
+
+@pytest.mark.parametrize("name", sorted(CROSS))
+@NET
+@given(data=st.data())
+def test_every_output_grade_lies_in_the_lattice(name, data):
+    weyl = CROSS[name]
+    x, y = data.draw(elements(weyl)), data.draw(elements(weyl))
+    for z in (mul(x, y), bracket(x, y), x + y):
+        assert all(weyl.lattice.membership(g) is not None for g, _mu in z.terms), z
+
+
+@pytest.mark.parametrize("kind", ("A", "B"))
+@pytest.mark.parametrize("name", sorted(MODULE_ALGEBRAS))
+@NET
+@given(data=st.data())
+def test_the_lie_module_axiom_holds_with_formal_alpha(name, kind, data):
+    weyl = MODULE_ALGEBRAS[name]
+    m = make_module(kind, "formal", weyl)
+    x, y = data.draw(elements(weyl)), data.draw(elements(weyl))
+    v = data.draw(points(weyl.lattice))
+    xy, yx = act(m, x, act(m, y, v)), act(m, y, act(m, x, v))
+    zero = weyl.ring.zero
+    rhs = {k: xy.get(k, zero) - yx.get(k, zero) for k in xy.keys() | yx.keys()}
+    assert act(m, bracket(x, y), v) == {k: c for k, c in rhs.items() if c}
+
+
+def _sum_basis(partial, summand):
+    """FORMAT.md's basis of partial + summand."""
+    def has_d(z):
+        return any(any(mu) for _g, mu in z.terms)
+    if not has_d(partial):
+        return summand.basis
+    if partial.basis != summand.basis and has_d(summand):
+        return "power"
+    return partial.basis
+
+
+@pytest.mark.parametrize("name", sorted(CROSS))
+@NET
+@given(data=st.data())
+def test_a_sum_is_one_value_however_grouped(name, data):
+    weyl = CROSS[name]
+    a, b, c = (data.draw(elements(weyl)) for _ in range(3))
+    # or c cancels b, so that b + c has no D-terms
+    c = data.draw(st.sampled_from((c, -b.to_power(), -b.to_falling())))
+    ab, bc = a + b, b + c
+    left, right = ab + c, a + bc
+    assert left == right and hash(left) == hash(right)
+    for partial, summand, total in ((a, b, ab), (b, c, bc), (ab, c, left), (a, bc, right)):
+        assert total.basis == _sum_basis(partial, summand)
+
+
+def test_a_sums_basis_depends_on_its_grouping():
+    weyl = CROSS["Z"]
+    session = Session(weyl)
+    a, b, c = (as_element(parse_element(text, session), weyl)
+               for text in ("-t^(1)*[D]_1 - t^(1)*[D]_2", "-t^(1)*D", "t^(1)*[D]_1"))
+    left, right = (a + b) + c, a + (b + c)
+    assert left == right
+    assert (format_element(left), format_element(right)) == (
+        "-t^(1)*D^2", "-t^(1)*[D]_1 - t^(1)*[D]_2")

@@ -459,22 +459,35 @@ def test_w1_guard():
         w1.monomial((1,), (0,))
 
 
-@pytest.mark.parametrize("build,error", (
-    (lambda: mul(Weyl(1, subalgebra="hat").central(1), W.tD((1,))), SubalgebraError),
-    (lambda: Weyl(2, subalgebra="hat"), SubalgebraError),
-    (lambda: Weyl(1, subalgebra="x"), ValueError),
-    (lambda: Weyl(2, lattice=Lattice.standard(1)), ValueError),
-    (lambda: WeylElement(W, {}, basis="x"), ValueError),
-    (lambda: W.from_direction((1,), (1, 2)), ValueError),
+@pytest.mark.parametrize("build,error,message", (
+    (lambda: mul(Weyl(1, subalgebra="hat").central(1), W.tD((1,))), SubalgebraError, None),
+    (lambda: Weyl(2, subalgebra="hat"), SubalgebraError, None),
+    (lambda: Weyl(1, subalgebra="x"), ValueError, None),
+    (lambda: Weyl(2, lattice=Lattice.standard(1)), ValueError, None),
+    (lambda: WeylElement(W, {}, basis="x"), ValueError, None),
+    (lambda: W.from_direction((1,), (1, 2)), ValueError, None),
     (lambda: degree_one_bracket(W, (1,), (1, 2), (2,), (1,)),
-     ValueError),
-    (lambda: W.from_direction((1,), (0.5,)), TypeError),
-    (lambda: degree_one_bracket(W, (1,), (1,), (2,), (0.5,)), TypeError),
+     ValueError, None),
+    (lambda: W.from_direction((1,), (0.5,)), TypeError, None),
+    (lambda: degree_one_bracket(W, (1,), (1,), (2,), (0.5,)), TypeError, None),
+    # degree_one_bracket returned -D, a bracket of two grades outside Z
+    (lambda: degree_one_bracket(W, (Fraction(1, 2),), (1,), (Fraction(-1, 2),), (1,)),
+     ValueError, r"^grade \(1/2\) is not in the lattice$"),
+    (lambda: degree_one_bracket(W2, (1,), (1, 0), (0, 1), (0, 1)),
+     ValueError, r"^vector has dimension 1, lattice is in Q\^2$"),
+    (lambda: degree_one_bracket(W2, (1, 0), (1, 0), (0, 1), (1,)), ValueError, None),
+    # tD((1, 0), -1) built t[1,0]*D2, and tD((1, 0), 2) raised IndexError
+    (lambda: W2.tD((1, 0), -1), ValueError, r"^D index -1 is outside 0\.\.1$"),
+    (lambda: W2.tD((1, 0), 2), ValueError, r"^D index 2 is outside 0\.\.1$"),
+    (lambda: W.monomial((1,), (1, 2)), ValueError,
+     "^monomial exponents have wrong dimension$"),
 ), ids=("mul-central", "hat-n2", "unknown-subalgebra", "lattice-dimension",
         "unknown-basis", "direction-dimension", "degree-one-direction-dimension",
-        "float-direction", "degree-one-float-direction"))
-def test_invalid_algebra_use_raises(build, error):
-    with pytest.raises(error):
+        "float-direction", "degree-one-float-direction", "degree-one-grade-outside",
+        "degree-one-grade-dimension", "degree-one-second-direction-dimension",
+        "tD-negative-index", "tD-index-past-n", "mu-dimension"))
+def test_invalid_algebra_use_raises(build, error, message):
+    with pytest.raises(error, match=message):
         build()
 
 
