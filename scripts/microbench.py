@@ -12,7 +12,9 @@ a 3-term by 9-term bracket with one grade per factor, the shape of the outer
 brackets of a Jacobi check on homogeneous elements), ``cocycle`` in the hat
 algebra, the module ``act`` with formal alpha on a rank-2 lattice, one
 ``GeneratedSubalgebra`` box and the ``membership`` of every t^k D^m in it,
-``format_element`` and ``parse_element`` of a 40-term element, and the
+``format_element`` and ``parse_element`` of a 40-term element, the
+``parse_element`` of a 40-term n = 2 element whose coefficients are
+polynomials in alpha and beta (``parse-param``), and the
 ``WeylElement`` constructor on 40 terms over Z^2 and over the rank-2
 lattice, where every grade is admitted through the lattice.  Each
 case runs in batches sized to take at least 20 ms; a repeat is one batch,
@@ -124,6 +126,13 @@ def layer_cases():
     big_terms, skew_terms = element_terms(w, 40, "text"), element_terms(rank2, 40, "text")
     big = WeylElement(w, big_terms)
     text, session = format_element(big), Session(w)
+    pring = Ring(("alpha", "beta"))
+    a, b = pring.sym("alpha"), pring.sym("beta")
+    shapes = (a + Fraction(1, 2), a * b - 3 * b ** 2, (a - 2) ** 2 + b)
+    wp = Weyl(2, ring=pring, subalgebra="full")
+    param = WeylElement(wp, {key: shapes[i % 3] * c for i, (key, c)
+                             in enumerate(element_terms(wp, 40, "param").items())})
+    ptext, psession = format_element(param), Session(wp)
     return out + [
         ("hat", "cocycle", lambda: cocycle(u, v)),
         ("module", "act", lambda: act(module, z, (1, -1))),
@@ -132,6 +141,7 @@ def layer_cases():
         ("closure", "members", lambda: [box.membership(t) for t in targets]),
         ("text", "format", lambda: format_element(big)),
         ("text", "parse", lambda: parse_element(text, session)),
+        ("text", "parse-param", lambda: parse_element(ptext, psession)),
         ("weyl-n2", "construct", lambda: WeylElement(w, big_terms)),
         ("rank2", "construct", lambda: WeylElement(rank2, skew_terms)),
     ]

@@ -5,13 +5,17 @@ Session (dimension, coefficient ring, subalgebra flavor) and yields a
 WeylElement or a Scalar.  The grammar round-trips with the printer:
 parse(format_element(x)) evaluates back to x for every canonical element.
 
+A token is a pair (text, position in the input), cut by one findall pass of
+one regular expression; whitespace is dropped, and the parser tells tokens
+apart by their text alone.
+
 Sums and products are n-ary nodes.  A sum is folded left to right by
 weyl._Sum, the fold behind WeylElement.__add__, so its value, its basis (the
 rule in FORMAT.md, "Semantics") and its first error are those of
-((a + b) + c) + ...  The factors of a written monomial merge into one _Mono
-without going through the associative product, and _Mono.finalize is the one
-way a monomial becomes an element, for sums, products, brackets, powers and
-evaluate alike.
+((a + b) + c) + ...  The factors of a written monomial merge in place into
+one _Mono without going through the associative product, and _Mono.finalize
+is the one way a monomial becomes an element, for sums, products, brackets,
+powers and evaluate alike.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from itertools import accumulate
 from typing import List, Optional, Tuple, Union
 
 from .scalars import Rat, Scalar
@@ -50,41 +55,28 @@ class Session:
 
 _FRAC = r"-?\d+(?:/\d+)?"
 
-# BAD catches any character no other token starts with, so one finditer
-# pass covers the whole text.
+# One findall pass: whitespace, d/dt, t^(q), t[q,...], [Dk]_j, number, Dk,
+# name, operator, and "." for a character that starts no token, in that
+# order of precedence.
 _TOKEN_RE = re.compile(
-    r"""
-      (?P<WS>\s+)
-    | (?P<DDT>d/dt)
-    | (?P<TPOW>t\^\(FRAC\))
-    | (?P<TVEC>t\[FRAC(?:,FRAC)*\])
-    | (?P<FALL>\[D\d*\]_\d+)
-    | (?P<NUM>\d+(?:/\d+)?)
-    | (?P<DNAME>D\d*)
-    | (?P<NAME>[A-Za-z_][A-Za-z_0-9]*)
-    | (?P<OP>[-+*^()\[\],])
-    | (?P<BAD>.)
-    """.replace("FRAC", _FRAC),
-    re.VERBOSE | re.DOTALL,
+    r"\s+|d/dt|t\^\(FRAC\)|t\[FRAC(?:,FRAC)*\]|\[D\d*\]_\d+|\d+(?:/\d+)?|D\d*"
+    r"|[A-Za-z_][A-Za-z_0-9]*|[-+*^()\[\],]|.".replace("FRAC", _FRAC),
+    re.DOTALL,
 )
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 _FALL_RE = re.compile(r"\[D(\d*)\]_(\d+)")
 
-# (kind, text, position); an operator's kind is its own text.
-_Token = Tuple[str, str, int]
+# (text, position); the end of the input is ("", len(text)), twice, so that
+# an atom or an exponent can be read past it before the error is raised.
+_Token = Tuple[str, int]
 
 
 def _tokenize(text: str) -> List[_Token]:
-    out = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "WS":
-            continue
-        tok = m.group()
-        if kind == "BAD":
-            raise ParseError(f"unexpected character {tok!r}", m.start())
-        out.append((tok if kind == "OP" else kind, tok, m.start()))
-    out.append(("EOF", "", len(text)))
+    toks = _TOKEN_RE.findall(text)
+    out = [(tok, pos) for tok, pos in zip(toks, accumulate(map(len, toks), initial=0))
+           if not tok.isspace()]
+    out += [("", len(text))] * 2
     return out
 
 
@@ -118,25 +110,35 @@ AST = tuple
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
-        self.i = 0
-        self.cur = self.tokens[0]
+        self._next = iter(self.tokens).__next__
+        self.cur = self._next()
 
     def _advance(self) -> _Token:
         tok = self.cur
-        self.i += 1
-        self.cur = self.tokens[self.i]
+        self.cur = self._next()
         return tok
 
-    def _expect(self, kind: str) -> _Token:
-        if self.cur[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {self.cur[1]!r}", self.cur[2])
+    def _expect(self, text: str) -> _Token:
+        if self.cur[0] != text:
+            raise ParseError(f"expected {text!r}, found {self.cur[0]!r}", self.cur[1])
         return self._advance()
 
     def parse(self) -> AST:
-        node = self.expr()
-        if self.cur[0] != "EOF":
-            raise ParseError(f"trailing input {self.cur[1]!r}", self.cur[2])
-        return node
+        try:
+            node = self.expr()
+            if self.cur[0]:
+                raise ParseError(f"trailing input {self.cur[0]!r}", self.cur[1])
+            return node
+        except (ValueError, RecursionError):  # a ParseError, int()'s digit limit, deep nesting
+            # A character that starts no token (every token starts with a name
+            # character, a decimal digit or an operator) is reported ahead of
+            # whatever error the parse met.  No rule accepts one, so a parse
+            # that succeeds holds none, and only a failed parse looks.
+            for tok, pos in self.tokens:
+                if len(tok) == 1 and not (tok in _NAME_START or tok in "-+*^()[],"
+                                          or tok.isdecimal()):
+                    raise ParseError(f"unexpected character {tok!r}", pos) from None
+            raise
 
     def expr(self) -> AST:
         node = self.term()
@@ -149,13 +151,13 @@ class _Parser:
         return ("sum", tuple(summands))
 
     def term(self) -> AST:
-        start = self.cur[2]
+        start = self.cur[1]
         node = self.unary()
         if self.cur[0] != "*":
             return node
         factors = [(start, node)]
         while self.cur[0] == "*":
-            pos = self._advance()[2]
+            pos = self._advance()[1]
             factors.append((pos, self.unary()))
         return ("prod", tuple(factors))
 
@@ -163,57 +165,46 @@ class _Parser:
         if self.cur[0] == "-":
             self._advance()
             return ("neg", self.unary())
-        return self.power()
-
-    def power(self) -> AST:
         node = self.atom()
         if self.cur[0] == "^":
-            tok = self._advance()
-            e = self.cur
-            if e[0] != "NUM" or "/" in e[1]:
-                raise ParseError("exponent must be a nonnegative integer", tok[2] + 1)
-            self._advance()
-            node = ("pow", node, int(e[1]), tok[2])
+            pos = self._advance()[1]
+            e = self._advance()[0]
+            if not e.isdecimal():  # a number with no "/"
+                raise ParseError("exponent must be a nonnegative integer", pos + 1)
+            node = ("pow", node, int(e), pos)
         return node
 
     def atom(self) -> AST:
-        kind, text, pos = self.cur
-        if kind == "NUM":
-            self._advance()
+        # the atoms told apart by their text, numbers (the commonest) first
+        text, pos = self._advance()
+        c = text[0] if text else ""
+        if c.isdecimal():
             return ("num", _rational(text, pos))
-        if kind == "TPOW":
-            self._advance()
-            return ("t", (_rational(text[3:-1], pos + 3),), pos)
-        if kind == "TVEC":
-            self._advance()
+        if c == "t" and text[1:2] in ("^", "["):
+            if text[1] == "^":
+                return ("t", (_rational(text[3:-1], pos + 3),), pos)
             comps = []
             at = pos + 2
             for part in text[2:-1].split(","):
                 comps.append(_rational(part, at))
                 at += len(part) + 1
             return ("t", tuple(comps), pos)
-        if kind == "FALL":
-            self._advance()
+        if c == "D":
+            idx = int(text[1:]) - 1 if len(text) > 1 else 0
+            return ("d", idx, len(text) > 1, pos)
+        if c == "[" and text != "[":
             m = _FALL_RE.fullmatch(text)
             idx = int(m.group(1)) - 1 if m.group(1) else 0
             return ("fall", idx, int(m.group(2)), pos)
-        if kind == "DDT":
-            self._advance()
+        if text == "d/dt":
             return ("ddt", pos)
-        if kind == "DNAME":
-            self._advance()
-            idx = int(text[1:]) - 1 if len(text) > 1 else 0
-            return ("d", idx, len(text) > 1, pos)
-        if kind == "NAME":
-            self._advance()
+        if c in _NAME_START:
             return ("name", text, pos)
-        if kind == "(":
-            self._advance()
+        if text == "(":
             node = self.expr()
             self._expect(")")
             return node
-        if kind == "[":
-            self._advance()
+        if text == "[":
             lhs = self.expr()
             self._expect(",")
             rhs = self.expr()
@@ -240,6 +231,11 @@ class _Mono:
     the printer emits monomials.  Deferring the build also lets t-only
     prefixes appear inside W^(1)-mode expressions like "t^(1)*D" without
     tripping the subalgebra guard early.
+
+    A _Mono belongs to the product that is building it: each leaf and power
+    makes its own, nothing else holds it, and the AST's tuples are only read.
+    So a product merges its next factor into it in place, and a negation
+    negates its coefficient in place.
     """
 
     __slots__ = ("coeff", "gamma", "mu", "basis")
@@ -290,24 +286,35 @@ def _plus(x: Optional[tuple], y: Optional[tuple]) -> Optional[tuple]:
 
 
 def _mul_values(a: Value, b: Value, weyl: Weyl, pos: int) -> Value:
-    if isinstance(a, Scalar) or isinstance(b, Scalar):
-        if isinstance(a, Scalar) and isinstance(b, Scalar):
+    # the next factor merges into a running _Mono in place (see _Mono)
+    ta, tb = type(a), type(b)
+    if ta is _Mono:
+        if tb is Scalar:
+            a.coeff = _times(a.coeff, b)
+            return a
+        if tb is _Mono:
+            # Merge when the written order is already normal (t's left of D's
+            # factor-wise) and the D-parts add: one basis, and falling factors
+            # on distinct coordinates.  Otherwise fall back to the associative
+            # product.
+            a_d = a.has_d
+            if not a_d or b.gamma is None or not any(b.gamma):
+                clash = a_d and b.has_d and (a.basis != b.basis or a.basis == FALLING and any(
+                    x and y for x, y in zip(a.mu, b.mu)))
+                if not clash:
+                    a.coeff = _times(a.coeff, b.coeff)
+                    a.gamma, a.mu = _plus(a.gamma, b.gamma), _plus(a.mu, b.mu)
+                    a.basis = a.basis if a_d else b.basis
+                    return a
+    elif ta is Scalar:
+        if tb is Scalar:
             return a * b
-        s, other = (a, b) if isinstance(a, Scalar) else (b, a)
-        if isinstance(other, _Mono):
-            return _Mono(_times(other.coeff, s), other.gamma, other.mu, other.basis)
-        return other.scale(s)
-    if isinstance(a, _Mono) and isinstance(b, _Mono):
-        # Merge when the written order is already normal (t's left of D's
-        # factor-wise) and the D-parts add: one basis, and falling factors on
-        # distinct coordinates.  Otherwise fall back to the associative product.
-        a_d = a.has_d
-        if not a_d or b.gamma is None or not any(b.gamma):
-            clash = a_d and b.has_d and (a.basis != b.basis or a.basis == FALLING and any(
-                x and y for x, y in zip(a.mu, b.mu)))
-            if not clash:
-                return _Mono(_times(a.coeff, b.coeff), _plus(a.gamma, b.gamma),
-                             _plus(a.mu, b.mu), a.basis if a_d else b.basis)
+        if tb is _Mono:
+            b.coeff = _times(b.coeff, a)
+            return b
+        return b.scale(a)
+    elif tb is Scalar:
+        return a.scale(b)
     return mul(_finalize(a, weyl, pos), _finalize(b, weyl, pos))
 
 
@@ -331,9 +338,9 @@ def _pow_value(a: Value, e: int, weyl: Weyl, pos: int) -> Value:
 
 
 def _neg_value(a: Value, weyl: Weyl) -> Value:
-    if isinstance(a, _Mono):
-        coeff = weyl.ring.const(-1) if a.coeff is None else -a.coeff
-        return _Mono(coeff, a.gamma, a.mu, a.basis)
+    if type(a) is _Mono:
+        a.coeff = weyl.ring.const(-1) if a.coeff is None else -a.coeff
+        return a
     return -a
 
 
@@ -361,10 +368,9 @@ def evaluate(node: AST, session: Session) -> Union[Scalar, WeylElement]:
 
 
 def _eval(node: AST, session: Session) -> Value:
+    # node kinds in the order a printed element uses them most
     weyl = session.weyl
     kind = node[0]
-    if kind == "sum":
-        return _eval_sum(node[1], session)
     if kind == "prod":
         it = iter(node[1])
         value = _eval(next(it)[1], session)
@@ -377,6 +383,10 @@ def _eval(node: AST, session: Session) -> Value:
             raise ParseError(f"t-monomial has {len(gamma)} coordinates, "
                              f"session has n = {weyl.n}", pos)
         return _Mono(gamma=gamma)
+    if kind == "num":
+        # the parser's own int or Fraction, in lowest terms; a zero is the empty map
+        q, ring = node[1], weyl.ring
+        return Scalar._trusted(ring, q.denominator, {0: q.numerator} if q else {})
     if kind == "d":
         idx, explicit, pos = node[1], node[2], node[3]
         if not explicit and weyl.n != 1:
@@ -386,10 +396,6 @@ def _eval(node: AST, session: Session) -> Value:
         mu = [0] * weyl.n
         mu[idx] = 1
         return _Mono(mu=tuple(mu))
-    if kind == "num":
-        # the parser's own int or Fraction, in lowest terms; a zero is the empty map
-        q, ring = node[1], weyl.ring
-        return Scalar._trusted(ring, q.denominator, {0: q.numerator} if q else {})
     if kind == "pow":
         return _pow_value(_eval(node[1], session), node[2], weyl, node[3])
     if kind == "fall":
@@ -410,6 +416,8 @@ def _eval(node: AST, session: Session) -> Value:
         if name in ring.symbols:
             return ring.sym(name)
         raise UnknownSymbolError(f"unknown symbol {name!r}", pos)
+    if kind == "sum":
+        return _eval_sum(node[1], session)
     if kind == "ddt":
         if weyl.n != 1:
             raise ParseError("d/dt requires n = 1", node[1])

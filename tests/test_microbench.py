@@ -16,7 +16,8 @@ def test_microbench_times_every_case_once():
               ("weyl-n2", "mul"), ("weyl-n2", "bracket"), ("weyl-n2", "bracket-block"),
               ("hat", "cocycle"), ("module", "act"),
               ("closure", "box"), ("closure", "members"), ("text", "format"),
-              ("text", "parse"), ("weyl-n2", "construct"), ("rank2", "construct")]
+              ("text", "parse"), ("text", "parse-param"), ("weyl-n2", "construct"),
+              ("rank2", "construct")]
     assert [(ring, op) for ring, op, _us in rows] == [
         (ring, op) for ring in ("weightlab", "alpha") for op in ops] + layers
     assert all(float(us) > 0 for _ring, _op, us in rows)

@@ -1,5 +1,6 @@
 """Grammar round-trip and error reporting for the expression parser."""
 
+import copy
 import hashlib
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from winfty.cli import main
 from winfty.lattice import Lattice
 from winfty.parser import (ParseError, Session, UnknownSymbolError, as_element,
-                           parse, parse_element)
+                           evaluate, parse, parse_element)
 from winfty.printer import format_element
 from winfty.scalars import Ring, Scalar
 from winfty.weyl import SubalgebraError, Weyl, WeylElement
@@ -74,6 +75,49 @@ def test_scalar_expressions():
     assert isinstance(got, Scalar)
     a = ring.sym("alpha")
     assert got == a * a + 2 * a + 1
+
+
+@pytest.mark.parametrize("text,expected", (
+    ("theta", ("name", "theta", 0)),  # a name, not a t-monomial
+    ("tx", ("name", "tx", 0)),
+    ("d", ("name", "d", 0)),  # a name, not d/dt
+    ("\u0663", ("num", 3)),  # ARABIC-INDIC DIGIT THREE is a decimal digit
+    ("t^(1)*\tD", ("prod", ((0, ("t", (1,), 0)), (5, ("d", 0, False, 7))))),
+))
+def test_tokens_read_as_the_grammar_says(text, expected):
+    assert parse(text) == expected
+
+
+@pytest.mark.parametrize("text,message,position", (
+    ("Dx", "trailing input 'x'", 1),  # D, then the name x
+    # a character that starts no token is reported before an earlier syntax error
+    ("t^(1)* + D $", "unexpected character '$'", 11),
+    ("1 / 2", "unexpected character '/'", 2),
+    ("D^1/2", "exponent must be a nonnegative integer", 2),
+    ("t^(1)^x", "exponent must be a nonnegative integer", 6),
+))
+def test_token_errors_carry_their_position(text, message, position):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
+@pytest.mark.parametrize("n,params,text", (
+    (1, False, "3/2*t^(2)*D^2"),
+    (2, True, "alpha*t[1,0]*D1*D2"),
+    (2, False, "[D1]_1*[D2]_2"),
+    (2, False, "t[1,0]*t[0,1]*D2"),
+))
+def test_evaluating_an_ast_twice_leaves_it_unchanged(n, params, text):
+    # a written monomial's factors merge in place into one _Mono, which must
+    # share nothing with the AST or with another evaluation
+    session = Session(Weyl(n, ring=Ring(("alpha",)) if params else None))
+    ast = parse(text)
+    before = copy.deepcopy(ast)
+    first = evaluate(ast, session)
+    assert evaluate(ast, session) == first
+    assert ast == before
 
 
 def test_syntax_error_carries_position():
