@@ -7,8 +7,8 @@ All arithmetic is exact (rationals and sparse multivariate polynomials).
 """
 
 from .lattice import Lattice, inner
-from .onevar import (GeneratedSubalgebra, ddt_power, df_bracket, df_element,
-                     standard_generators, t_ddt, verify_named_identity)
+from .onevar import (GeneratedSubalgebra, df_bracket, df_element, standard_generators,
+                     verify_named_identity)
 from .intermediate import (IntermediateModule, PQData, act, highest_weight_scan,
                            make_module, normalize_ddt_basis, submodule_scan)
 from .parser import ParseError, Session, UnknownSymbolError, as_element, parse, \

@@ -104,6 +104,8 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
     ring = Ring(("alpha",)) if args.alpha else Ring()
     lattice = Lattice(_parse_gamma(args.gamma)) if args.gamma else None
     weyl = Weyl(args.n, ring=ring, lattice=lattice, subalgebra=args.subalgebra)

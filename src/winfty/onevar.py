@@ -1,10 +1,11 @@
 """The one-variable specialization: t^i D f(D) normal form and its checks.
 
-Covers the closed-form bracket on elements t^i D f(D), the d/dt calculus
-(d/dt = t^(-1) D, so t^(i+j)(d/dt)^j = t^i [D]_j), the named operator
-identities used to control the matrices Q_i, and desk-scale certification of
-the generation claim: brackets of t^(i0)D, t^(i0+1)D, t^(i0)D^2 and a tail
-of one-variable polynomials reach every t^k D^m in a truncation window.
+Covers the closed-form bracket on elements t^i D f(D), the named operator
+identities used to control the matrices Q_i (each a line of the element
+grammar, whose d/dt the parser reads as t^(-1) D), and desk-scale
+certification of the generation claim: brackets of t^(i0)D, t^(i0+1)D,
+t^(i0)D^2 and a tail of one-variable polynomials reach every t^k D^m in a
+truncation window.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .echelon import Echelon, integral
 from .lattice import _canonical
+from .parser import Session, parse_element
 from .printer import format_element
 from .report import VerificationReport
 from .scalars import Rat, Ring, Scalar, falling
@@ -56,24 +58,12 @@ def df_bracket(weyl: Weyl, i: int, f: Coeffs, j: int, g: Coeffs) -> WeylElement:
     return _times_td(weyl, i + j, left - right)
 
 
-def ddt_power(weyl: Weyl, j: int) -> WeylElement:
-    """(d/dt)^j = t^(-j) [D]_j, returned in the power basis; j >= 1."""
-    if j < 1:
-        raise ValueError("ddt_power needs j >= 1")
-    return weyl.monomial((-j,), (j,), basis="falling").to_power()
-
-
-def t_ddt(weyl: Weyl, k: int) -> WeylElement:
-    """t^k d/dt = t^(k-1) D."""
-    return weyl.tD((k - 1,))
-
-
-def _ddt_or_zero(weyl: Weyl, j: int) -> WeylElement:
-    # the "treat undefined notions as zero" convention for (d/dt)^j, j <= 0
-    return ddt_power(weyl, j) if j >= 1 else weyl.zero()
-
-
 NAMED_IDENTITIES = ("L23-1", "L23-2", "L23-3", "CUBE")
+
+
+def _moved(c: Rat, j: int) -> str:
+    # the left side c (d/dt)^j moved over; none for c = 0 (then j <= 0)
+    return f" - ({c})*(d/dt)^{j}" if c else ""
 
 
 def verify_named_identity(weyl: Weyl, name: str, i: int = 1) -> VerificationReport:
@@ -84,53 +74,44 @@ def verify_named_identity(weyl: Weyl, name: str, i: int = 1) -> VerificationRepo
     L23-3 : [i+1]_6 (d/dt)^(i-4) = 10[T3,[T3,X] ... (every reading evaluated)
     CUBE  : [(d/dt)^2, [(d/dt)^2, t^2 d/dt]] = 8 (d/dt)^3
 
-    where Tk = t^k d/dt and X = (d/dt)^i; undefined powers are zero.
+    where Tk = t^k d/dt and X = (d/dt)^i.  Each is evaluated as its display
+    in the element grammar with the left side moved over, a line that
+    ``winfty eval`` also reads; a left side with coefficient zero, whose
+    power of d/dt is undefined, is left out.
     """
     if name not in NAMED_IDENTITIES:
         raise ValueError(f"unknown identity {name!r}; choose from {NAMED_IDENTITIES}")
-    T = {k: t_ddt(weyl, k) for k in range(2, 6)}
+    session = Session(weyl)
+
+    def residual(text: str) -> Optional[str]:
+        res = parse_element(text, session)
+        return None if res.is_zero() else format_element(res)
+
+    T2, T3, T4, T5 = (f"t^({k})*d/dt" for k in range(2, 6))
     if name == "CUBE":
-        d2 = ddt_power(weyl, 2)
-        lhs = bracket(d2, bracket(d2, T[2]))
-        rhs = ddt_power(weyl, 3).scale(8)
-        res = lhs - rhs
-        return VerificationReport("CUBE", None if res.is_zero() else format_element(res))
+        return VerificationReport("CUBE", residual(f"[(d/dt)^2,[(d/dt)^2,{T2}]] - 8*(d/dt)^3"))
     if i < 1:
         raise ValueError("identity index i must be >= 1")
-    X = ddt_power(weyl, i)
+    X = f"(d/dt)^{i}"
     if name == "L23-1":
-        lhs = _ddt_or_zero(weyl, i - 2).scale(-falling(i + 1, 4))
-        rhs = (bracket(T[2], bracket(T[2], X)).scale(3)
-               + bracket(T[3], X).scale(2 * (2 * i - 1)))
-        res = rhs - lhs
-        return VerificationReport(f"L23-1[i={i}]",
-                                  None if res.is_zero() else format_element(res))
+        return VerificationReport(f"L23-1[i={i}]", residual(
+            f"3*[{T2},[{T2},{X}]] + ({2 * (2 * i - 1)})*[{T3},{X}]"
+            + _moved(-falling(i + 1, 4), i - 2)))
     if name == "L23-2":
-        res = (bracket(T[2], bracket(T[2], bracket(T[2], X)))
-               + bracket(T[4], X).scale((i - 1) * (i - 2))
-               + bracket(T[2], bracket(T[3], X)).scale(2 * (i - 1)))
-        return VerificationReport(f"L23-2[i={i}]",
-                                  None if res.is_zero() else format_element(res))
-    # L23-3: evaluate every syntactically plausible nesting and record which
-    # of them balances; the display in the source is ambiguous.
-    lhs = _ddt_or_zero(weyl, i - 4).scale(falling(i + 1, 6))
-    t5_term = bracket(T[5], X).scale(6 * (i - 4))
-    t2_term = bracket(T[2], bracket(T[4], X)).scale(15)
+        return VerificationReport(f"L23-2[i={i}]", residual(
+            f"[{T2},[{T2},[{T2},{X}]]] + ({(i - 1) * (i - 2)})*[{T4},{X}]"
+            f" + ({2 * (i - 1)})*[{T2},[{T3},{X}]]"))
+    # L23-3: evaluate every placement of the display's ambiguous closing
+    # bracket and record which of them balances.
+    inner, t5_term = f"[{T3},{X}]", f"({6 * (i - 4)})*[{T5},{X}]"
+    t2_term, lhs = f"15*[{T2},[{T4},{X}]]", _moved(falling(i + 1, 6), i - 4)
     readings = {
-        "close-inner":
-            bracket(T[3], bracket(T[3], X)).scale(10) - t5_term - t2_term,
-        "close-after-t5-term":
-            bracket(T[3], bracket(T[3], X) - t5_term).scale(10) - t2_term,
-        "close-at-end":
-            bracket(T[3], bracket(T[3], X) - t5_term - t2_term).scale(10),
+        "close-inner": f"10*[{T3},{inner}] - {t5_term} - {t2_term}",
+        "close-after-t5-term": f"10*[{T3},{inner} - {t5_term}] - {t2_term}",
+        "close-at-end": f"10*[{T3},{inner} - {t5_term} - {t2_term}]",
     }
-    outcomes = {}
-    residuals = {}
-    for label, rhs in readings.items():
-        res = rhs - lhs
-        outcomes[label] = res.is_zero()
-        if not res.is_zero():
-            residuals[label] = format_element(res)
+    residuals = {label: residual(text + lhs) for label, text in readings.items()}
+    outcomes = {label: res is None for label, res in residuals.items()}
     zero_readings = sorted(k for k, ok in outcomes.items() if ok)
     return VerificationReport(
         f"L23-3[i={i}]",

@@ -228,9 +228,10 @@ class _Mono:
     a factor that lacks them does no arithmetic.  Factors are merged without
     invoking the associative product as long as the written order matches
     the canonical normal form (all t's before all D's), which is exactly how
-    the printer emits monomials.  Deferring the build also lets t-only
-    prefixes appear inside W^(1)-mode expressions like "t^(1)*D" without
-    tripping the subalgebra guard early.
+    the printer emits monomials.  Deferring the build also lets a t-only
+    factor stand left of any element in W^(1) mode, as in "t^(1)*D" or
+    "t^(2)*d/dt", without tripping the subalgebra guard: it only shifts
+    grades.
 
     A _Mono belongs to the product that is building it: each leaf and power
     makes its own, nothing else holds it, and the AST's tuples are only read.
@@ -255,10 +256,15 @@ class _Mono:
         """The monomial as an element, after the constructor's checks that a
         written monomial can fail: the grade enters through Weyl.coords and
         takes the lattice's ambient form, and mu fits the flavor."""
+        x = self._element(weyl)
+        weyl.check_mu(self.mu or (0,) * weyl.n)
+        return x
+
+    def _element(self, weyl: Weyl) -> WeylElement:
+        # finalize without the flavor's check of mu
         gamma = (0,) * weyl.n if self.gamma is None else weyl.lattice.ambient(
             weyl.coords(self.gamma))
         mu = self.mu or (0,) * weyl.n
-        weyl.check_mu(mu)
         c = weyl.ring.one if self.coeff is None else self.coeff
         return WeylElement._trusted(weyl, {(gamma, mu): c} if c else {}, self.basis)
 
@@ -306,6 +312,8 @@ def _mul_values(a: Value, b: Value, weyl: Weyl, pos: int) -> Value:
                     a.gamma, a.mu = _plus(a.gamma, b.gamma), _plus(a.mu, b.mu)
                     a.basis = a.basis if a_d else b.basis
                     return a
+        elif not a.has_d:  # it only shifts grades, so the flavor need not admit it
+            return mul(a._element(weyl), b)
     elif ta is Scalar:
         if tb is Scalar:
             return a * b

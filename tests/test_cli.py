@@ -191,6 +191,13 @@ def test_out_of_range_numbers_exit_2_before_any_suite_runs(argv, monkeypatch, ca
     assert "must be at least" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_eval_n_below_1_names_the_flag(n, capsys):
+    # before, it exited 2 with "lattice needs at least one generator"
+    assert main(["eval", "D", "--n", n]) == 2
+    assert f"error: --n must be at least 1, got {n}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, message", (
     (["suite", "jacobi", "--n", "2", "--samples", "2"], "unrecognized arguments: --n 2"),
     (["suite", "all", "--n", "2", "--samples", "2", "--window", "2"],

@@ -1,5 +1,5 @@
 """One-variable normal form t^i D f(D): closed-form bracket, the d/dt
-calculus, and the named operator identities."""
+calculus as the grammar reads it, and the named operator identities."""
 
 import random
 from fractions import Fraction
@@ -7,9 +7,10 @@ from fractions import Fraction
 import pytest
 
 from winfty.lattice import Lattice
-from winfty.onevar import (ddt_power, df_bracket, df_element, t_ddt,
+from winfty.onevar import (NAMED_IDENTITIES, df_bracket, df_element,
                            verify_named_identity)
-from winfty.weyl import Weyl, bracket, mul
+from winfty.parser import Session, parse_element
+from winfty.weyl import Weyl, bracket
 
 W = Weyl(1)
 
@@ -59,41 +60,42 @@ def test_non_rational_d_coefficients_rejected(f):
         df_bracket(W, 0, f, 1, [1])
 
 
+# -- the d/dt calculus, read by the grammar --------------------------------
+
+
+def _ev(text):
+    return parse_element(text, Session(W))
+
+
 def test_ddt_is_tinv_d():
-    assert ddt_power(W, 1) == W.tD((-1,))
+    assert _ev("d/dt") == W.tD((-1,))
 
 
 def test_ddt_squared():
-    assert ddt_power(W, 2) == (W.monomial((-2,), (2,))
-                               - W.monomial((-2,), (1,)))
+    # the product, not the square of the symbols: t^(-2) [D]_2
+    assert _ev("(d/dt)^2") == W.monomial((-2,), (2,), basis="falling")
 
 
 def test_t4_times_ddt2():
-    got = mul(W.monomial((4,), (0,)), ddt_power(W, 2))
-    assert got == W.monomial((2,), (2,), basis="falling").to_power()
-
-
-def test_ddt_requires_positive_power():
-    with pytest.raises(ValueError):
-        ddt_power(W, 0)
+    assert _ev("t^(4)*(d/dt)^2") == W.monomial((2,), (2,), basis="falling")
 
 
 def test_t_ddt():
-    assert t_ddt(W, 3) == W.tD((2,))
+    for k in range(-3, 6):
+        assert _ev(f"t^({k})*d/dt") == _ev(f"t^({k - 1})*D")
 
 
 def test_ddt_powers_compose():
-    for j in range(1, 5):
-        for l in range(1, 5):
-            if j + l <= 8:
-                assert mul(ddt_power(W, j), ddt_power(W, l)) == ddt_power(W, j + l)
+    for j in range(0, 5):
+        for l in range(0, 5):
+            assert _ev(f"(d/dt)^{j}*(d/dt)^{l}") == _ev(f"(d/dt)^{j + l}")
 
 
 @pytest.mark.parametrize("i", range(-4, 5))
 @pytest.mark.parametrize("j", range(1, 6))
 def test_ti_plus_j_ddt_j_is_falling(i, j):
-    got = mul(W.monomial((i + j,), (0,)), ddt_power(W, j))
-    assert got == W.monomial((i,), (j,), basis="falling").to_power()
+    # t^(i+j) (d/dt)^j = t^i [D]_j, the identity behind the named ones
+    assert _ev(f"t^({i + j})*(d/dt)^{j}") == _ev(f"t^({i})*[D]_{j}")
 
 
 # -- named identities ------------------------------------------------------
@@ -129,9 +131,19 @@ def test_l233_close_inner_is_the_unique_uniform_reading():
 
 
 def test_l231_trivial_at_i_1():
-    # (d/dt)^(-1) = 0 by convention, so both sides collapse to zero
+    # [2]_4 = 0, so the left side, whose (d/dt)^(-1) is undefined, is left out
     rep = verify_named_identity(W, "L23-1", 1)
     assert rep.passed
+
+
+@pytest.mark.parametrize("flavor", ["w1", "hat"])
+def test_every_identity_passes_in_the_subalgebras(flavor):
+    # a left side with coefficient zero written as 0 would be lifted to 0*1,
+    # which W^(1) and the hat algebra refuse
+    weyl = Weyl(1, subalgebra=flavor)
+    for name in NAMED_IDENTITIES:
+        for i in range(1, 13):
+            assert verify_named_identity(weyl, name, i).passed, (name, i)
 
 
 def test_unknown_identity_rejected():

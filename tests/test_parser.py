@@ -55,6 +55,25 @@ def test_cube_identity_via_parser():
     assert res.is_zero()
 
 
+@pytest.mark.parametrize("flavor", ["w1", "hat"])
+@pytest.mark.parametrize("text", ["t^(2)*d/dt", "t^(1)*(D + D^2)",
+                                  "t^(1)*[t^(1)*D, t^(2)*D]"])
+def test_t_only_left_factor_multiplies_any_element(text, flavor):
+    # before, each exited 2 with "|mu| = 0 monomials are not in W^(1)": the
+    # t-only prefix was admitted as a monomial of the flavor before the product
+    weyl = Weyl(1, subalgebra=flavor)
+    got = parse_element(text, Session(weyl))
+    assert format_element(got) == format_element(parse_element(text, S))
+    with pytest.raises(ValueError, match=r"^grade \(1/2\) is not in the lattice$"):
+        parse_element("t^(1/2)*(D)", Session(weyl))
+
+
+def test_right_t_factor_still_refused_in_w1():
+    # D*t^(1) = t^(1) + t^(1)*D has a D^0 term
+    with pytest.raises(SubalgebraError):
+        parse_element("D*t^(1)", S1)
+
+
 def test_falling_monomial():
     got = parse_element("t^(2)*[D]_3", S)
     assert got == W.monomial((2,), (3,), basis="falling")

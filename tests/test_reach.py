@@ -12,7 +12,7 @@ from winfty import cli
 README_EVALS = (
     ["[t^(1)*D, t^(2)*D]"],
     ["3/2*t[1,0]*D1^2*D2", "--n", "2", "--subalgebra", "full"],
-    ["[(d/dt)^2,[(d/dt)^2,t^(2)*d/dt]] - 8*(d/dt)^3", "--subalgebra", "full"],
+    ["[(d/dt)^2,[(d/dt)^2,t^(2)*d/dt]] - 8*(d/dt)^3"],
 )
 MORE_EVALS = (
     ["[t^(2)*D^2, t^(-2)*D] + 2*C", "--subalgebra", "hat"],  # the central element
