@@ -10,7 +10,8 @@ entries) and the one-symbol ring of a formal alpha.  The layers above them:
 the Weyl ``mul`` and ``bracket`` for n = 1 and n = 2 (and ``bracket-block``,
 a 3-term by 9-term bracket with one grade per factor, the shape of the outer
 brackets of a Jacobi check on homogeneous elements), ``cocycle`` in the hat
-algebra, the module ``act`` with formal alpha on a rank-2 lattice, one
+algebra and ``cocycle-condition``, the cocycle condition on one homogeneous
+triple whose grades sum to zero and one whose grades do not, the module ``act`` with formal alpha on a rank-2 lattice, one
 ``GeneratedSubalgebra`` box and the ``membership`` of every t^k D^m in it,
 ``format_element`` and ``parse_element`` of a 40-term element, the
 ``parse_element`` of a 40-term n = 2 element whose coefficients are
@@ -36,7 +37,8 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from winfty import (GeneratedSubalgebra, Lattice, Ring, Session, Weyl,  # noqa: E402
                     WeylElement, act, bracket, cocycle, falling, format_element,
-                    make_module, mul, parse_element, rising, standard_generators)
+                    make_module, mul, parse_element, rising, standard_generators,
+                    verify_cocycle_condition)
 from winfty.weightlab import build_p_series  # noqa: E402
 
 BATCH_S = 0.02
@@ -88,12 +90,12 @@ def element(weyl, size, seed, coeff=None):
     return WeylElement(weyl, element_terms(weyl, size, seed, coeff))
 
 
-def block_element(weyl, size, seed):
-    """A fixed element of ``size`` terms t^g D^mu on one grade g, from lattice
-    coordinates in [-3, 3], with distinct mu != 0 (each mu_i at most 9 / n)
-    and rational coefficients."""
+def block_element(weyl, size, seed, grade=None):
+    """A fixed element of ``size`` terms t^g D^mu on one grade g, ``grade`` or
+    from lattice coordinates in [-3, 3], with distinct mu != 0 (each mu_i at
+    most 9 / n) and rational coefficients."""
     rng = random.Random(seed)
-    g = weyl.lattice.ambient(tuple(rng.randint(-3, 3) for _ in range(weyl.n)))
+    g = grade or weyl.lattice.ambient(tuple(rng.randint(-3, 3) for _ in range(weyl.n)))
     terms = {}
     while len(terms) < size:
         mu = tuple(rng.randint(0, 9 // weyl.n) for _ in range(weyl.n))
@@ -114,6 +116,9 @@ def layer_cases():
                 (f"weyl-n{n}", "bracket-block", lambda x=bx, y=by: bracket(x, y))]
     hat = Weyl(1, subalgebra="hat")
     u, v = element(hat, 8, "u"), element(hat, 8, "v")
+    # grades 2, -3 and 1 sum to zero; 2, -3 and 2 do not
+    paired = [block_element(hat, 3, s, (g,)) for s, g in (("c1", 2), ("c2", -3), ("c3", 1))]
+    unpaired = paired[:2] + [block_element(hat, 3, "c3", (2,))]
     ring = Ring(("a1", "a2"))
     rank2 = Weyl(2, ring=ring, lattice=Lattice(RANK2), subalgebra="w1")
     module = make_module("B", "formal", rank2)
@@ -135,6 +140,8 @@ def layer_cases():
     ptext, psession = format_element(param), Session(wp)
     return out + [
         ("hat", "cocycle", lambda: cocycle(u, v)),
+        ("hat", "cocycle-condition", lambda: (verify_cocycle_condition(*paired),
+                                              verify_cocycle_condition(*unpaired))),
         ("module", "act", lambda: act(module, z, (1, -1))),
         ("closure", "box", lambda: GeneratedSubalgebra(w1, gens, deg_lo=0, deg_hi=12,
                                                        d_cap=4)),

@@ -15,7 +15,10 @@ rule in FORMAT.md, "Semantics") and its first error are those of
 ((a + b) + c) + ...  The factors of a written monomial merge in place into
 one _Mono without going through the associative product, and _Mono.finalize
 is the one way a monomial becomes an element, for sums, products, brackets,
-powers and evaluate alike.
+powers and evaluate alike.  A left factor with no D only shifts grades, so
+in w1 and hat mode it skips the flavor's check of mu: a lone t-monomial
+through _Mono._element, and a sum of t-monomials and scalars written as a
+product's first factor as a _Shift.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from itertools import accumulate
 from typing import List, Optional, Tuple, Union
 
 from .scalars import Rat, Scalar
-from .weyl import FALLING, POWER, Weyl, WeylElement, _Sum, bracket, mul
+from .weyl import FALLING, FULL, POWER, Weyl, WeylElement, _Sum, bracket, mul
 
 
 class ParseError(ValueError):
@@ -269,8 +272,37 @@ class _Mono:
         return WeylElement._trusted(weyl, {(gamma, mu): c} if c else {}, self.basis)
 
 
+class _Shift:
+    """A sum with no D, written as the first factor of a product in w1 or
+    hat mode, whose flavor refuses it as an element.  Like a lone t-monomial
+    there it only shifts grades, so it multiplies any element (FORMAT.md,
+    "Semantics"): ``x`` is the sum, its summands built without the flavor's
+    check of mu.  A product whose factors all lack D stays a _Shift, and is
+    refused with that check's error when it ends.
+    """
+
+    __slots__ = ("x",)
+
+    def __init__(self, x: WeylElement):
+        self.x = x
+
+
 # quoted: typing caches each subscription, so a class named here stays alive
-Value = Union["Scalar", "WeylElement", "_Mono"]
+Value = Union["Scalar", "WeylElement", "_Mono", "_Shift"]
+
+
+def _no_d(v: Value) -> bool:
+    """A scalar or a monomial with no D: it only shifts grades."""
+    return type(v) is Scalar or type(v) is _Mono and not v.has_d
+
+
+def _shift_part(v: Value, weyl: Weyl) -> WeylElement:
+    """A summand or factor of a _Shift: a value with no D as an element,
+    without the flavor's check of mu.  A value with a D raises that check's
+    error, as adding it to a sum with no D would."""
+    if not _no_d(v):
+        weyl.check_mu((0,) * weyl.n)  # raises in w1 and hat mode
+    return (v if type(v) is _Mono else _Mono(v))._element(weyl)
 
 
 def _finalize(v: Value, weyl: Weyl, pos: int) -> WeylElement:
@@ -321,6 +353,11 @@ def _mul_values(a: Value, b: Value, weyl: Weyl, pos: int) -> Value:
             b.coeff = _times(b.coeff, a)
             return b
         return b.scale(a)
+    elif ta is _Shift:
+        if _no_d(b):  # the product has no D either
+            a.x = mul(a.x, _shift_part(b, weyl))
+            return a
+        return mul(a.x, _finalize(b, weyl, pos))
     elif tb is Scalar:
         return a.scale(b)
     return mul(_finalize(a, weyl, pos), _finalize(b, weyl, pos))
@@ -352,10 +389,13 @@ def _neg_value(a: Value, weyl: Weyl) -> Value:
     return -a
 
 
-def _eval_sum(summands, session: Session) -> Value:
+def _eval_sum(summands, session: Session, left: bool = False) -> Value:
     # The first summand joins the sum only once the second is evaluated, and
-    # a run of scalar summands stays a scalar, as in pairwise addition.
+    # a run of scalar summands stays a scalar, as in pairwise addition.  A
+    # sum that is a product's first factor (``left``) and starts with no D
+    # is a _Shift in w1 and hat mode.
     weyl = session.weyl
+    lift = as_element
     it = iter(summands)
     head = _eval(next(it)[1], session)
     acc = None
@@ -365,9 +405,13 @@ def _eval_sum(summands, session: Session) -> Value:
             if isinstance(head, Scalar) and isinstance(v, Scalar):
                 head = head - v if neg else head + v
                 continue
-            acc = _Sum(as_element(head, weyl))
-        acc.add(as_element(v, weyl), neg)
-    return head if acc is None else acc.element()
+            if left and weyl.subalgebra != FULL and _no_d(head):
+                lift = _shift_part
+            acc = _Sum(lift(head, weyl))
+        acc.add(lift(v, weyl), neg)
+    if acc is None:
+        return head
+    return acc.element() if lift is as_element else _Shift(acc.element())
 
 
 def evaluate(node: AST, session: Session) -> Union[Scalar, WeylElement]:
@@ -381,9 +425,15 @@ def _eval(node: AST, session: Session) -> Value:
     kind = node[0]
     if kind == "prod":
         it = iter(node[1])
-        value = _eval(next(it)[1], session)
+        first = next(it)[1]
+        if first[0] == "sum":  # a sum with no D may stand here (see _Shift)
+            value = _eval_sum(first[1], session, left=True)
+        else:
+            value = _eval(first, session)
         for pos, factor in it:
             value = _mul_values(value, _eval(factor, session), weyl, pos)
+        if type(value) is _Shift:  # no factor had a D: refused as the sum was
+            weyl.check_mu((0,) * weyl.n)  # raises
         return value
     if kind == "t":
         gamma, pos = node[1], node[2]

@@ -8,7 +8,7 @@ import pytest
 
 from winfty.lattice import Lattice
 from winfty.scalars import Ring
-from winfty.weyl import (SubalgebraError, Weyl, bracket, cocycle,
+from winfty.weyl import (SubalgebraError, Weyl, _bracket_cocycle, bracket, cocycle, mul,
                          verify_cocycle_condition, verify_jacobi)
 
 W = Weyl(1)
@@ -188,3 +188,59 @@ def test_cocycle_matches_falling_closed_form(lattice, ring, bases):
         # has a negative top
         negative += any(a[0] + 1 < 0 for a, _mu in x.terms)
     assert nonzero >= 10 and negative >= 10
+
+
+# -- the cocycle condition brackets only the grade blocks psi can pair -------
+
+def block_side(weyl, rng, grades, basis):
+    """An element with one to three terms on each grade of ``grades``."""
+    out = weyl.zero()
+    for g in grades:
+        for m in rng.sample(range(1, 6), rng.randint(1, 3)):
+            out = out + weyl.monomial(g, (m,), Fraction(rng.randint(-9, 9) or 1,
+                                                        rng.randint(1, 4)), basis=basis)
+    return out
+
+
+def block_triple(weyl, rng, paired):
+    """x, y, z of 1-3 grade blocks each.  With ``paired`` one grade of z is
+    minus the sum of a grade of x and a grade of y; otherwise the grades are
+    drawn at random, and mostly no block pair of two factors pairs with the
+    third."""
+    grades = [[weyl.lattice.ambient((rng.randint(-4, 4),))
+               for _ in range(rng.randint(1, 3))] for _ in range(3)]
+    if paired:
+        grades[2][0] = (-rng.choice(grades[0])[0] - rng.choice(grades[1])[0],)
+    return [block_side(weyl, rng, gs, rng.choice(("power", "falling"))) for gs in grades]
+
+
+@pytest.mark.parametrize("lattice", [None, HALF], ids=("Z", "half-Z"))
+def test_pairing_matches_unfiltered_bracket(lattice):
+    """psi([x,y],z) from the pairing blocks equals psi of the whole
+    commutator, term by term, with and without a pairing block triple."""
+    weyl = Weyl(1, lattice=lattice, subalgebra="hat")
+    rng = random.Random(41)
+    nonzero = unpaired = 0
+    for i in range(60):
+        x, y, z = block_triple(weyl, rng, paired=i % 2 == 0)
+        for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+            want = cocycle(mul(a, b) - mul(b, a), c)
+            assert _bracket_cocycle(a, b, c) == want
+            nonzero += not want.is_zero()
+            grades = {g for g, _mu in c.terms}
+            unpaired += not any((-p[0] - q[0],) in grades for p, _m in a.terms
+                                for q, _n in b.terms)
+        assert verify_cocycle_condition(x, y, z).passed
+    assert nonzero >= 40 and unpaired >= 40
+
+
+def test_cocycle_condition_refusals_hold_when_no_block_pairs():
+    # grades 1 + 1 + 1: no block pair pairs, and the refusals still come
+    w2 = Weyl(2)
+    with pytest.raises(SubalgebraError):
+        verify_cocycle_condition(w2.tD((1, 0)), w2.tD((1, 0), 1), w2.tD((1, 0)))
+    half = Weyl(1, lattice=HALF, subalgebra="hat")
+    x, y = HAT.tD((1,)), half.monomial((1,), (2,))
+    for triple in ((x, y, x), (x, x, y), (y, x, x)):
+        with pytest.raises(ValueError):
+            verify_cocycle_condition(*triple)

@@ -14,7 +14,7 @@ def test_microbench_times_every_case_once():
     ops = ["add", "mul", "pow", "exact_div", "substitute", "shift"]
     layers = [("weyl-n1", "mul"), ("weyl-n1", "bracket"), ("weyl-n1", "bracket-block"),
               ("weyl-n2", "mul"), ("weyl-n2", "bracket"), ("weyl-n2", "bracket-block"),
-              ("hat", "cocycle"), ("module", "act"),
+              ("hat", "cocycle"), ("hat", "cocycle-condition"), ("module", "act"),
               ("closure", "box"), ("closure", "members"), ("text", "format"),
               ("text", "parse"), ("text", "parse-param"), ("weyl-n2", "construct"),
               ("rank2", "construct")]

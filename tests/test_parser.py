@@ -74,6 +74,28 @@ def test_right_t_factor_still_refused_in_w1():
         parse_element("D*t^(1)", S1)
 
 
+@pytest.mark.parametrize("flavor", ["w1", "hat"])
+@pytest.mark.parametrize("text", ["(t^(1) + t^(2))*D", "(t^(1) + 2)*D",
+                                  "(t^(1) + t^(2))*(D + D^2)",
+                                  "(2 - t^(-1))*3*t^(1)*[t^(1)*D, t^(2)*D]"])
+def test_d_free_sum_left_factor_multiplies_any_element(text, flavor, capsys):
+    # before, each exited 2 with "|mu| = 0 monomials are not in W^(1)": the
+    # sum was admitted as an element of the flavor before the product
+    assert main(["eval", text, "--subalgebra", flavor]) == 0
+    assert capsys.readouterr().out == format_element(parse_element(text, S)) + "\n"
+    for bad in ("(t^(1/2) + t^(1))*D", "t^(1/2) + t^(1)"):
+        with pytest.raises(ValueError, match=r"^grade \(1/2\) is not in the lattice$"):
+            parse_element(bad, Session(Weyl(1, subalgebra=flavor)))
+
+
+@pytest.mark.parametrize("flavor", ["w1", "hat"])
+@pytest.mark.parametrize("text", ["t^(1) + t^(2)", "D*(t^(1) + t^(2))", "(t^(1) + t^(2))*2",
+                                  "(t^(1) + D)*D", "(D + t^(1))*D"])
+def test_d_free_sum_is_still_refused_as_an_element(text, flavor, capsys):
+    assert main(["eval", text, "--subalgebra", flavor]) == 2
+    assert capsys.readouterr().err.strip() == "error: |mu| = 0 monomials are not in W^(1)"
+
+
 def test_falling_monomial():
     got = parse_element("t^(2)*[D]_3", S)
     assert got == W.monomial((2,), (3,), basis="falling")
