@@ -11,17 +11,19 @@ the Weyl ``mul`` and ``bracket`` for n = 1 and n = 2 (and ``bracket-block``,
 a 3-term by 9-term bracket with one grade per factor, the shape of the outer
 brackets of a Jacobi check on homogeneous elements), ``cocycle`` in the hat
 algebra and ``cocycle-condition``, the cocycle condition on one homogeneous
-triple whose grades sum to zero and one whose grades do not, the module ``act`` with formal alpha on a rank-2 lattice, one
-``GeneratedSubalgebra`` box and the ``membership`` of every t^k D^m in it,
-``format_element`` and ``parse_element`` of a 40-term element, the
-``parse_element`` of a 40-term n = 2 element whose coefficients are
-polynomials in alpha and beta (``parse-param``), and the
-``WeylElement`` constructor on 40 terms over Z^2 and over the rank-2
-lattice, where every grade is admitted through the lattice.  Each
-case runs in batches sized to take at least 20 ms; a repeat is one batch,
-and the median over the repeats is printed per case, one line each: ring or
-layer, operation, microseconds.  Only the public API is used, so the same
-script times any revision that has it.
+triple whose grades sum to zero and one whose grades do not, the module
+``act`` with formal alpha on a rank-2 lattice, of a 3-term element and of a
+one-term one (``act-monomial``, the shape of four of the five actions in a
+Lie-module check), one ``GeneratedSubalgebra`` box and the ``membership`` of
+every t^k D^m in it, ``format_element`` and ``parse_element`` of a 40-term
+element, the ``parse_element`` of a 40-term n = 2 element whose coefficients
+are polynomials in alpha and beta (``parse-param``), the ``WeylElement``
+constructor on 40 terms over Z^2 and over the rank-2 lattice, where every
+grade is admitted through the lattice, and the weightlab ``p-series``
+(``build_p_series``).  Each case runs in batches sized to take at least
+20 ms; a repeat is one batch, and the median over the repeats is printed per
+case, one line each: ring or layer, operation, microseconds.  Only the
+public API is used, so the same script times any revision that has it.
 """
 
 import argparse
@@ -123,6 +125,7 @@ def layer_cases():
     rank2 = Weyl(2, ring=ring, lattice=Lattice(RANK2), subalgebra="w1")
     module = make_module("B", "formal", rank2)
     z = element(rank2, 3, "z", ring.sym("a1") + Fraction(1, 2))
+    z1 = rank2.monomial(rank2.lattice.ambient((1, -1)), (2, 1), Fraction(5, 3))
     w1 = Weyl(1, subalgebra="w1")
     gens = standard_generators(w1, 1, 2, 4)
     box = GeneratedSubalgebra(w1, gens, deg_lo=0, deg_hi=12, d_cap=4)
@@ -143,6 +146,7 @@ def layer_cases():
         ("hat", "cocycle-condition", lambda: (verify_cocycle_condition(*paired),
                                               verify_cocycle_condition(*unpaired))),
         ("module", "act", lambda: act(module, z, (1, -1))),
+        ("module", "act-monomial", lambda: act(module, z1, (1, -1))),
         ("closure", "box", lambda: GeneratedSubalgebra(w1, gens, deg_lo=0, deg_hi=12,
                                                        d_cap=4)),
         ("closure", "members", lambda: [box.membership(t) for t in targets]),
@@ -151,6 +155,7 @@ def layer_cases():
         ("text", "parse-param", lambda: parse_element(ptext, psession)),
         ("weyl-n2", "construct", lambda: WeylElement(w, big_terms)),
         ("rank2", "construct", lambda: WeylElement(rank2, skew_terms)),
+        ("weightlab", "p-series", build_p_series),
     ]
 
 

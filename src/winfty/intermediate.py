@@ -7,6 +7,14 @@ as zero, and a monomial t^b D^mu acts by
     B_alpha : (t^b D^mu) y_g = (-1)^(|mu|+1) (alpha + b + g)^mu y_(b+g)
 
 with alpha either rational or a formal parameter vector.
+
+Action: every term of a grade block t^b f(D) acting on y_g shares one
+argument, so ``act`` groups x's terms by grade in one pass (one
+``Weyl.coords`` query per grade), and for each (vector entry, block) it
+forms the argument once (``_argument``), builds each coordinate's powers as
+a ladder x_i, x_i^2, ..., each from the one before, sums c_mu prod x_i^mu_i
+over the block, and multiplies that sum once by the entry's coefficient and
+the sign.
 """
 
 from __future__ import annotations
@@ -70,31 +78,44 @@ def _argument(m: IntermediateModule, b: Gamma, g: Gamma) -> Tuple[int, Tuple[Sca
     on B (the module docstring's formulas, as (-x)^mu = (-1)^|mu| x^mu)."""
     if m.kind == KIND_A:
         return 1, tuple(a + gi for a, gi in zip(m.alpha, g))
-    return -1, tuple(-(a + bi + gi) for a, bi, gi in zip(m.alpha, b, g))
+    return -1, tuple(-(a + (bi + gi)) for a, bi, gi in zip(m.alpha, b, g))
 
 
 def act(m: IntermediateModule, x: WeylElement, vec) -> ModuleVector:
     """Apply an algebra element to a module vector (or basis coords)."""
     if not isinstance(vec, dict):
         vec = m.basis_vector(vec)
-    xp = x.to_power()  # central coordinate acts trivially and is dropped
-    ring, lattice, grade_coords = m.weyl.ring, m.weyl.lattice, m.weyl.coords
+    lattice, grade_coords = m.weyl.lattice, m.weyl.coords
+    # one pass in term order: the |mu| = 0 refusal, and one lattice query per grade
+    blocks: Dict[Gamma, list] = {}  # b -> [its coordinates, [(mu, c), ...]]
+    for (b_amb, mu), c in x.to_power().terms.items():  # the central part acts as zero
+        if sum(mu) == 0:
+            raise ValueError("|mu| = 0 monomials are not in the acting subalgebra")
+        block = blocks.setdefault(b_amb, [None, []])  # one hash of the grade per term
+        if block[0] is None:
+            block[0] = grade_coords(b_amb)
+        block[1].append((mu, c))
     out: ModuleVector = {}
     for coords, vc in vec.items():
         g_amb = lattice.ambient(coords)
-        for (b_amb, mu), c in xp.terms.items():
-            if sum(mu) == 0:
-                raise ValueError("|mu| = 0 monomials are not in the acting subalgebra")
-            b_coords = grade_coords(b_amb)
+        for b_amb, (b_coords, terms) in blocks.items():
             s, xs = _argument(m, b_amb, g_amb)
-            coeff = c * vc * s
-            for xi, mi in zip(xs, mu):
-                if mi:
-                    coeff = coeff * xi ** mi
-            if coeff.is_zero():
+            # ladders[i][e - 1] = xs[i]^e, each power made from the one before
+            ladders = [[xi] for xi in xs]
+            total = None
+            for mu, c in terms:
+                for ladder, e in zip(ladders, mu):
+                    if e:
+                        while len(ladder) < e:
+                            ladder.append(ladder[-1] * ladder[0])
+                        c = c * ladder[e - 1]
+                total = c if total is None else total + c
+            if total.is_zero():
                 continue
+            coeff = total * vc if s > 0 else -(total * vc)
             target = tuple(p + q for p, q in zip(coords, b_coords))
-            out[target] = out.get(target, ring.zero) + coeff
+            prev = out.get(target)
+            out[target] = coeff if prev is None else prev + coeff
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 

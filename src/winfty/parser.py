@@ -17,8 +17,8 @@ one _Mono without going through the associative product, and _Mono.finalize
 is the one way a monomial becomes an element, for sums, products, brackets,
 powers and evaluate alike.  A left factor with no D only shifts grades, so
 in w1 and hat mode it skips the flavor's check of mu: a lone t-monomial
-through _Mono._element, and a sum of t-monomials and scalars written as a
-product's first factor as a _Shift.
+through _Mono._element, and a sum of t-monomials and scalars (negated,
+nested or not) as a _Shift wherever every factor to its left has no D.
 """
 
 from __future__ import annotations
@@ -273,12 +273,12 @@ class _Mono:
 
 
 class _Shift:
-    """A sum with no D, written as the first factor of a product in w1 or
-    hat mode, whose flavor refuses it as an element.  Like a lone t-monomial
-    there it only shifts grades, so it multiplies any element (FORMAT.md,
-    "Semantics"): ``x`` is the sum, its summands built without the flavor's
-    check of mu.  A product whose factors all lack D stays a _Shift, and is
-    refused with that check's error when it ends.
+    """A sum with no D, standing in a product in w1 or hat mode where every
+    factor to its left has no D, whose flavor refuses it as an element.  Like
+    a lone t-monomial there it only shifts grades, so it multiplies any
+    element (FORMAT.md, "Semantics"): ``x`` is the sum, its summands built
+    without the flavor's check of mu.  A product whose factors all lack D
+    stays a _Shift, and is refused with that check's error when it ends.
     """
 
     __slots__ = ("x",)
@@ -286,20 +286,26 @@ class _Shift:
     def __init__(self, x: WeylElement):
         self.x = x
 
+    def __neg__(self) -> "_Shift":
+        self.x = -self.x
+        return self
+
 
 # quoted: typing caches each subscription, so a class named here stays alive
 Value = Union["Scalar", "WeylElement", "_Mono", "_Shift"]
 
 
 def _no_d(v: Value) -> bool:
-    """A scalar or a monomial with no D: it only shifts grades."""
-    return type(v) is Scalar or type(v) is _Mono and not v.has_d
+    """A scalar, a monomial with no D or a _Shift: it only shifts grades."""
+    return type(v) is Scalar or type(v) is _Shift or type(v) is _Mono and not v.has_d
 
 
 def _shift_part(v: Value, weyl: Weyl) -> WeylElement:
     """A summand or factor of a _Shift: a value with no D as an element,
     without the flavor's check of mu.  A value with a D raises that check's
     error, as adding it to a sum with no D would."""
+    if type(v) is _Shift:
+        return v.x
     if not _no_d(v):
         weyl.check_mu((0,) * weyl.n)  # raises in w1 and hat mode
     return (v if type(v) is _Mono else _Mono(v))._element(weyl)
@@ -344,15 +350,16 @@ def _mul_values(a: Value, b: Value, weyl: Weyl, pos: int) -> Value:
                     a.gamma, a.mu = _plus(a.gamma, b.gamma), _plus(a.mu, b.mu)
                     a.basis = a.basis if a_d else b.basis
                     return a
-        elif not a.has_d:  # it only shifts grades, so the flavor need not admit it
-            return mul(a._element(weyl), b)
+        elif not a.has_d and tb is not _Shift:  # it only shifts grades, so the
+            return mul(a._element(weyl), b)      # flavor need not admit it
     elif ta is Scalar:
         if tb is Scalar:
             return a * b
         if tb is _Mono:
             b.coeff = _times(b.coeff, a)
             return b
-        return b.scale(a)
+        if tb is not _Shift:
+            return b.scale(a)
     elif ta is _Shift:
         if _no_d(b):  # the product has no D either
             a.x = mul(a.x, _shift_part(b, weyl))
@@ -360,6 +367,9 @@ def _mul_values(a: Value, b: Value, weyl: Weyl, pos: int) -> Value:
         return mul(a.x, _finalize(b, weyl, pos))
     elif tb is Scalar:
         return a.scale(b)
+    if tb is _Shift:  # a has no D either (see _eval), so the product is a _Shift
+        b.x = mul(_shift_part(a, weyl), b.x)
+        return b
     return mul(_finalize(a, weyl, pos), _finalize(b, weyl, pos))
 
 
@@ -392,26 +402,41 @@ def _neg_value(a: Value, weyl: Weyl) -> Value:
 def _eval_sum(summands, session: Session, left: bool = False) -> Value:
     # The first summand joins the sum only once the second is evaluated, and
     # a run of scalar summands stays a scalar, as in pairwise addition.  A
-    # sum that is a product's first factor (``left``) and starts with no D
-    # is a _Shift in w1 and hat mode.
+    # sum standing where it may only shift grades (``left``: in w1 and hat
+    # mode, with no factor with a D to its left, see _eval) that starts with
+    # no D is a _Shift, and its summands stand there too.
     weyl = session.weyl
     lift = as_element
+    ev = _eval_left if left else _eval
     it = iter(summands)
-    head = _eval(next(it)[1], session)
+    head = ev(next(it)[1], session)
+    if left and _no_d(head):
+        lift = _shift_part
+    else:
+        ev = _eval
     acc = None
     for neg, node in it:
-        v = _eval(node, session)
+        v = ev(node, session)
         if acc is None:
             if isinstance(head, Scalar) and isinstance(v, Scalar):
                 head = head - v if neg else head + v
                 continue
-            if left and weyl.subalgebra != FULL and _no_d(head):
-                lift = _shift_part
             acc = _Sum(lift(head, weyl))
         acc.add(lift(v, weyl), neg)
     if acc is None:
         return head
     return acc.element() if lift is as_element else _Shift(acc.element())
+
+
+def _eval_left(node: AST, session: Session) -> Value:
+    """A factor in w1 or hat mode with no factor with a D to its left: a sum
+    there, negated or not, may be a _Shift (see _eval_sum)."""
+    kind = node[0]
+    if kind == "sum":
+        return _eval_sum(node[1], session, left=True)
+    if kind == "neg":
+        return _neg_value(_eval_left(node[1], session), session.weyl)
+    return _eval(node, session)
 
 
 def evaluate(node: AST, session: Session) -> Union[Scalar, WeylElement]:
@@ -424,12 +449,20 @@ def _eval(node: AST, session: Session) -> Value:
     weyl = session.weyl
     kind = node[0]
     if kind == "prod":
+        # in w1 and hat mode a sum with no D may stand where every factor to
+        # its left has none (see _Shift); in full mode _eval_left reads as
+        # _eval, so a printed element takes the plain loop alone
+        shifting = weyl.subalgebra != FULL
         it = iter(node[1])
         first = next(it)[1]
-        if first[0] == "sum":  # a sum with no D may stand here (see _Shift)
-            value = _eval_sum(first[1], session, left=True)
+        if first[0] == "sum":  # a coefficient such as (alpha + 1), or a shift
+            value = _eval_sum(first[1], session, left=shifting)
         else:
-            value = _eval(first, session)
+            value = _eval_left(first, session) if shifting else _eval(first, session)
+        if shifting:
+            for pos, factor in it:
+                value = _mul_values(value, _eval_left(factor, session) if _no_d(value)
+                                    else _eval(factor, session), weyl, pos)
         for pos, factor in it:
             value = _mul_values(value, _eval(factor, session), weyl, pos)
         if type(value) is _Shift:  # no factor had a D: refused as the sum was

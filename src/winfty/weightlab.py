@@ -2,14 +2,15 @@
 
 Everything here is polynomial algebra in the symbols kbar (the shifted weight
 k + alpha), the two unprimed constants p1, p2, their primed copies pp1, pp2,
-and the identity index i.  The P-series formulas are both transcribed from
-their displayed closed forms and re-derived from the Virasoro recurrence
-[tD, t^(j-1)D] = (j-2) t^j D; any mismatch is reported verbatim rather than
-silently repaired.  The displayed relations (2.7)-(2.9) are transcribed once,
-in ``_q_coefficients``: ``build_f_polynomials`` reads them with a symbolic i
-and two constant sets, ``verify_yk_relations`` with an integer i and one set.
-Both read the series through :meth:`PSeries.pjk`, which builds each shifted
-polynomial once per series.
+and the identity index i.  ``build_p_series`` transcribes the P-series from
+its displayed closed forms, and every check reads that.  Only
+``p_series_report`` also re-derives p3, p4, p5 from the Virasoro recurrence
+[tD, t^(j-1)D] = (j-2) t^j D (``_discrepancies``); any mismatch is reported
+verbatim rather than silently repaired.  The displayed relations (2.7)-(2.9)
+are transcribed once, in ``_q_coefficients``: ``build_f_polynomials`` reads
+them with a symbolic i and two constant sets, ``verify_yk_relations`` with an
+integer i and one set.  Both read the series through :meth:`PSeries.pjk`,
+which builds each shifted polynomial once per series.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ class PSeries:
 
     ring: Ring
     transcribed: Dict[int, Scalar]
-    discrepancies: Dict[int, Scalar]  # recurrence-derived - transcribed, j = 3, 4, 5
     # pjk's answers: the relations in _q_coefficients read most p_{j,k+c} twice or more
     _read: Dict[Tuple, Scalar] = field(default_factory=dict, init=False, repr=False,
                                        compare=False)
@@ -53,8 +53,8 @@ class PSeries:
 
 
 def build_p_series() -> PSeries:
-    """The scalar P-series: anchors, displayed closed forms, and the
-    recurrence re-derivation of p_{j,k} for j = 3, 4, 5."""
+    """The scalar P-series: the anchors and the displayed closed forms.  The
+    recurrence re-derivation of p3, p4, p5 runs in ``p_series_report``."""
     ring = Ring(WEIGHTLAB_SYMBOLS)
     kb = ring.sym("kbar")
     p1 = ring.sym("p1")
@@ -77,14 +77,20 @@ def build_p_series() -> PSeries:
             + 15 * rising(kb, 2) * p3 + 6 * kb * p4 + p5),
     }
 
-    # re-derive j = 3, 4, 5 from [tD, t^(j-1)D] = (j-2) t^j D applied to Y_k:
-    #   (j-2) p_{j,k} = p_{1,k+j-1} p_{j-1,k} - p_{j-1,k+1} p_{1,k}
-    prev = {j: transcribed[j] for j in (1, 2)}
+    return PSeries(ring, transcribed)
+
+
+def _discrepancies(ps: PSeries) -> Dict[int, Scalar]:
+    """Recurrence-derived minus transcribed p_{j,k} for j = 3, 4, 5, each p_j
+    re-derived from p1, p2 by [tD, t^(j-1)D] = (j-2) t^j D applied to Y_k:
+
+        (j-2) p_{j,k} = p_{1,k+j-1} p_{j-1,k} - p_{j-1,k+1} p_{1,k}
+    """
+    prev = {j: ps.transcribed[j] for j in (1, 2)}
     for j in (3, 4, 5):
         prev[j] = (prev[1].shift("kbar", j - 1) * prev[j - 1]
                    - prev[j - 1].shift("kbar", 1) * prev[1]) / (j - 2)
-    discrepancies = {j: prev[j] - transcribed[j] for j in (3, 4, 5)}
-    return PSeries(ring, transcribed, discrepancies)
+    return {j: prev[j] - ps.transcribed[j] for j in (3, 4, 5)}
 
 
 def consistency_polynomial(ring: Ring) -> Scalar:
@@ -201,13 +207,15 @@ def coefficient_claims() -> VerificationReport:
 
 
 def p_series_report() -> VerificationReport:
-    """Transcription-vs-derivation dual sourcing for p3, p4, p5.
+    """Transcription-vs-derivation dual sourcing for p3, p4, p5: the one
+    place the recurrence re-derivation (``_discrepancies``) runs.
 
     A nonzero discrepancy polynomial is reported verbatim (suspected typo in
     the source display), never auto-corrected.
     """
     ps = build_p_series()
-    details = {f"p{j}_discrepancy": str(ps.discrepancies[j]) for j in (3, 4, 5)}
+    discrepancies = _discrepancies(ps)
+    details = {f"p{j}_discrepancy": str(discrepancies[j]) for j in (3, 4, 5)}
     # anchors and the p1 = p2 = 0 collapse p_{j,k} = [kbar]^(j+1)
     kb = ps.ring.sym("kbar")
     anchors_ok = ps.transcribed[-1] == ps.ring.one and ps.transcribed[0] == kb
@@ -216,10 +224,9 @@ def p_series_report() -> VerificationReport:
         for j in range(-1, 6))
     details["anchors_ok"] = anchors_ok
     details["collapse_to_rising_ok"] = collapse_ok
-    passed = anchors_ok and collapse_ok and all(
-        ps.discrepancies[j].is_zero() for j in (3, 4, 5))
+    passed = anchors_ok and collapse_ok and all(d.is_zero() for d in discrepancies.values())
     residual = None if passed else str(
-        {j: str(ps.discrepancies[j]) for j in (3, 4, 5) if not ps.discrepancies[j].is_zero()})
+        {j: str(d) for j, d in discrepancies.items() if not d.is_zero()})
     return VerificationReport("p-series", residual, details)
 
 

@@ -9,7 +9,7 @@ import pytest
 from winfty.intermediate import (act, highest_weight_scan, make_module,
                                  normalize_ddt_basis, submodule_scan)
 from winfty.lattice import Lattice
-from winfty.scalars import Ring, rising
+from winfty.scalars import Ring, Scalar, rising
 from winfty.suites import SuiteOptions, run_suite
 from winfty.weyl import Weyl
 
@@ -114,6 +114,54 @@ def test_act_rejects_off_lattice_exponent():
                                      subalgebra="w1"), frac("3/2"), "3/2")):
         with pytest.raises(ValueError, match=rf"^grade \({text}\) is not in the lattice$"):
             act(m, other.monomial((grade,), (1,)), (0,))
+
+
+def test_act_refuses_a_term_outside_the_subalgebra_on_an_empty_vector():
+    # before, the refusals ran inside the loop over vector entries, so an
+    # empty vector returned {} for any x
+    m = make_module("A", [0], Weyl(1))
+    with pytest.raises(ValueError, match="not in the acting subalgebra"):
+        act(m, Weyl(1).monomial((1,), (0,)), {})
+
+
+@pytest.mark.parametrize("vec", ((0,), {}), ids=("basis", "empty"))
+def test_act_refusals_come_in_term_order(vec):
+    # a bad mu and an off-lattice grade, on the empty vector too: the first
+    # term in x's order decides
+    m = make_module("A", [frac("1/2")], Weyl(1, ring=RING, lattice=Lattice([[2]]),
+                                             subalgebra="w1"))
+    z = Weyl(1, ring=RING)
+    off, flat = z.monomial((3,), (1,)), z.monomial((2,), (0,))
+    with pytest.raises(ValueError, match="not in the lattice"):
+        act(m, off + flat, vec)
+    with pytest.raises(ValueError, match="not in the acting subalgebra"):
+        act(m, flat + off, vec)
+    # one term that is both: mu is checked first
+    with pytest.raises(ValueError, match="not in the acting subalgebra"):
+        act(m, z.monomial((3,), (0,)), vec)
+
+
+def test_act_evaluates_each_grade_block_once(monkeypatch):
+    # three terms on two grades, acting on a two-entry vector: two lattice
+    # queries for x and no ** at all (each power comes from the one before)
+    ring = Ring(("a1", "a2"))
+    weyl = Weyl(2, ring=ring, lattice=Lattice([(1, 0), (frac("1/2"), frac("1/3"))]),
+                subalgebra="w1")
+    m = make_module("B", "formal", weyl)
+    b, c = weyl.lattice.ambient((1, -1)), weyl.lattice.ambient((0, 2))
+    x = weyl.monomial(b, (3, 1)) + weyl.monomial(b, (0, 2), 5) + weyl.monomial(c, (1, 0))
+    vec = {(0, 0): ring.one, (1, 1): ring.sym("a1")}
+    want = act(m, x, vec)
+    grades, powers = [], []
+    membership, power = Lattice.membership, Scalar.__pow__
+    monkeypatch.setattr(Lattice, "membership",
+                        lambda lat, v: grades.append(v) or membership(lat, v))
+    monkeypatch.setattr(Scalar, "__pow__", lambda s, e: powers.append(e) or power(s, e))
+    assert act(m, x, vec) == want
+    assert (grades, powers) == ([b, c], [])
+    # the B argument x = -(alpha + b + g) at b = (1/2, -1/3) on y_(0,0)
+    x1, x2 = -(ring.sym("a1") + frac("1/2")), -(ring.sym("a2") - frac("1/3"))
+    assert want[(1, -1)] == -(x1 * x1 * x1 * x2 + 5 * x2 * x2)
 
 
 def test_alpha_needs_n_coordinates_on_low_rank_lattice():

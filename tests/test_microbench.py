@@ -15,9 +15,9 @@ def test_microbench_times_every_case_once():
     layers = [("weyl-n1", "mul"), ("weyl-n1", "bracket"), ("weyl-n1", "bracket-block"),
               ("weyl-n2", "mul"), ("weyl-n2", "bracket"), ("weyl-n2", "bracket-block"),
               ("hat", "cocycle"), ("hat", "cocycle-condition"), ("module", "act"),
-              ("closure", "box"), ("closure", "members"), ("text", "format"),
-              ("text", "parse"), ("text", "parse-param"), ("weyl-n2", "construct"),
-              ("rank2", "construct")]
+              ("module", "act-monomial"), ("closure", "box"), ("closure", "members"),
+              ("text", "format"), ("text", "parse"), ("text", "parse-param"),
+              ("weyl-n2", "construct"), ("rank2", "construct"), ("weightlab", "p-series")]
     assert [(ring, op) for ring, op, _us in rows] == [
         (ring, op) for ring in ("weightlab", "alpha") for op in ops] + layers
     assert all(float(us) > 0 for _ring, _op, us in rows)

@@ -89,8 +89,22 @@ def test_d_free_sum_left_factor_multiplies_any_element(text, flavor, capsys):
 
 
 @pytest.mark.parametrize("flavor", ["w1", "hat"])
+@pytest.mark.parametrize("text", ["2*(t^(1) + t^(2))*D", "-(t^(1) + t^(2))*D",
+                                  "((t^(1) + t^(2)) + t^(3))*D",
+                                  "(t^(3) + (t^(1) - 2))*D", "t^(1)*(t^(1) + t^(2))*D",
+                                  "(t^(1) + t^(2))*(t^(-1) + 1)*2*D", "3*-(1 + t^(2))*D^2"])
+def test_d_free_sum_after_d_free_factors_multiplies_any_element(text, flavor, capsys):
+    # before, each exited 2 with "|mu| = 0 monomials are not in W^(1)": only a
+    # sum written directly as a product's first factor was read as a grade shift
+    assert main(["eval", text, "--subalgebra", flavor]) == 0
+    assert capsys.readouterr().out == format_element(parse_element(text, S)) + "\n"
+
+
+@pytest.mark.parametrize("flavor", ["w1", "hat"])
 @pytest.mark.parametrize("text", ["t^(1) + t^(2)", "D*(t^(1) + t^(2))", "(t^(1) + t^(2))*2",
-                                  "(t^(1) + D)*D", "(D + t^(1))*D"])
+                                  "(t^(1) + D)*D", "(D + t^(1))*D", "2*(t^(1) + t^(2))",
+                                  "-(t^(1) + t^(2))", "D*2*(t^(1) + t^(2))*D",
+                                  "(D + (t^(1) + t^(2)))*D", "(t^(1) + (t^(2) + D))*D"])
 def test_d_free_sum_is_still_refused_as_an_element(text, flavor, capsys):
     assert main(["eval", text, "--subalgebra", flavor]) == 2
     assert capsys.readouterr().err.strip() == "error: |mu| = 0 monomials are not in W^(1)"

@@ -29,9 +29,10 @@ The cross-layer slice, over Z, (1/2)Z and a rank-2 lattice in Q^2, on
 elements in either basis: mul agrees with the operator action on a random
 t^g; every grade that mul, bracket and + put out lies in the lattice; the
 modules A_alpha and B_alpha with formal alpha satisfy the Lie-module axiom;
-and a sum of three is the same value however it is grouped, its basis
-following FORMAT.md's left-fold rule at each step (the basis itself may
-depend on the grouping).
+the module action agrees, over Z and the rank-2 lattice, with the module
+docstring's two formulas applied one term at a time; and a sum of three is
+the same value however it is grouped, its basis following FORMAT.md's
+left-fold rule at each step (the basis itself may depend on the grouping).
 """
 
 import math
@@ -415,6 +416,62 @@ def test_the_lie_module_axiom_holds_with_formal_alpha(name, kind, data):
     zero = weyl.ring.zero
     rhs = {k: xy.get(k, zero) - yx.get(k, zero) for k in xy.keys() | yx.keys()}
     assert act(m, bracket(x, y), v) == {k: c for k, c in rhs.items() if c}
+
+
+def _act_by_formula(m, x, vec):
+    """The intermediate module docstring's formulas, one (vector entry, term)
+    at a time: t^b D^mu y_g = (alpha + g)^mu y_(b+g) on A and
+    (-1)^(|mu|+1) (alpha + b + g)^mu y_(b+g) on B."""
+    lat, zero = m.weyl.lattice, m.weyl.ring.zero
+    out = {}
+    for coords, vc in vec.items():
+        g = lat.ambient(coords)
+        for (b, mu), c in x.to_power().terms.items():
+            coeff = c * vc
+            if m.kind == "A":
+                for a, gi, e in zip(m.alpha, g, mu):
+                    coeff = coeff * (a + gi) ** e
+            else:
+                coeff = coeff * (-1) ** (sum(mu) + 1)
+                for a, bi, gi, e in zip(m.alpha, b, g, mu):
+                    coeff = coeff * (a + bi + gi) ** e
+            target = tuple(p + q for p, q in zip(coords, lat.membership(b)))
+            out[target] = out.get(target, zero) + coeff
+    return {k: c for k, c in out.items() if c}
+
+
+def _mus(n):
+    return st.tuples(*[st.integers(0, 3)] * n).filter(any)
+
+
+@pytest.mark.parametrize("alpha", ("formal", "half"))
+@pytest.mark.parametrize("kind", ("A", "B"))
+@pytest.mark.parametrize("name", ("Z", "skew"))
+@settings(max_examples=12, derandomize=True, database=None, deadline=None, phases=NO_SHRINK)
+@given(data=st.data())
+def test_act_agrees_with_the_per_term_formulas(name, kind, alpha, data):
+    weyl = MODULE_ALGEBRAS[name]
+    lat, n, ring = weyl.lattice, weyl.n, weyl.ring
+    m = make_module(kind, "formal" if alpha == "formal" else [Fraction(1, 2)] * n, weyl)
+    vec = data.draw(st.dictionaries(points(lat), polys(ring, 2).filter(bool),
+                                    min_size=1, max_size=3))
+    # up to six terms on up to three grades, so grades repeat; equal keys add up
+    grades = data.draw(st.lists(points(lat), min_size=1, max_size=3, unique=True))
+    terms = {}
+    for coords, mu, c in data.draw(st.lists(st.tuples(st.sampled_from(grades), _mus(n),
+                                                      NONZERO), min_size=1, max_size=6)):
+        key = (lat.ambient(coords), mu)
+        terms[key] = terms.get(key, 0) + c
+    # a block at a grade of its own that cancels on the first vector entry:
+    # c (D1^2 - x1 D1) with x1 the first coordinate of act's argument there
+    b, g = lat.ambient((4,) * lat.rank), lat.ambient(next(iter(vec)))
+    x1 = m.alpha[0] + g[0] if kind == "A" else -(m.alpha[0] + b[0] + g[0])
+    c = data.draw(NONZERO)
+    unit = tuple(int(i == 0) for i in range(n))
+    terms[(b, tuple(2 * u for u in unit))] = c
+    terms[(b, unit)] = -c * x1
+    x = WeylElement(weyl, terms)
+    assert act(m, x, vec) == _act_by_formula(m, x, vec)
 
 
 def _sum_basis(partial, summand):

@@ -39,9 +39,21 @@ def test_p_collapse_at_zero_constants():
 
 
 def test_transcribed_equals_rederived():
-    ps = build_p_series()
-    assert set(ps.discrepancies) == {3, 4, 5}
-    assert all(d.is_zero() for d in ps.discrepancies.values())
+    discrepancies = weightlab._discrepancies(build_p_series())
+    assert set(discrepancies) == {3, 4, 5}
+    assert all(d.is_zero() for d in discrepancies.values())
+
+
+def test_only_the_p_series_report_runs_the_recurrence(monkeypatch):
+    # the recurrence shifts p1 and p2 six times; the transcribed series alone shifts nothing
+    shifts = []
+    real_shift = Scalar.shift
+    monkeypatch.setattr(Scalar, "shift",
+                        lambda s, name, delta: shifts.append(delta) or real_shift(s, name, delta))
+    build_p_series()
+    assert shifts == []
+    p_series_report()
+    assert shifts == [2, 1, 3, 1, 4, 1]
 
 
 def test_virasoro_consistency_report():
@@ -96,11 +108,9 @@ def test_f_polynomials_build_each_shifted_series_entry_once(monkeypatch):
                         reads.append((j, shift, primed)) or real_pjk(ps, j, shift, primed))
     monkeypatch.setattr(Scalar, "shift",
                         lambda s, name, delta: shifts.append(delta) or real_shift(s, name, delta))
-    build_p_series()
-    recurrence = len(shifts)
     build_f_polynomials()
     assert (len(reads), len(set(reads))) == (42, 19)
-    assert len(shifts) - 2 * recurrence == len({key for key in reads if key[1]})
+    assert len(shifts) == len({key for key in reads if key[1]})
 
 
 def test_p_series_report_passes():
@@ -108,9 +118,8 @@ def test_p_series_report_passes():
 
 
 def test_p_series_report_names_a_nonzero_discrepancy(monkeypatch):
-    ps = build_p_series()
-    tampered = dataclasses.replace(ps, discrepancies={**ps.discrepancies, 4: KBAR + P1})
-    monkeypatch.setattr(weightlab, "build_p_series", lambda: tampered)
+    real = weightlab._discrepancies
+    monkeypatch.setattr(weightlab, "_discrepancies", lambda ps: {**real(ps), 4: KBAR + P1})
     rep = p_series_report()
     assert rep.residual == str({4: str(KBAR + P1)})
     assert (rep.details["p3_discrepancy"], rep.details["p4_discrepancy"]) == ("0", "kbar + p1")
